@@ -59,7 +59,7 @@ fn solve(k: usize, r: usize, d: usize, config: &SynthesisConfig) -> Solved {
 /// description on the first violation.
 fn validate(text: &str) -> Result<(), String> {
     let v = fec_trace::parse_json(text).map_err(|e| e.to_string())?;
-    fec_bench::validate_bench_meta(&v)?;
+    fec_cli::validate_bench_meta(&v)?;
     let num = |key: &str| -> Result<f64, String> {
         v.get(key)
             .and_then(|x| x.as_num())

@@ -59,7 +59,7 @@ const SIDE_KEYS: [&str; 8] = [
 /// description on the first violation.
 fn validate(text: &str) -> Result<(), String> {
     let v = fec_trace::parse_json(text).map_err(|e| e.to_string())?;
-    fec_bench::validate_bench_meta(&v)?;
+    fec_cli::validate_bench_meta(&v)?;
     for key in ["seed", "payload_bytes"] {
         v.get(key)
             .and_then(|x| x.as_num())

@@ -27,72 +27,22 @@
 use fec_hamming::standards;
 use fec_smt::Budget;
 use fec_synth::verify::{verify_min_distance_exact_with, VerifyOptions, VerifyOutcome};
-use fec_trace::{Level, TraceConfig};
-
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    let eq = format!("--{name}=");
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix(&eq) {
-            return Some(v);
-        }
-        if a == &format!("--{name}") {
-            return args.get(i + 1).map(String::as_str);
-        }
-    }
-    None
-}
-
-/// Installs the trace collector if any `--trace*` flag is present;
-/// returns whether a shutdown is owed.
-fn setup_trace(args: &[String]) -> bool {
-    let level_arg = flag_value(args, "trace");
-    let chrome = flag_value(args, "trace-out");
-    let jsonl = flag_value(args, "trace-jsonl");
-    let metrics = flag_value(args, "metrics-out");
-    let stderr_on = args
-        .iter()
-        .any(|a| a == "--trace" || a.starts_with("--trace="));
-    if !stderr_on && chrome.is_none() && jsonl.is_none() && metrics.is_none() {
-        return false;
-    }
-    let level = level_arg
-        .filter(|v| !v.starts_with("--"))
-        .and_then(Level::parse)
-        .unwrap_or(Level::Info);
-    let mut config = TraceConfig::new(level);
-    if stderr_on {
-        config = config.stderr();
-    }
-    if let Some(p) = chrome {
-        config = config.chrome_path(p).expect("create --trace-out file");
-    }
-    if let Some(p) = jsonl {
-        config = config.jsonl_path(p).expect("create --trace-jsonl file");
-    }
-    if let Some(p) = metrics {
-        config = config.metrics_path(p);
-    }
-    fec_trace::install(config);
-    true
-}
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let traced = setup_trace(&args);
-    let check_proofs = args.iter().any(|a| a == "--check-proofs");
-    let jobs = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .or_else(|| {
-            args.iter()
-                .find_map(|a| a.strip_prefix("--jobs=").map(|_| a))
-        })
-        .map(|a| a.trim_start_matches("--jobs="))
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1);
-    let simplify = args.iter().any(|a| a == "--simplify");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    // the fecsynth flag rules: unknown flags, a bad --jobs, or an
+    // unwritable trace path are usage errors (exit 2)
+    let parsed = fec_cli::check_flags(&args, &["check-proofs", "jobs", "simplify"])
+        .and_then(|()| fec_cli::parse_jobs(&args))
+        .and_then(|jobs| Ok((jobs, fec_cli::setup_trace(&args)?)));
+    let (jobs, traced) = parsed.unwrap_or_else(|e| {
+        let mut err = String::new();
+        fec_cli::fail(&mut err, "usage", &e);
+        eprint!("{err}");
+        std::process::exit(2)
+    });
+    let check_proofs = fec_cli::has_flag(&args, "check-proofs");
+    let simplify = fec_cli::has_flag(&args, "simplify");
     let opts = VerifyOptions {
         budget: Budget::unlimited(),
         check_certificates: check_proofs,

@@ -7,13 +7,9 @@
 
 #![forbid(unsafe_code)]
 
+use fec_cli::BENCH_SCHEMA_VERSION;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
-
-/// Version stamped into every `bench_meta.schema`; bump on
-/// incompatible BENCH_*.json layout changes. `fecsynth bench-compare`
-/// rejects files with a different version.
-pub const BENCH_SCHEMA_VERSION: u64 = 1;
 
 /// The workspace root (where BENCH_*.json files live), resolved from
 /// this crate's manifest.
@@ -66,53 +62,18 @@ pub fn bench_meta(reps: u64) -> String {
     )
 }
 
-/// Checks the shared `bench_meta` header on a parsed BENCH_*.json —
-/// the harness-side half of the schema `fecsynth bench-compare`
-/// enforces (the CLI keeps its own copy; it must not depend on the
-/// harness crate).
-pub fn validate_bench_meta(v: &fec_trace::Json) -> Result<(), String> {
-    let m = v
-        .get("bench_meta")
-        .ok_or("missing \"bench_meta\" header (re-run the emitter)")?;
-    let num = |k: &str| {
-        m.get(k)
-            .and_then(fec_trace::Json::as_num)
-            .ok_or_else(|| format!("bench_meta: missing numeric {k:?}"))
-    };
-    let string = |k: &str| {
-        m.get(k)
-            .and_then(fec_trace::Json::as_str)
-            .filter(|s| !s.is_empty())
-            .ok_or_else(|| format!("bench_meta: missing string {k:?}"))
-    };
-    let schema = num("schema")?;
-    if schema != BENCH_SCHEMA_VERSION as f64 {
-        return Err(format!(
-            "bench_meta: schema {schema} (this harness writes {BENCH_SCHEMA_VERSION})"
-        ));
-    }
-    if num("reps")? < 1.0 {
-        return Err("bench_meta: reps must be >= 1".into());
-    }
-    num("cores")?;
-    string("git_commit")?;
-    string("rustc")?;
-    Ok(())
-}
-
-/// Parses `--name=value` from the command line, with a default.
+/// Parses `--name=value` (or `--name value`) from the command line,
+/// with a default.
 pub fn arg_u64(name: &str, default: u64) -> u64 {
-    let prefix = format!("--{name}=");
-    std::env::args()
-        .find_map(|a| a.strip_prefix(&prefix).map(str::to_string))
+    let args: Vec<String> = std::env::args().collect();
+    fec_cli::flag_value(&args, name)
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
 }
 
 /// `true` when `--flag` is present.
 pub fn arg_flag(name: &str) -> bool {
-    let flag = format!("--{name}");
-    std::env::args().any(|a| a == flag)
+    fec_cli::has_flag(&std::env::args().collect::<Vec<_>>(), name)
 }
 
 /// The standard trial count: the paper's 10,000,000, or 1,000,000
@@ -126,7 +87,7 @@ pub fn trial_count() -> u64 {
     arg_u64("trials", default)
 }
 
-/// Per-step synthesis timeout: the paper's 120 s, or 20 s under
+/// Per-run synthesis timeout: the paper's 120 s, or 20 s under
 /// `--quick`, overridable with `--timeout=SECS`.
 pub fn synth_timeout() -> Duration {
     let default = if arg_flag("quick") { 20 } else { 120 };
@@ -169,11 +130,11 @@ mod tests {
     fn bench_meta_emits_and_validates() {
         let json = format!("{{\n{}  \"x\": 1\n}}", bench_meta(3));
         let v = fec_trace::parse_json(&json).expect("bench_meta fragment is valid JSON");
-        validate_bench_meta(&v).expect("fresh header passes its own schema");
+        fec_cli::validate_bench_meta(&v).expect("fresh header passes its own schema");
         // a divergent schema version must be rejected
         let old = json.replace("\"schema\": 1", "\"schema\": 0");
         let v = fec_trace::parse_json(&old).unwrap();
-        assert!(validate_bench_meta(&v).is_err());
+        assert!(fec_cli::validate_bench_meta(&v).is_err());
         // reps is threaded through
         assert!(json.contains("\"reps\": 3"), "{json}");
     }

@@ -27,11 +27,11 @@ use fec_trace::{parse_json, Json};
 use std::fmt::Write as _;
 use std::path::Path;
 
-use crate::{fail, has_flag};
+use crate::{fail, has_flag, usage};
 
-/// Version the emitters stamp into `bench_meta.schema`; bump on
-/// incompatible layout changes (mirrored by `fec_bench::BENCH_SCHEMA_VERSION`).
-const SCHEMA_VERSION: f64 = 1.0;
+/// Version every BENCH_*.json emitter stamps into `bench_meta.schema`;
+/// bump on incompatible layout changes.
+pub const BENCH_SCHEMA_VERSION: u64 = 1;
 
 /// Relative change beyond which a gated metric is a regression.
 const THRESHOLD: f64 = 0.10;
@@ -94,10 +94,10 @@ fn flatten(v: &Json, prefix: &str, nums: &mut Vec<(String, f64)>, bools: &mut Ve
     }
 }
 
-/// Checks the shared `bench_meta` header (kept in sync with
-/// `fec_bench::validate_bench_meta` — the CLI must not depend on the
-/// harness crate).
-fn check_meta(v: &Json) -> Result<(), String> {
+/// Checks the shared `bench_meta` header of a parsed BENCH_*.json: the
+/// one schema both this gate and the fec-bench emitters' `--validate`
+/// enforce.
+pub fn validate_bench_meta(v: &Json) -> Result<(), String> {
     let m = v
         .get("bench_meta")
         .ok_or("missing \"bench_meta\" header (re-run the fec-bench emitter)")?;
@@ -113,9 +113,9 @@ fn check_meta(v: &Json) -> Result<(), String> {
             .ok_or_else(|| format!("bench_meta: missing string {k:?}"))
     };
     let schema = num("schema")?;
-    if schema != SCHEMA_VERSION {
+    if schema != BENCH_SCHEMA_VERSION as f64 {
         return Err(format!(
-            "bench_meta: schema {schema} (expected {SCHEMA_VERSION})"
+            "bench_meta: schema {schema} (expected {BENCH_SCHEMA_VERSION})"
         ));
     }
     if num("reps")? < 1.0 {
@@ -204,27 +204,14 @@ fn list_bench_files(dir: &Path) -> Result<Vec<String>, String> {
 pub fn cmd_bench_compare(args: &[String], out: &mut String, err: &mut String) -> i32 {
     let positional: Vec<&String> = args[1..].iter().filter(|a| !a.starts_with("--")).collect();
     let [baseline_dir, current_dir] = positional[..] else {
-        fail(
-            err,
-            "usage",
-            "bench-compare: expected <baseline-dir> <current-dir>",
-        );
-        return 2;
+        return usage(err, "bench-compare: expected <baseline-dir> <current-dir>");
     };
     let current_files = match list_bench_files(Path::new(current_dir)) {
         Ok(f) => f,
-        Err(e) => {
-            fail(err, "usage", &e);
-            return 2;
-        }
+        Err(e) => return usage(err, &e),
     };
     if current_files.is_empty() {
-        fail(
-            err,
-            "usage",
-            &format!("no BENCH_*.json files in {current_dir:?}"),
-        );
-        return 2;
+        return usage(err, &format!("no BENCH_*.json files in {current_dir:?}"));
     }
     let json_mode = has_flag(args, "json");
     let mut failures = 0usize;
@@ -242,7 +229,7 @@ pub fn cmd_bench_compare(args: &[String], out: &mut String, err: &mut String) ->
                 continue;
             }
         };
-        if let Err(e) = check_meta(&cur) {
+        if let Err(e) = validate_bench_meta(&cur) {
             fail(err, "schema", &format!("{name}: {e}"));
             failures += 1;
             continue;

@@ -15,6 +15,8 @@
 mod bench_compare;
 mod report;
 
+pub use bench_compare::{validate_bench_meta, BENCH_SCHEMA_VERSION};
+
 use fec_gf2::BitVec;
 use fec_hamming::{distance, Generator};
 use fec_smt::Budget;
@@ -32,7 +34,7 @@ fecsynth — synthesize, verify, and export Hamming FEC generators
 USAGE:
     fecsynth analyze \"<property>\" [--max-check=N] [TRACE]
     fecsynth synth  \"<property>\" [--timeout=SECS] [--check-proofs] [--jobs=N]
-                    [--simplify] [--incremental|--no-incremental] [TRACE]
+                    [--simplify] [TRACE]
     fecsynth verify \"<property>\" --coeff <rows> [--check-proofs] [--jobs=N]
                     [--simplify] [TRACE]
                     (rows like 101/110/111/011)
@@ -61,13 +63,10 @@ USAGE:
                     composes with --jobs (workers get diversified
                     technique mixes) and --check-proofs (simplifier
                     steps are part of the checked DRAT stream)
-    --incremental   (synth; the default) keep solver state warm across
-                    CEGIS iterations: learned clauses, branching
-                    activities, and saved phases carry over, and with
-                    --simplify an inprocessing pass runs between
-                    iterations; --no-incremental selects the
-                    from-scratch reference mode that rebuilds every
-                    solver per iteration and replays counterexamples
+    --timeout=SECS  (synth, stream --adapt) wall-clock budget for the whole
+                    synthesis run; when it cuts an optimization short,
+                    synth prints the best code found and
+                    \"optimum: not proven (timeout)\"
     --minimize      (emit) run the cancellation-aware CSE minimizer and
                     emit the certified circuit instead of the sparse
                     per-column form; the output is accepted only if the
@@ -131,6 +130,9 @@ shared bench_meta schema and diffs metrics against <baseline-dir> with
 per-metric-class regression thresholds (timings 50%, quality ratios
 10%, booleans must not regress); exit 1 on any regression.
 
+Any other --flag, and a --timeout or --jobs that is not a positive
+integer, is a usage error.
+
 EXIT CODES:
     0 success / property HOLDS        2 usage, parse, or unsupported input
     1 property FAILS / no solution    3 solver budget or timeout exhausted
@@ -149,12 +151,55 @@ EXAMPLES:
     fecsynth emit --coeff 101/110/111/011 --lang=c
 ";
 
+/// The flags each subcommand accepts besides the TRACE family; any
+/// other `--name` is a usage error.
+const FLAGS: &[(&str, &[&str])] = &[
+    ("analyze", &["max-check"]),
+    ("synth", &["timeout", "check-proofs", "jobs", "simplify"]),
+    ("verify", &["coeff", "check-proofs", "jobs", "simplify"]),
+    ("info", &["coeff"]),
+    ("emit", &["coeff", "lang", "minimize"]),
+    ("encode", &["coeff", "data"]),
+    ("lint-kernel", &["coeff", "lang", "file"]),
+    (
+        "stream",
+        &[
+            "adapt", "seed", "bytes", "depth", "gen-size", "repair", "timeout", "jobs", "simplify",
+        ],
+    ),
+    ("trace-validate", &[]),
+    ("report", &["json"]),
+    ("bench-compare", &["json"]),
+];
+
+/// The TRACE family, accepted by every subcommand.
+const TRACE_FLAGS: &[&str] = &[
+    "trace",
+    "trace-out",
+    "trace-jsonl",
+    "metrics-out",
+    "progress",
+    "stall-after",
+];
+
+/// Upper ends of the numeric budgets: past them a `Duration` or a
+/// thread count stops being a budget and starts being an overflow.
+const MAX_TIMEOUT_SECS: usize = 1_000_000;
+const MAX_JOBS: usize = 1024;
+
 /// Runs one CLI invocation; returns (exit code, stdout text, stderr
 /// text). Diagnostics on the stderr stream follow the structured
 /// one-line format described in the module docs.
 pub fn run(args: &[String]) -> (i32, String, String) {
     let mut out = String::new();
     let mut err = String::new();
+    let command = args.first().map(String::as_str);
+    if let Some((name, accepted)) = FLAGS.iter().find(|(name, _)| Some(*name) == command) {
+        if let Err(e) = check_flags(args, accepted) {
+            fail(&mut err, "usage", &format!("{name}: {e}"));
+            return (2, out, err);
+        }
+    }
     let traced = match setup_trace(args) {
         Ok(t) => t,
         Err(e) => {
@@ -192,8 +237,14 @@ pub fn run(args: &[String]) -> (i32, String, String) {
 }
 
 /// Writes the structured diagnostic line `error: kind=... msg="..."`.
-pub(crate) fn fail(err: &mut String, kind: &str, msg: &str) {
+pub fn fail(err: &mut String, kind: &str, msg: &str) {
     let _ = writeln!(err, "error: kind={kind} msg={msg:?}");
+}
+
+/// Writes a `kind=usage` diagnostic; returns the usage exit code.
+pub(crate) fn usage(err: &mut String, msg: &str) -> i32 {
+    fail(err, "usage", msg);
+    2
 }
 
 /// Exit code for a synthesis failure class (see module docs).
@@ -205,10 +256,25 @@ fn synth_exit_code(e: &SynthError) -> i32 {
     }
 }
 
+/// Rejects every `--name` in `args` that is neither in `accepted` nor
+/// in the TRACE family.
+pub fn check_flags(args: &[String], accepted: &[&str]) -> Result<(), String> {
+    for a in args {
+        let Some(flag) = a.strip_prefix("--") else {
+            continue;
+        };
+        let name = flag.split_once('=').map_or(flag, |(n, _)| n);
+        if !accepted.contains(&name) && !TRACE_FLAGS.contains(&name) {
+            return Err(format!("unknown flag --{name}"));
+        }
+    }
+    Ok(())
+}
+
 /// Parses the `--trace*` family and installs the global collector when
 /// any is present. Returns whether a collector was installed (the
 /// caller must `fec_trace::shutdown()` afterwards).
-fn setup_trace(args: &[String]) -> Result<bool, String> {
+pub fn setup_trace(args: &[String]) -> Result<bool, String> {
     let level_arg = flag_value(args, "trace");
     let chrome = flag_value(args, "trace-out");
     let jsonl = flag_value(args, "trace-jsonl");
@@ -272,7 +338,8 @@ fn setup_trace(args: &[String]) -> Result<bool, String> {
     Ok(true)
 }
 
-pub(crate) fn has_flag(args: &[String], name: &str) -> bool {
+/// `true` when the bare flag `--name` is present.
+pub fn has_flag(args: &[String], name: &str) -> bool {
     let full = format!("--{name}");
     args.iter().any(|a| a == &full)
 }
@@ -282,7 +349,8 @@ fn has_flag_or_value(args: &[String], name: &str) -> bool {
     has_flag(args, name) || flag_value(args, name).is_some()
 }
 
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
+/// The value of `--name=v` or `--name v`.
+pub fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     let eq = format!("--{name}=");
     for (i, a) in args.iter().enumerate() {
         if let Some(v) = a.strip_prefix(&eq) {
@@ -295,11 +363,15 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     None
 }
 
-fn parse_jobs(args: &[String]) -> usize {
-    flag_value(args, "jobs")
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
+/// `--jobs=N`: a positive worker count, default 1.
+pub fn parse_jobs(args: &[String]) -> Result<usize, String> {
+    parse_bounded(args, "jobs", 1, 1..=MAX_JOBS)
+}
+
+/// `--timeout=SECS`: a positive number of seconds.
+fn parse_timeout(args: &[String], default_secs: usize) -> Result<Duration, String> {
+    parse_bounded(args, "timeout", default_secs, 1..=MAX_TIMEOUT_SECS)
+        .map(|secs| Duration::from_secs(secs as u64))
 }
 
 fn parse_coeff(args: &[String]) -> Result<Generator, String> {
@@ -311,15 +383,11 @@ fn parse_coeff(args: &[String]) -> Result<Generator, String> {
 fn cmd_analyze(args: &[String], out: &mut String, err: &mut String) -> i32 {
     use fec_analyze::{PointVerdict, SpecError};
     let Some(spec) = args.get(1).filter(|s| !s.starts_with("--")) else {
-        fail(err, "usage", "analyze: missing property argument");
-        return 2;
+        return usage(err, "analyze: missing property argument");
     };
     let max_check = match parse_bounded(args, "max-check", 14, 1..=64) {
         Ok(v) => v,
-        Err(e) => {
-            fail(err, "usage", &e);
-            return 2;
-        }
+        Err(e) => return usage(err, &e),
     };
     let prop = match parse_property(spec) {
         Ok(p) => p,
@@ -379,12 +447,12 @@ fn cmd_analyze(args: &[String], out: &mut String, err: &mut String) -> i32 {
 
 fn cmd_synth(args: &[String], out: &mut String, err: &mut String) -> i32 {
     let Some(spec) = args.get(1).filter(|s| !s.starts_with("--")) else {
-        fail(err, "usage", "synth: missing property argument");
-        return 2;
+        return usage(err, "synth: missing property argument");
     };
-    let timeout = flag_value(args, "timeout")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(120);
+    let (timeout, jobs) = match parse_timeout(args, 120).and_then(|t| Ok((t, parse_jobs(args)?))) {
+        Ok(v) => v,
+        Err(e) => return usage(err, &e),
+    };
     let prop = match parse_property(spec) {
         Ok(p) => p,
         Err(e) => {
@@ -392,22 +460,11 @@ fn cmd_synth(args: &[String], out: &mut String, err: &mut String) -> i32 {
             return 2;
         }
     };
-    if has_flag(args, "incremental") && has_flag(args, "no-incremental") {
-        fail(
-            err,
-            "usage",
-            "synth: --incremental and --no-incremental are mutually exclusive",
-        );
-        return 2;
-    }
     let config = SynthesisConfig {
-        timeout: Duration::from_secs(timeout),
+        timeout,
         check_certificates: has_flag(args, "check-proofs"),
-        jobs: parse_jobs(args),
+        jobs,
         simplify: has_flag(args, "simplify"),
-        // warm solvers are the default; --no-incremental opts into the
-        // from-scratch reference mode
-        incremental: !has_flag(args, "no-incremental"),
         ..Default::default()
     };
     match Synthesizer::new(config).run(&prop) {
@@ -427,6 +484,13 @@ fn cmd_synth(args: &[String], out: &mut String, err: &mut String) -> i32 {
                 r.iterations,
                 r.elapsed.as_secs_f64()
             ));
+            if !r.intermediates.is_empty() {
+                out.push_str(if r.optimal {
+                    "optimum: proven\n"
+                } else {
+                    "optimum: not proven (timeout)\n"
+                });
+            }
             0
         }
         Err(e) => {
@@ -438,15 +502,11 @@ fn cmd_synth(args: &[String], out: &mut String, err: &mut String) -> i32 {
 
 fn cmd_verify(args: &[String], out: &mut String, err: &mut String) -> i32 {
     let Some(spec) = args.get(1).filter(|s| !s.starts_with("--")) else {
-        fail(err, "usage", "verify: missing property argument");
-        return 2;
+        return usage(err, "verify: missing property argument");
     };
-    let g = match parse_coeff(args) {
-        Ok(g) => g,
-        Err(e) => {
-            fail(err, "usage", &e);
-            return 2;
-        }
+    let (g, jobs) = match parse_coeff(args).and_then(|g| Ok((g, parse_jobs(args)?))) {
+        Ok(v) => v,
+        Err(e) => return usage(err, &e),
     };
     let prop = match parse_property(spec) {
         Ok(p) => p,
@@ -458,7 +518,7 @@ fn cmd_verify(args: &[String], out: &mut String, err: &mut String) -> i32 {
     let opts = VerifyOptions {
         budget: Budget::unlimited(),
         check_certificates: has_flag(args, "check-proofs"),
-        jobs: parse_jobs(args),
+        jobs,
         simplify: has_flag(args, "simplify"),
         ..VerifyOptions::default()
     };
@@ -505,10 +565,7 @@ fn cmd_verify(args: &[String], out: &mut String, err: &mut String) -> i32 {
 fn cmd_info(args: &[String], out: &mut String, err: &mut String) -> i32 {
     let g = match parse_coeff(args) {
         Ok(g) => g,
-        Err(e) => {
-            fail(err, "usage", &e);
-            return 2;
-        }
+        Err(e) => return usage(err, &e),
     };
     let md = if g.data_len() <= 20 {
         distance::min_distance_exhaustive(&g)
@@ -532,21 +589,14 @@ fn cmd_info(args: &[String], out: &mut String, err: &mut String) -> i32 {
 fn cmd_emit(args: &[String], out: &mut String, err: &mut String) -> i32 {
     let g = match parse_coeff(args) {
         Ok(g) => g,
-        Err(e) => {
-            fail(err, "usage", &e);
-            return 2;
-        }
+        Err(e) => return usage(err, &e),
     };
     if g.check_len() > 64 {
-        fail(err, "usage", "emit supports at most 64 check bits");
-        return 2;
+        return usage(err, "emit supports at most 64 check bits");
     }
     let lang: fec_circ::Lang = match flag_value(args, "lang").unwrap_or("c").parse() {
         Ok(l) => l,
-        Err(e) => {
-            fail(err, "usage", &e);
-            return 2;
-        }
+        Err(e) => return usage(err, &e),
     };
     let circuit = if has_flag(args, "minimize") {
         // certified: minimize() falls back to the sparse circuit unless
@@ -590,30 +640,20 @@ fn lint_verdict(out: &mut String, form: &str, report: &fec_circ::Report) -> bool
 fn cmd_lint_kernel(args: &[String], out: &mut String, err: &mut String) -> i32 {
     let g = match parse_coeff(args) {
         Ok(g) => g,
-        Err(e) => {
-            fail(err, "usage", &e);
-            return 2;
-        }
+        Err(e) => return usage(err, &e),
     };
     if g.check_len() > 64 {
-        fail(err, "usage", "lint-kernel supports at most 64 check bits");
-        return 2;
+        return usage(err, "lint-kernel supports at most 64 check bits");
     }
     let lang: fec_circ::Lang = match flag_value(args, "lang").unwrap_or("c").parse() {
         Ok(l) => l,
-        Err(e) => {
-            fail(err, "usage", &e);
-            return 2;
-        }
+        Err(e) => return usage(err, &e),
     };
     if let Some(path) = flag_value(args, "file") {
         // validate one emitted source file against the matrix
         let src = match std::fs::read_to_string(path) {
             Ok(t) => t,
-            Err(e) => {
-                fail(err, "usage", &format!("cannot read {path:?}: {e}"));
-                return 2;
-            }
+            Err(e) => return usage(err, &format!("cannot read {path:?}: {e}")),
         };
         let report = fec_circ::validate_source(&src, lang, &g);
         let ok = lint_verdict(out, path, &report);
@@ -677,30 +717,23 @@ fn cmd_lint_kernel(args: &[String], out: &mut String, err: &mut String) -> i32 {
 fn cmd_encode(args: &[String], out: &mut String, err: &mut String) -> i32 {
     let g = match parse_coeff(args) {
         Ok(g) => g,
-        Err(e) => {
-            fail(err, "usage", &e);
-            return 2;
-        }
+        Err(e) => return usage(err, &e),
     };
     let Some(data) = flag_value(args, "data") else {
-        fail(err, "usage", "encode: missing --data <bits>");
-        return 2;
+        return usage(err, "encode: missing --data <bits>");
     };
     let Some(bits) = BitVec::from_bitstring(data) else {
-        fail(err, "usage", &format!("malformed data bits {data:?}"));
-        return 2;
+        return usage(err, &format!("malformed data bits {data:?}"));
     };
     if bits.len() != g.data_len() {
-        fail(
+        return usage(
             err,
-            "usage",
             &format!(
                 "data is {} bits but the code expects {}",
                 bits.len(),
                 g.data_len()
             ),
         );
-        return 2;
     }
     out.push_str(&format!("{}\n", g.encode(&bits)));
     0
@@ -767,31 +800,31 @@ fn cmd_stream(args: &[String], out: &mut String, err: &mut String) -> i32 {
         .map(|v| v.parse::<u64>())
         .transpose();
     let Ok(seed) = seed else {
-        fail(err, "usage", "--seed must be an unsigned integer");
-        return 2;
+        return usage(err, "--seed must be an unsigned integer");
     };
     let seed = seed.unwrap_or(1);
     let bytes = match parse_bounded(args, "bytes", 16384, 1..=1 << 24) {
         Ok(v) => v,
-        Err(e) => {
-            fail(err, "usage", &e);
-            return 2;
-        }
+        Err(e) => return usage(err, &e),
     };
     let mut cfg = fec_stream::StreamConfig::static_8023df(seed);
-    let parsed: Result<(), String> = (|| {
+    let parsed: Result<fec_stream::AdaptConfig, String> = (|| {
         cfg.depth = parse_bounded(args, "depth", cfg.depth, 1..=64)?;
         cfg.gen_size = parse_bounded(args, "gen-size", cfg.gen_size, 1..=64)?;
         cfg.repair = parse_bounded(args, "repair", cfg.repair, 0..=64)?;
-        Ok(())
+        Ok(fec_stream::AdaptConfig {
+            timeout: parse_timeout(args, 20)?,
+            jobs: parse_jobs(args)?,
+            simplify: has_flag(args, "simplify"),
+            ..Default::default()
+        })
     })();
-    if let Err(e) = parsed {
-        fail(err, "usage", &e);
-        return 2;
-    }
+    let acfg = match parsed {
+        Ok(a) => a,
+        Err(e) => return usage(err, &e),
+    };
     if cfg.repair > cfg.gen_size {
-        fail(err, "usage", "--repair must not exceed --gen-size");
-        return 2;
+        return usage(err, "--repair must not exceed --gen-size");
     }
     let payload = fec_stream::deterministic_payload(bytes, seed);
     let k = cfg.inner.data_len();
@@ -814,15 +847,6 @@ fn cmd_stream(args: &[String], out: &mut String, err: &mut String) -> i32 {
         return 0;
     }
 
-    let timeout = flag_value(args, "timeout")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20);
-    let acfg = fec_stream::AdaptConfig {
-        timeout: Duration::from_secs(timeout),
-        jobs: parse_jobs(args),
-        simplify: has_flag(args, "simplify"),
-        ..Default::default()
-    };
     let a = match fec_stream::run_adaptive(&payload, &cfg, &acfg) {
         Ok(a) => a,
         Err(e) => {
@@ -879,19 +903,11 @@ fn cmd_stream(args: &[String], out: &mut String, err: &mut String) -> i32 {
 
 fn cmd_trace_validate(args: &[String], out: &mut String, err: &mut String) -> i32 {
     let Some(path) = args.get(1).filter(|s| !s.starts_with("--")) else {
-        fail(
-            err,
-            "usage",
-            "trace-validate: missing <file.jsonl> argument",
-        );
-        return 2;
+        return usage(err, "trace-validate: missing <file.jsonl> argument");
     };
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
-        Err(e) => {
-            fail(err, "usage", &format!("cannot read {path:?}: {e}"));
-            return 2;
-        }
+        Err(e) => return usage(err, &format!("cannot read {path:?}: {e}")),
     };
     match fec_trace::validate_jsonl(&text) {
         Ok(n) => {
@@ -1076,14 +1092,95 @@ mod tests {
 
     #[test]
     fn synth_timeout_exit_code() {
-        // a zero-second deadline forces SynthError::Timeout → exit 3
+        // the extended Golay [24, 12, 8] is far beyond a one-second
+        // search: SynthError::Timeout → exit 3
         let (code, _, err) = run(&argv(&[
             "synth",
-            "len_d(G0) = 8 && len_c(G0) = 5 && md(G0) = 4",
-            "--timeout=0",
+            "len_d(G0) = 12 && len_c(G0) = 12 && md(G0) = 8",
+            "--timeout=1",
         ]));
         assert_eq!(code, 3, "{err}");
         assert!(err.contains("error: kind=timeout"), "{err}");
+    }
+
+    #[test]
+    fn synth_reports_whether_the_optimum_is_proven() {
+        let (code, out, err) = run(&argv(&[
+            "synth",
+            "len_d(G0) = 4 && md(G0) = 3 && len_c(G0) <= 4 && minimal(len_c(G0))",
+            "--timeout=30",
+        ]));
+        assert_eq!(code, 0, "{out}{err}");
+        assert!(out.contains("optimum: proven"), "{out}");
+        // the [n, 10, 5] descent reaches len_c = 9 in milliseconds but
+        // cannot settle the last bound in a second: the best code comes
+        // back, marked as not proven
+        let (code, out, err) = run(&argv(&[
+            "synth",
+            "len_d(G0) = 10 && 2 <= len_c(G0) <= 14 && md(G0) = 5 && minimal(len_c(G0))",
+            "--timeout=1",
+        ]));
+        assert_eq!(code, 0, "{out}{err}");
+        assert!(out.contains("optimum: not proven (timeout)"), "{out}");
+        // nothing to optimize, nothing to report
+        let (_, out, _) = run(&argv(&[
+            "synth",
+            "len_d(G0) = 4 && len_c(G0) = 3 && md(G0) = 3",
+        ]));
+        assert!(!out.contains("optimum:"), "{out}");
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors() {
+        // a typo must not silently run without the flag it meant
+        for args in [
+            &["synth", "len_d(G0) = 4 && md(G0) = 3", "--check-proof"][..],
+            &["synth", "len_d(G0) = 4 && md(G0) = 3", "--verbose"],
+            &[
+                "verify",
+                "md(G0) = 3",
+                "--coeff",
+                "101/110/111/011",
+                "--minimize",
+            ],
+            &["info", "--coeff", "101/110/111/011", "--jobs=2"],
+            &["stream", "--seeds=7"],
+            &["report", "x.jsonl", "--csv"],
+        ] {
+            let (code, out, err) = run(&argv(args));
+            assert_eq!(code, 2, "{args:?}: {out}{err}");
+            assert!(err.contains("error: kind=usage"), "{args:?}: {err}");
+            assert!(err.contains("unknown flag"), "{args:?}: {err}");
+        }
+        // the TRACE family is accepted everywhere
+        let (code, out, err) = run(&argv(&[
+            "info",
+            "--coeff",
+            "101/110/111/011",
+            "--stall-after=5",
+        ]));
+        assert_eq!(code, 2, "{out}{err}");
+        assert!(err.contains("requires --progress"), "{err}");
+    }
+
+    #[test]
+    fn budgets_must_be_positive_integers() {
+        for flag in ["--timeout=abc", "--timeout=0", "--jobs=0", "--jobs=two"] {
+            let (code, out, err) = run(&argv(&["synth", "len_d(G0) = 4 && md(G0) = 3", flag]));
+            assert_eq!(code, 2, "{flag}: {out}{err}");
+            assert!(err.contains("error: kind=usage"), "{flag}: {err}");
+        }
+        let (code, _, err) = run(&argv(&[
+            "verify",
+            "md(G0) = 3",
+            "--coeff",
+            "101/110/111/011",
+            "--jobs=0",
+        ]));
+        assert_eq!(code, 2, "{err}");
+        let (code, _, err) = run(&argv(&["stream", "--timeout=-1"]));
+        assert_eq!(code, 2, "{err}");
+        assert!(err.contains("--timeout"), "{err}");
     }
 
     #[test]
@@ -1159,40 +1256,6 @@ mod tests {
         ]));
         assert_eq!(code, 0, "{out}{err}");
         assert!(out.contains("(7, 4) code"), "{out}");
-    }
-
-    #[test]
-    fn synth_no_incremental_reference_mode() {
-        // the from-scratch reference mode must reach the same optimum,
-        // and the two mode flags reject being combined
-        let (code, out, err) = run(&argv(&[
-            "synth",
-            "len_d(G0) = 4 && md(G0) = 3 && len_c(G0) <= 4 && minimal(len_c(G0))",
-            "--timeout=30",
-            "--no-incremental",
-        ]));
-        assert_eq!(code, 0, "{out}{err}");
-        assert!(out.contains("(7, 4) code"), "{out}");
-        let (code, out, err) = run(&argv(&[
-            "synth",
-            "len_d(G0) = 4 && md(G0) = 3",
-            "--incremental",
-            "--no-incremental",
-        ]));
-        assert_eq!(code, 2, "{out}");
-        assert!(err.contains("mutually exclusive"), "{err}");
-        // --incremental alone is the default, spelled out
-        let (code, out, err) = run(&argv(&[
-            "synth",
-            "len_d(G0) = 4 && md(G0) = 3 && len_c(G0) <= 4",
-            "--timeout=30",
-            "--incremental",
-        ]));
-        assert_eq!(code, 0, "{out}{err}");
-        assert!(
-            out.contains("(7, 4) code") || out.contains("(8, 4) code"),
-            "{out}"
-        );
     }
 
     #[test]

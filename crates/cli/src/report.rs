@@ -21,7 +21,7 @@ use fec_trace::{parse_json, Json};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::{fail, has_flag};
+use crate::{fail, has_flag, usage};
 
 /// Phase names, in report order. `other` and `untraced` are appended
 /// by the renderers.
@@ -335,15 +335,11 @@ pub fn render_json(r: &RunReport) -> String {
 /// `fecsynth report <trace.jsonl> [--json]`.
 pub fn cmd_report(args: &[String], out: &mut String, err: &mut String) -> i32 {
     let Some(path) = args.get(1).filter(|s| !s.starts_with("--")) else {
-        fail(err, "usage", "report: missing <trace.jsonl> argument");
-        return 2;
+        return usage(err, "report: missing <trace.jsonl> argument");
     };
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
-        Err(e) => {
-            fail(err, "usage", &format!("cannot read {path:?}: {e}"));
-            return 2;
-        }
+        Err(e) => return usage(err, &format!("cannot read {path:?}: {e}")),
     };
     if let Err(e) = fec_trace::validate_jsonl(&text) {
         fail(err, "schema", &e);

@@ -14,8 +14,11 @@
 //! Optimization (`minimal(e)` / `maximal(e)`) runs the outer
 //! bound-tightening loop of Algorithm 1: each successful synthesis
 //! tightens the bound past the achieved value until the solver fails
-//! or the per-step timeout expires. Every intermediate optimum is kept
+//! or the run's timeout expires. Every intermediate optimum is kept
 //! (the paper's §4.4 uses exactly those 82 intermediate generators).
+//! `maximal(md(Gi))` is one more bound of that loop: the verifier of
+//! `Gi` counts codeword weight in a unary register, and bound `d` is the
+//! single assumption `¬weight[d − 1]` beside the candidate pins.
 
 use crate::encode::{CexMode, SymbolicGenerator};
 use crate::obs;
@@ -32,8 +35,11 @@ use std::time::{Duration, Instant};
 /// Tunables for a synthesis run.
 #[derive(Clone, Copy, Debug)]
 pub struct SynthesisConfig {
-    /// Per-optimization-step (and per-solver-call) wall-clock budget —
-    /// the paper's "solver timeout of 120 s".
+    /// Wall-clock budget for the whole run — the paper's "solver
+    /// timeout of 120 s". Every bound of an optimization and every
+    /// solver call inside it share one deadline; when it cuts an
+    /// optimization short, the best solution so far comes back with
+    /// [`SynthesisResult::optimal`] unset.
     pub timeout: Duration,
     /// Counterexample generalization mode (ablation axis).
     pub cex_mode: CexMode,
@@ -59,21 +65,10 @@ pub struct SynthesisConfig {
     /// Run the SatELite-style pre-/inprocessing pipeline in every
     /// solver this synthesis creates (the CLI's `--simplify`).
     /// Activation guards of the incremental push/pop layer are frozen,
-    /// so CEGIS refinement is unaffected by elimination.
+    /// so CEGIS refinement is unaffected by elimination. An
+    /// inprocessing pass also runs *between* CEGIS iterations on a
+    /// doubling cadence.
     pub simplify: bool,
-    /// Keep solver state warm across CEGIS iterations (the default,
-    /// the CLI's `--incremental`): the synthesizer and verifiers are
-    /// built once and only grow — learned clauses, VSIDS activities,
-    /// and saved phases persist from one iteration to the next, which
-    /// is sound because consecutive queries differ only by added
-    /// constraints under the activation-literal discipline. With
-    /// `simplify` also set, an inprocessing pass runs *between*
-    /// iterations on a doubling cadence. `false` selects the
-    /// from-scratch reference mode the differential suite and the
-    /// `cegis_incremental` bench compare against: every iteration
-    /// rebuilds every solver and replays the accumulated
-    /// counterexamples.
-    pub incremental: bool,
     /// Per-run cap on trace emission from this synthesis: a record is
     /// emitted only if its level is within both this cap *and* the
     /// globally installed `fec-trace` sink level. The default
@@ -102,7 +97,6 @@ impl Default for SynthesisConfig {
             check_certificates: false,
             jobs: 1,
             simplify: false,
-            incremental: true,
             trace: fec_trace::Level::Trace,
             static_analysis: true,
         }
@@ -173,6 +167,10 @@ pub struct SynthesisResult {
     /// Every optimization success, as (objective value, generators) —
     /// e.g. the 82 intermediate generators of §4.4.
     pub intermediates: Vec<(i64, Vec<Generator>)>,
+    /// `false` when the timeout ended the bound loop, so `generators`
+    /// is the best solution found rather than a proven optimum; `true`
+    /// when the loop ran to its end (or there was nothing to optimize).
+    pub optimal: bool,
 }
 
 // The property language, structural extraction (`ProblemShape`,
@@ -182,34 +180,48 @@ pub struct SynthesisResult {
 pub use fec_analyze::shape::{GenShape, Objective, ProblemShape};
 
 /// One verifier instance: symbolic cells plus the φ_md circuit.
-struct VerifierInstance {
-    solver: SmtSolver,
-    sym: SymbolicGenerator,
+pub(crate) struct VerifierInstance {
+    pub(crate) solver: SmtSolver,
+    pub(crate) sym: SymbolicGenerator,
     witness_lits: Vec<Lit>,
+    /// The codeword-weight register of the `maximal(md)` generator,
+    /// whose distance is a per-bound assumption; `None` when the
+    /// spec's fixed distance is a unit clause in the solver.
+    weight: Option<Vec<Lit>>,
+}
+
+impl VerifierInstance {
+    /// The violating data word of the last SAT answer.
+    pub(crate) fn witness(&self) -> BitVec {
+        BitVec::from_bools(
+            &self
+                .witness_lits
+                .iter()
+                .map(|&l| self.solver.model_lit(l))
+                .collect::<Vec<_>>(),
+        )
+    }
 }
 
 /// The live solver state of one CEGIS run: the synthesizer, its
-/// symbolic generators, and one distance verifier per generator. In
-/// incremental mode this is built once per `cegis` call (or once per
-/// optimization run) and only grows; in from-scratch mode it is
-/// rebuilt at the top of every iteration.
-struct SynthState {
-    syn: SmtSolver,
-    syms: Vec<SymbolicGenerator>,
-    verifiers: Vec<Option<VerifierInstance>>,
+/// symbolic generators, and one distance verifier per generator. It is
+/// built once per run and only grows: learned clauses, VSIDS
+/// activities, and saved phases persist from one iteration (and one
+/// bound) to the next, which is sound because consecutive queries
+/// differ only by added constraints under the activation-literal
+/// discipline.
+pub(crate) struct SynthState {
+    pub(crate) syn: SmtSolver,
+    pub(crate) syms: Vec<SymbolicGenerator>,
+    pub(crate) verifiers: Vec<Option<VerifierInstance>>,
+    /// The `len_1` counting register of a `minimal`/`maximal(len_1)`
+    /// generator, built once so each bound is one unit clause (empty
+    /// for other objectives).
+    ones: Vec<Lit>,
 }
 
-/// A counterexample retained for replay in from-scratch mode, keyed by
-/// generator index. Incremental mode never replays — the solver that
-/// learned it still holds it.
-enum StoredCex {
-    /// A data word whose encoding violated the distance requirement
-    /// (CexMode::DataWord): re-encoding it constrains every future
-    /// candidate, independent of any optimization bound.
-    DataWord(BitVec),
-    /// A rejected candidate to block verbatim (CexMode::BlockCandidate).
-    Block(Generator),
-}
+/// A bound of the optimization loop: the objective and its value.
+pub(crate) type Bound = Option<(Objective, i64)>;
 
 /// First inprocessing pass runs after this many iterations of one
 /// `cegis` call; subsequent passes double the gap. Doubling matches
@@ -220,7 +232,7 @@ const INPROCESS_FIRST_AT: u64 = 8;
 
 /// The Algorithm 1 driver.
 pub struct Synthesizer {
-    config: SynthesisConfig,
+    pub(crate) config: SynthesisConfig,
 }
 
 impl Synthesizer {
@@ -231,9 +243,15 @@ impl Synthesizer {
 
     /// Runs synthesis for a parsed property.
     pub fn run(&mut self, prop: &Prop) -> Result<SynthesisResult, SynthError> {
+        let shape = self.shape_of(prop)?;
+        self.run_shape(&shape)
+    }
+
+    /// The structural constraints of a parsed property.
+    pub(crate) fn shape_of(&self, prop: &Prop) -> Result<ProblemShape, SynthError> {
         crate::spec::typecheck(prop).map_err(|e| SynthError::Unsupported(e.to_string()))?;
         let shape = ProblemShape::from_prop(prop, self.config.default_max_check)?;
-        self.run_shape(&shape)
+        Ok(shape)
     }
 
     /// A solver honoring the configured certification and backend modes.
@@ -257,6 +275,7 @@ impl Synthesizer {
     /// Runs synthesis for pre-extracted structural constraints.
     pub fn run_shape(&mut self, shape: &ProblemShape) -> Result<SynthesisResult, SynthError> {
         let start = Instant::now();
+        let deadline = start + self.config.timeout;
         let _run = obs::span(
             self.config.trace,
             Level::Info,
@@ -267,90 +286,60 @@ impl Synthesizer {
                 ("jobs", self.config.jobs.into()),
             ],
         );
-        let mut shape = shape.clone();
-        if self.config.static_analysis {
-            self.static_gate(&shape)?;
-            self.clamp_min_check(&mut shape);
-        }
-        if let Some(Objective::MaxDistance(gi)) = shape.objective {
-            return self.run_max_distance(&shape, gi, start);
-        }
-        let shape = &shape;
-        let mut state = self.build(shape)?;
-        let mut cexs: Vec<(usize, StoredCex)> = Vec::new();
+        let shape = self.prepare(shape)?;
+        let mut state = self.build(&shape);
+        self.optimize(&shape, start, |bound, iterations| match bound {
+            None => self.cegis(&mut state, &shape, None, deadline, iterations),
+            Some((obj, b)) => {
+                // the bound lives in a scope; counterexamples persist
+                // inside the solver (at_root/permanent)
+                state.syn.push();
+                self.assert_bound(&mut state, obj, b);
+                let r = self.cegis(&mut state, &shape, bound, deadline, iterations);
+                state.syn.pop();
+                r
+            }
+        })
+    }
 
+    /// Algorithm 1's outer loop: one `cegis_at(bound)` call without an
+    /// objective, else one per bound while `canBeFurtherOptimized`,
+    /// tightening past each achieved value until the solver fails or
+    /// the run's deadline passes. The caller owns the solvers, so the
+    /// warm driver and the from-scratch reference share this loop.
+    pub(crate) fn optimize(
+        &self,
+        shape: &ProblemShape,
+        start: Instant,
+        mut cegis_at: impl FnMut(Bound, &mut u64) -> CegisOutcome,
+    ) -> Result<SynthesisResult, SynthError> {
         let mut iterations = 0u64;
         let mut best: Option<Vec<Generator>> = None;
         let mut intermediates: Vec<(i64, Vec<Generator>)> = Vec::new();
-
+        let mut optimal = true;
         match shape.objective {
-            None => {
-                let deadline = Instant::now() + self.config.timeout;
-                match self.cegis(
-                    &mut state,
-                    shape,
-                    None,
-                    &mut cexs,
-                    deadline,
-                    &mut iterations,
-                ) {
-                    CegisOutcome::Found(gens) => best = Some(gens),
-                    CegisOutcome::Exhausted => {
-                        return Err(SynthError::NoSolution);
-                    }
-                    CegisOutcome::Timeout => {
-                        return Err(SynthError::Timeout);
-                    }
-                }
-            }
+            None => match cegis_at(None, &mut iterations) {
+                CegisOutcome::Found(gens) => best = Some(gens),
+                CegisOutcome::Exhausted => return Err(SynthError::NoSolution),
+                CegisOutcome::Timeout => return Err(SynthError::Timeout),
+            },
             Some(obj) => {
-                let mut bound = self.initial_bound(shape, obj);
-                loop {
-                    // Algorithm 1 line 2: canBeFurtherOptimized
-                    if !bound_feasible(shape, obj, bound) {
-                        break;
-                    }
+                let (mut bound, last) = self.bound_range(shape, obj);
+                let step = match obj {
+                    Objective::MinCheckLen(_) | Objective::MinOnes(_) => -1,
+                    _ => 1,
+                };
+                // Algorithm 1 line 2: canBeFurtherOptimized
+                while (last - bound) * step >= 0 {
                     obs::event(
                         self.config.trace,
                         Level::Info,
                         "synth.bound",
                         &[("bound", bound.into())],
                     );
-                    let deadline = Instant::now() + self.config.timeout;
-                    let step = if self.config.incremental {
-                        // the bound lives in a scope; counterexamples
-                        // persist inside the solver (at_root/permanent)
-                        state.syn.push();
-                        self.assert_bound(&mut state.syn, &state.syms, shape, obj, bound);
-                        let r = self.cegis(
-                            &mut state,
-                            shape,
-                            Some((obj, bound)),
-                            &mut cexs,
-                            deadline,
-                            &mut iterations,
-                        );
-                        state.syn.pop();
-                        r
-                    } else {
-                        // from-scratch mode rebuilds per iteration; the
-                        // stored counterexamples are the only state
-                        // carried across bounds, and only if configured
-                        if !self.config.persist_counterexamples {
-                            cexs.clear();
-                        }
-                        self.cegis(
-                            &mut state,
-                            shape,
-                            Some((obj, bound)),
-                            &mut cexs,
-                            deadline,
-                            &mut iterations,
-                        )
-                    };
-                    match step {
+                    match cegis_at(Some((obj, bound)), &mut iterations) {
                         CegisOutcome::Found(gens) => {
-                            let achieved = objective_value(&gens, obj);
+                            let achieved = objective_value(&gens, obj, bound);
                             obs::event(
                                 self.config.trace,
                                 Level::Info,
@@ -360,29 +349,22 @@ impl Synthesizer {
                             intermediates.push((achieved, gens.clone()));
                             best = Some(gens);
                             // o.success(): tighten past the achieved value
-                            match next_bound(obj, achieved) {
-                                Some(b) => bound = b,
-                                None => break,
-                            }
+                            bound = achieved + step;
                         }
                         CegisOutcome::Exhausted => break, // o.failure()
+                        // ran out of time before the first solution:
+                        // that is a timeout, not a proof that no
+                        // generator exists
+                        CegisOutcome::Timeout if best.is_none() => return Err(SynthError::Timeout),
                         CegisOutcome::Timeout => {
-                            if best.is_none() {
-                                // ran out of time before the first
-                                // solution: that is a timeout, not a
-                                // proof that no generator exists
-                                return Err(SynthError::Timeout);
-                            }
+                            optimal = false;
                             break;
                         }
                     }
                 }
-                if best.is_none() {
-                    return Err(SynthError::NoSolution);
-                }
             }
         }
-
+        let generators = best.ok_or(SynthError::NoSolution)?;
         obs::event(
             self.config.trace,
             Level::Info,
@@ -390,72 +372,96 @@ impl Synthesizer {
             &[
                 ("iterations", iterations.into()),
                 ("intermediates", intermediates.len().into()),
+                ("optimal", optimal.into()),
                 ("elapsed_us", (start.elapsed().as_micros() as u64).into()),
             ],
         );
         Ok(SynthesisResult {
-            generators: best.expect("checked above"),
+            generators,
             iterations,
             elapsed: start.elapsed(),
             intermediates,
+            optimal,
         })
     }
 
+    /// With `static_analysis`, runs the coding-bounds gate and clamps
+    /// the minimize-check window; then rejects what the solvers cannot
+    /// express.
+    pub(crate) fn prepare(&self, shape: &ProblemShape) -> Result<ProblemShape, SynthError> {
+        let mut shape = shape.clone();
+        if self.config.static_analysis {
+            self.static_gate(&shape)?;
+            self.clamp_min_check(&mut shape);
+        }
+        for gs in &shape.gens {
+            if let Some(&(_, c, _)) = gs.pinned_cells.iter().find(|p| p.1 >= gs.check_hi) {
+                return Err(SynthError::Inconsistent(format!(
+                    "pinned cell column {c} exceeds check bound {}",
+                    gs.check_hi
+                )));
+            }
+        }
+        Ok(shape)
+    }
+
     /// Builds the synthesizer solver, its symbolic generators, and one
-    /// distance verifier per generator that needs one.
-    fn build(&self, shape: &ProblemShape) -> Result<SynthState, SynthError> {
+    /// distance verifier per generator that needs one: each with a
+    /// fixed `md ≥ 2`, plus the `maximal(md)` generator, whose distance
+    /// stays an assumption.
+    pub(crate) fn build(&self, shape: &ProblemShape) -> SynthState {
+        let enc = self.config.card_encoding;
         let mut syn = self.new_solver();
         let mut syms = Vec::with_capacity(shape.gens.len());
         for gs in &shape.gens {
-            let sym = SymbolicGenerator::new(&mut syn, gs.data_len, gs.check_hi, gs.min_distance);
+            let sym = SymbolicGenerator::new(&mut syn, gs.data_len, gs.check_hi);
             sym.len_c().assert_ge(&mut syn, gs.check_lo);
             for &(r, c, v) in &gs.pinned_cells {
-                if c >= gs.check_hi {
-                    return Err(SynthError::Inconsistent(format!(
-                        "pinned cell column {c} exceeds check bound {}",
-                        gs.check_hi
-                    )));
-                }
                 let lit = sym.cell(r, c);
                 syn.add_clause(&[if v { lit } else { !lit }]);
             }
             let cells = sym.all_cells();
             if let Some(hi) = gs.ones_hi {
-                syn.at_most_k_with(&cells, hi, self.config.card_encoding);
+                syn.at_most_k_with(&cells, hi, enc);
             }
             if let Some(lo) = gs.ones_lo {
-                syn.at_least_k_with(&cells, lo, self.config.card_encoding);
+                syn.at_least_k_with(&cells, lo, enc);
             }
             syms.push(sym);
         }
 
-        let verifiers: Vec<Option<VerifierInstance>> = shape
-            .gens
-            .iter()
-            .map(|gs| {
-                (gs.min_distance >= 2).then(|| {
+        let verifiers = (0..shape.gens.len())
+            .map(|i| {
+                let gs = &shape.gens[i];
+                let per_bound = shape.objective == Some(Objective::MaxDistance(i));
+                (per_bound || gs.min_distance >= 2).then(|| {
                     let mut solver = self.new_solver();
-                    let sym = SymbolicGenerator::new(
-                        &mut solver,
-                        gs.data_len,
-                        gs.check_hi,
-                        gs.min_distance,
-                    );
-                    let witness_lits =
-                        sym.assert_distance_violation(&mut solver, self.config.card_encoding);
+                    let sym = SymbolicGenerator::new(&mut solver, gs.data_len, gs.check_hi);
+                    let (witness_lits, weight) = sym.assert_distance_violation(&mut solver, enc);
+                    if !per_bound {
+                        solver.constrain_register_at_most(&weight, gs.min_distance - 1);
+                    }
                     VerifierInstance {
                         solver,
                         sym,
                         witness_lits,
+                        weight: per_bound.then_some(weight),
                     }
                 })
             })
             .collect();
-        Ok(SynthState {
+        let ones = match shape.objective {
+            Some(Objective::MinOnes(i) | Objective::MaxOnes(i)) => {
+                syn.counting_register(&syms[i].all_cells(), enc)
+            }
+            _ => Vec::new(),
+        };
+        SynthState {
             syn,
             syms,
             verifiers,
-        })
+            ones,
+        }
     }
 
     /// The pre-solve feasibility gate: `NoSolution` without any solver
@@ -511,142 +517,69 @@ impl Synthesizer {
         }
     }
 
-    /// The `maximal(md(Gi))` bound-tightening loop (the champion-code
-    /// hunt of ROADMAP item 5). The verifier circuit bakes the required
-    /// distance in at construction time, so each bound rebuilds the
-    /// solvers; with static analysis on, iteration stops at the bounds
-    /// engine's `d_hi` instead of paying a final UNSAT refutation.
-    fn run_max_distance(
-        &mut self,
-        shape: &ProblemShape,
-        gi: usize,
-        start: Instant,
-    ) -> Result<SynthesisResult, SynthError> {
-        let g = &shape.gens[gi];
-        let n = g.data_len + g.check_hi;
-        let d_hi = if self.config.static_analysis {
-            let hi = bounds::distance_upper_bound(n, g.data_len);
-            obs::event(
-                self.config.trace,
-                Level::Info,
-                "analyze.clamp",
-                &[("generator", gi.into()), ("d_hi", hi.into())],
-            );
-            hi
-        } else {
-            n // d > n is impossible outright
-        };
-        let mut iterations = 0u64;
-        let mut best: Option<Vec<Generator>> = None;
-        let mut intermediates: Vec<(i64, Vec<Generator>)> = Vec::new();
-        let mut d = g.min_distance.max(1);
-        while d <= d_hi {
-            obs::event(
-                self.config.trace,
-                Level::Info,
-                "synth.bound",
-                &[("bound", (d as i64).into())],
-            );
-            let mut sub = shape.clone();
-            sub.objective = None;
-            sub.gens[gi].min_distance = d;
-            // the verifier circuit bakes d in, so each bound is its own
-            // (internally incremental) CEGIS run with a fresh cex store
-            let mut state = self.build(&sub)?;
-            let mut cexs: Vec<(usize, StoredCex)> = Vec::new();
-            let deadline = Instant::now() + self.config.timeout;
-            match self.cegis(&mut state, &sub, None, &mut cexs, deadline, &mut iterations) {
-                CegisOutcome::Found(gens) => {
+    /// The bound the loop starts from and the last one it may try.
+    /// `maximal(md)` stops at the static `d_hi` (with the gate on) or
+    /// at `n`, since no distance exceeds the codeword length.
+    fn bound_range(&self, shape: &ProblemShape, obj: Objective) -> (i64, i64) {
+        let (Objective::MinCheckLen(i)
+        | Objective::MaxCheckLen(i)
+        | Objective::MinOnes(i)
+        | Objective::MaxOnes(i)
+        | Objective::MaxDistance(i)) = obj;
+        let g = &shape.gens[i];
+        let cells = g.data_len * g.check_hi;
+        let ones_lo = g.ones_lo.unwrap_or(0);
+        let ones_hi = g.ones_hi.map_or(cells, |hi| hi.min(cells));
+        let (first, last) = match obj {
+            Objective::MinCheckLen(_) => (g.check_hi, g.check_lo),
+            Objective::MaxCheckLen(_) => (g.check_lo, g.check_hi),
+            Objective::MinOnes(_) => (ones_hi, ones_lo),
+            Objective::MaxOnes(_) => (ones_lo, ones_hi),
+            Objective::MaxDistance(_) => {
+                let n = g.data_len + g.check_hi;
+                let d_hi = if self.config.static_analysis {
+                    let hi = bounds::distance_upper_bound(n, g.data_len);
                     obs::event(
                         self.config.trace,
                         Level::Info,
-                        "synth.optimum",
-                        &[("value", (d as i64).into())],
+                        "analyze.clamp",
+                        &[("generator", i.into()), ("d_hi", hi.into())],
                     );
-                    intermediates.push((d as i64, gens.clone()));
-                    best = Some(gens);
-                    d += 1;
-                }
-                CegisOutcome::Exhausted => break,
-                CegisOutcome::Timeout => {
-                    if best.is_none() {
-                        return Err(SynthError::Timeout);
-                    }
-                    break;
-                }
+                    hi
+                } else {
+                    n // d > n is impossible outright
+                };
+                (g.min_distance.max(1), d_hi)
             }
-        }
-        let generators = best.ok_or(SynthError::NoSolution)?;
-        obs::event(
-            self.config.trace,
-            Level::Info,
-            "cegis.done",
-            &[
-                ("iterations", iterations.into()),
-                ("intermediates", intermediates.len().into()),
-                ("elapsed_us", (start.elapsed().as_micros() as u64).into()),
-            ],
-        );
-        Ok(SynthesisResult {
-            generators,
-            iterations,
-            elapsed: start.elapsed(),
-            intermediates,
-        })
+        };
+        (first as i64, last as i64)
     }
 
-    fn initial_bound(&self, shape: &ProblemShape, obj: Objective) -> i64 {
+    /// Asserts one bound on the synthesizer: a unit clause on the
+    /// `len_c` or `len_1` register. `maximal(md)` has nothing to assert
+    /// here: its bound is a verifier assumption.
+    pub(crate) fn assert_bound(&self, state: &mut SynthState, obj: Objective, bound: i64) {
+        let (syn, b) = (&mut state.syn, bound as usize);
         match obj {
-            Objective::MinCheckLen(i) => shape.gens[i].check_hi as i64,
-            Objective::MaxCheckLen(i) => shape.gens[i].check_lo as i64,
-            Objective::MinOnes(i) => shape.gens[i]
-                .ones_hi
-                .unwrap_or(shape.gens[i].data_len * shape.gens[i].check_hi)
-                as i64,
-            Objective::MaxOnes(i) => shape.gens[i].ones_lo.unwrap_or(0) as i64,
-            Objective::MaxDistance(_) => unreachable!("handled by run_max_distance"),
-        }
-    }
-
-    fn assert_bound(
-        &self,
-        syn: &mut SmtSolver,
-        syms: &[SymbolicGenerator],
-        _shape: &ProblemShape,
-        obj: Objective,
-        bound: i64,
-    ) {
-        match obj {
-            Objective::MinCheckLen(i) => syms[i].len_c().assert_le(syn, bound as usize),
-            Objective::MaxCheckLen(i) => syms[i].len_c().assert_ge(syn, bound as usize),
-            Objective::MinOnes(i) => {
-                let cells = syms[i].all_cells();
-                syn.at_most_k_with(&cells, bound as usize, self.config.card_encoding);
-            }
-            Objective::MaxOnes(i) => {
-                let cells = syms[i].all_cells();
-                syn.at_least_k_with(&cells, bound as usize, self.config.card_encoding);
-            }
-            Objective::MaxDistance(_) => unreachable!("handled by run_max_distance"),
+            Objective::MinCheckLen(i) => state.syms[i].len_c().assert_le(syn, b),
+            Objective::MaxCheckLen(i) => state.syms[i].len_c().assert_ge(syn, b),
+            Objective::MinOnes(_) => syn.constrain_register_at_most(&state.ones, b),
+            Objective::MaxOnes(_) => syn.constrain_register_at_least(&state.ones, b),
+            Objective::MaxDistance(_) => {}
         }
     }
 
     /// The inner synthesize–verify loop (Algorithm 1 lines 6–18).
     ///
-    /// In incremental mode (the default) `state` is only ever extended:
-    /// every synthesizer and verifier query reuses the learned clauses,
-    /// VSIDS activities, and saved phases of all previous ones, and with
-    /// `simplify` an inprocessing pass runs between iterations on a
-    /// doubling cadence. In from-scratch mode every iteration rebuilds
-    /// `state` from `shape`, re-asserts `bound`, and replays the
-    /// counterexamples accumulated in `cexs` — the reference semantics
-    /// the differential suite compares against.
+    /// `state` is only ever extended: every synthesizer and verifier
+    /// query reuses the learned clauses, VSIDS activities, and saved
+    /// phases of all previous ones, and with `simplify` an
+    /// inprocessing pass runs between iterations on a doubling cadence.
     fn cegis(
         &self,
         state: &mut SynthState,
         shape: &ProblemShape,
-        bound: Option<(Objective, i64)>,
-        cexs: &mut Vec<(usize, StoredCex)>,
+        bound: Bound,
         deadline: Instant,
         iterations: &mut u64,
     ) -> CegisOutcome {
@@ -663,29 +596,7 @@ impl Synthesizer {
             obs::counter(self.config.trace, Level::Info, "cegis.iterations", 1);
             // each iteration is forward progress for the watchdog
             fec_trace::advance();
-            if !self.config.incremental {
-                // from-scratch reference mode: fresh solvers, bound
-                // re-asserted, counterexamples replayed — the shape
-                // built fine before this loop, so it builds fine now
-                *state = self
-                    .build(shape)
-                    .expect("rebuilding a previously-built shape");
-                if let Some((obj, b)) = bound {
-                    self.assert_bound(&mut state.syn, &state.syms, shape, obj, b);
-                }
-                let enc = self.config.card_encoding;
-                for (i, cex) in cexs.iter() {
-                    match cex {
-                        StoredCex::DataWord(x) => {
-                            state.syms[*i].add_dataword_counterexample(&mut state.syn, x, enc);
-                        }
-                        StoredCex::Block(g) => {
-                            let clause = state.syms[*i].blocking_clause(&state.syn, g);
-                            state.syn.add_clause(&clause);
-                        }
-                    }
-                }
-            } else if self.config.simplify && local_iter == next_inprocess {
+            if self.config.simplify && local_iter == next_inprocess {
                 // between-iteration inprocessing: a SatELite sweep over
                 // the warm synthesizer database, geometrically spaced so
                 // total simplification effort tracks total search effort
@@ -730,7 +641,11 @@ impl Synthesizer {
                     return CegisOutcome::Timeout;
                 }
                 let budget = Budget::with_timeout(deadline - now);
-                let pins = ver.sym.pin_assumptions(cand);
+                let d = required_distance(shape, bound, i);
+                let mut assumptions = ver.sym.pin_assumptions(cand);
+                if let Some(weight) = &ver.weight {
+                    assumptions.push(!weight[d - 1]);
+                }
                 let verify_started = Instant::now();
                 let verify_verdict = {
                     let _sp = obs::span(
@@ -739,7 +654,7 @@ impl Synthesizer {
                         "cegis.verify",
                         &[("generator", i.into())],
                     );
-                    ver.solver.solve_with_budget(&pins, budget)
+                    ver.solver.solve_with_budget(&assumptions, budget)
                 };
                 verify_us += verify_started.elapsed().as_micros() as u64;
                 match verify_verdict {
@@ -749,45 +664,29 @@ impl Synthesizer {
                         all_verified = false;
                         cex_this_iter += 1;
                         obs::counter(self.config.trace, Level::Info, "cegis.counterexamples", 1);
+                        // both kinds are sound for every later bound (a
+                        // maximal(md) bound only grows), so with
+                        // persistence they go to the root
+                        let persist = self.config.persist_counterexamples;
                         match self.config.cex_mode {
                             CexMode::BlockCandidate => {
-                                if !self.config.incremental {
-                                    cexs.push((i, StoredCex::Block(cand.clone())));
+                                let clause = state.syms[i].blocking_clause(&state.syn, cand);
+                                if persist {
+                                    state.syn.add_clause_permanent(&clause);
                                 } else {
-                                    let clause = state.syms[i].blocking_clause(&state.syn, cand);
-                                    if self.config.persist_counterexamples {
-                                        state.syn.add_clause_permanent(&clause);
-                                    } else {
-                                        state.syn.add_clause(&clause);
-                                    }
+                                    state.syn.add_clause(&clause);
                                 }
                             }
                             CexMode::DataWord => {
-                                let x = BitVec::from_bools(
-                                    &ver.witness_lits
-                                        .iter()
-                                        .map(|&l| ver.solver.model_lit(l))
-                                        .collect::<Vec<_>>(),
-                                );
-                                if !self.config.incremental {
-                                    cexs.push((i, StoredCex::DataWord(x)));
+                                let x = ver.witness();
+                                let enc = self.config.card_encoding;
+                                let sym = &state.syms[i];
+                                if persist {
+                                    state.syn.at_root(|s| {
+                                        sym.add_dataword_counterexample(s, &x, d, enc)
+                                    });
                                 } else {
-                                    let enc = self.config.card_encoding;
-                                    if self.config.persist_counterexamples {
-                                        // dataword counterexamples are
-                                        // sound regardless of the
-                                        // optimization bound, so install
-                                        // them at the root
-                                        state.syn.at_root(|s| {
-                                            state.syms[i].add_dataword_counterexample(s, &x, enc)
-                                        });
-                                    } else {
-                                        state.syms[i].add_dataword_counterexample(
-                                            &mut state.syn,
-                                            &x,
-                                            enc,
-                                        );
-                                    }
+                                    sym.add_dataword_counterexample(&mut state.syn, &x, d, enc);
                                 }
                             }
                         }
@@ -819,39 +718,26 @@ impl Synthesizer {
     }
 }
 
-fn objective_value(gens: &[Generator], obj: Objective) -> i64 {
+/// The distance generator `i` must reach at `bound`: the bound itself
+/// for the `maximal(md)` generator, else the spec's fixed `md`.
+fn required_distance(shape: &ProblemShape, bound: Bound, i: usize) -> usize {
+    match bound {
+        Some((Objective::MaxDistance(g), d)) if g == i => d as usize,
+        _ => shape.gens[i].min_distance,
+    }
+}
+
+/// The value a solution achieved at `bound`. For `maximal(md)` that is
+/// the bound itself: the verifier proved `md ≥ bound`, nothing more.
+fn objective_value(gens: &[Generator], obj: Objective, bound: i64) -> i64 {
     match obj {
         Objective::MinCheckLen(i) | Objective::MaxCheckLen(i) => gens[i].check_len() as i64,
         Objective::MinOnes(i) | Objective::MaxOnes(i) => gens[i].coefficient_ones() as i64,
-        Objective::MaxDistance(_) => unreachable!("handled by run_max_distance"),
+        Objective::MaxDistance(_) => bound,
     }
 }
 
-fn next_bound(obj: Objective, achieved: i64) -> Option<i64> {
-    match obj {
-        Objective::MinCheckLen(_) | Objective::MinOnes(_) => Some(achieved - 1),
-        Objective::MaxCheckLen(_) | Objective::MaxOnes(_) => Some(achieved + 1),
-        Objective::MaxDistance(_) => unreachable!("handled by run_max_distance"),
-    }
-}
-
-fn bound_feasible(shape: &ProblemShape, obj: Objective, bound: i64) -> bool {
-    match obj {
-        Objective::MinCheckLen(i) => bound >= shape.gens[i].check_lo as i64,
-        Objective::MaxCheckLen(i) => bound <= shape.gens[i].check_hi as i64,
-        Objective::MinOnes(i) => bound >= shape.gens[i].ones_lo.unwrap_or(0) as i64,
-        Objective::MaxOnes(i) => {
-            bound
-                <= shape.gens[i]
-                    .ones_hi
-                    .unwrap_or(shape.gens[i].data_len * shape.gens[i].check_hi)
-                    as i64
-        }
-        Objective::MaxDistance(_) => unreachable!("handled by run_max_distance"),
-    }
-}
-
-enum CegisOutcome {
+pub(crate) enum CegisOutcome {
     Found(Vec<Generator>),
     Exhausted,
     Timeout,
@@ -955,6 +841,7 @@ mod tests {
         // the optimal [8,4,4] extended Hamming shape
         assert_eq!(g.check_len(), 4, "known optimum for [n,4,4]");
         assert!(!r.intermediates.is_empty());
+        assert!(r.optimal, "the descent ended on UNSAT, not the clock");
     }
 
     #[test]
@@ -963,36 +850,6 @@ mod tests {
         let p = parse_property("len_d(G0) = 4 && len_c(G0) = 1 && md(G0) = 3").unwrap();
         let e = Synthesizer::new(quick_config()).run(&p).unwrap_err();
         assert_eq!(e, SynthError::NoSolution);
-    }
-
-    #[test]
-    fn from_scratch_mode_matches_incremental_optimum() {
-        // the reference mode rebuilds every solver per iteration and
-        // replays stored counterexamples; it must land on the same
-        // optimal Hamming (7,4) the warm path finds
-        let mut cfg = quick_config();
-        cfg.incremental = false;
-        let p = parse_property(
-            "len_G = 1 && len_d(G0) = 4 && len_c(G0) <= 4 && md(G0) = 3 \
-             && minimal(len_c(G0))",
-        )
-        .unwrap();
-        let r = Synthesizer::new(cfg).run(&p).unwrap();
-        let g = &r.generators[0];
-        assert_eq!(g.check_len(), 3);
-        assert_eq!(distance::min_distance_exhaustive(g), 3);
-    }
-
-    #[test]
-    fn from_scratch_block_candidate_replays_blocks() {
-        // blocking-clause counterexamples survive the per-iteration
-        // rebuild through the replay store
-        let mut cfg = quick_config();
-        cfg.incremental = false;
-        cfg.cex_mode = CexMode::BlockCandidate;
-        let p = parse_property("len_d(G0) = 3 && len_c(G0) = 3 && md(G0) = 3").unwrap();
-        let r = Synthesizer::new(cfg).run(&p).unwrap();
-        assert_eq!(distance::min_distance_exhaustive(&r.generators[0]), 3);
     }
 
     #[test]
@@ -1071,12 +928,18 @@ mod tests {
 
     #[test]
     fn maximal_objective_grows_ones() {
-        let p =
-            parse_property("len_d(G0) = 3 && len_c(G0) = 3 && md(G0) = 2 && maximal(len_1(G0))")
-                .unwrap();
-        let r = Synthesizer::new(quick_config()).run(&p).unwrap();
-        // all 9 coefficient bits set still has md ≥ 2 (rows weight 3)
-        assert_eq!(r.generators[0].coefficient_ones(), 9);
+        // a len_1 cap above the 9 cells must stop the climb at 9, not
+        // ask the register for a 10th one
+        for cap in ["", " && len_1(G0) <= 20"] {
+            let p = parse_property(&format!(
+                "len_d(G0) = 3 && len_c(G0) = 3 && md(G0) = 2 && maximal(len_1(G0)){cap}"
+            ))
+            .unwrap();
+            let r = Synthesizer::new(quick_config()).run(&p).unwrap();
+            // all 9 coefficient bits set still has md ≥ 2 (rows weight 3)
+            assert_eq!(r.generators[0].coefficient_ones(), 9);
+            assert!(r.optimal);
+        }
     }
 
     #[test]
@@ -1109,12 +972,57 @@ mod tests {
     fn maximal_distance_finds_the_hamming_optimum() {
         // champion hunt at [7, 4]: the best achievable distance is 3,
         // and the static d_hi = 3 clamp ends the loop without a final
-        // failing synthesis pass
-        let p = parse_property("len_d(G0) = 4 && len_c(G0) = 3 && maximal(md(G0))").unwrap();
-        let r = Synthesizer::new(quick_config()).run(&p).unwrap();
-        let g = &r.generators[0];
-        assert_eq!(distance::min_distance_exhaustive(g), 3);
-        assert_eq!(r.intermediates.last().unwrap().0, 3);
+        // failing synthesis pass; one verifier answers d = 1, 2, 3 by
+        // assumption, on the single solver and on the certified pool
+        for cfg in [
+            quick_config(),
+            SynthesisConfig {
+                jobs: 2,
+                check_certificates: true,
+                ..quick_config()
+            },
+        ] {
+            let p = parse_property("len_d(G0) = 4 && len_c(G0) = 3 && maximal(md(G0))").unwrap();
+            let r = Synthesizer::new(cfg).run(&p).unwrap();
+            let g = &r.generators[0];
+            assert_eq!(distance::min_distance_exhaustive(g), 3);
+            let climb: Vec<i64> = r.intermediates.iter().map(|(d, _)| *d).collect();
+            assert_eq!(climb, [1, 2, 3]);
+            assert!(r.optimal);
+        }
+    }
+
+    #[test]
+    fn timeout_covers_the_whole_descent() {
+        // [n, 10, 5] with len_c descending from 14: the first bounds
+        // fall in milliseconds, but proving the last one takes far
+        // longer than the timeout. One deadline for the whole run must
+        // end it on time, with the best code found and no claim of
+        // optimality (a per-bound deadline would restart the clock at
+        // every bound).
+        let timeout = Duration::from_secs(2);
+        let p = parse_property(
+            "len_d(G0) = 10 && 2 <= len_c(G0) <= 14 && md(G0) = 5 && minimal(len_c(G0))",
+        )
+        .unwrap();
+        let started = Instant::now();
+        let r = Synthesizer::new(SynthesisConfig {
+            timeout,
+            ..quick_config()
+        })
+        .run(&p)
+        .unwrap();
+        let elapsed = started.elapsed();
+        assert!(!r.optimal, "a timed-out descent claimed its optimum");
+        assert!(
+            elapsed < timeout + Duration::from_millis(1500),
+            "ran {elapsed:?} on a {timeout:?} budget"
+        );
+        assert!(distance::min_distance_exhaustive(&r.generators[0]) >= 5);
+        assert_eq!(
+            r.intermediates.last().unwrap().0,
+            r.generators[0].check_len() as i64
+        );
     }
 
     #[test]

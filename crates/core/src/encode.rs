@@ -35,7 +35,6 @@ pub enum CexMode {
 pub struct SymbolicGenerator {
     data_len: usize,
     max_check: usize,
-    min_distance: usize,
     /// `cells[y][x]`: coefficient bit at row `y`, check column `x`.
     cells: Vec<Vec<Lit>>,
     /// Unary check length; its register doubles as column-activity bits.
@@ -44,17 +43,12 @@ pub struct SymbolicGenerator {
 }
 
 impl SymbolicGenerator {
-    /// Allocates a symbolic generator with `data_len` data bits, up to
-    /// `max_check` check bits, and a fixed required minimum distance.
+    /// Allocates a symbolic generator with `data_len` data bits and up
+    /// to `max_check` check bits.
     ///
     /// Asserts (permanently) the structural well-formedness: monotone
     /// column activity and zeroing of inactive columns.
-    pub fn new(
-        s: &mut SmtSolver,
-        data_len: usize,
-        max_check: usize,
-        min_distance: usize,
-    ) -> SymbolicGenerator {
+    pub fn new(s: &mut SmtSolver, data_len: usize, max_check: usize) -> SymbolicGenerator {
         assert!(data_len > 0 && max_check > 0);
         let col_active: Vec<Lit> = (0..max_check).map(|_| s.fresh_lit()).collect();
         for w in col_active.windows(2) {
@@ -71,7 +65,6 @@ impl SymbolicGenerator {
         SymbolicGenerator {
             data_len,
             max_check,
-            min_distance,
             cells,
             len_c: UnaryInt::from_register(col_active.clone()),
             col_active,
@@ -86,11 +79,6 @@ impl SymbolicGenerator {
     /// Upper bound on the check length.
     pub fn max_check(&self) -> usize {
         self.max_check
-    }
-
-    /// The required minimum distance.
-    pub fn min_distance(&self) -> usize {
-        self.min_distance
     }
 
     /// The symbolic check length.
@@ -153,15 +141,21 @@ impl SymbolicGenerator {
 
     /// The generalized counterexample: for the witness data word `x`
     /// (non-zero), asserts that the codeword of `x` has weight ≥ the
-    /// required minimum distance, over the symbolic cells.
-    pub fn add_dataword_counterexample(&self, s: &mut SmtSolver, x: &BitVec, enc: CardEncoding) {
+    /// required minimum distance `d`, over the symbolic cells.
+    pub fn add_dataword_counterexample(
+        &self,
+        s: &mut SmtSolver,
+        x: &BitVec,
+        d: usize,
+        enc: CardEncoding,
+    ) {
         assert_eq!(x.len(), self.data_len, "counterexample length mismatch");
         let dweight = x.count_ones();
         assert!(dweight > 0, "counterexample must be a non-zero data word");
-        if dweight >= self.min_distance {
+        if dweight >= d {
             return; // data weight alone satisfies the distance
         }
-        let need = self.min_distance - dweight;
+        let need = d - dweight;
         if need > self.max_check {
             // even with every check column set, the codeword of `x`
             // cannot reach the required weight: this problem shape is
@@ -181,13 +175,21 @@ impl SymbolicGenerator {
     }
 
     /// Builds the verifier-side minimum-distance circuit: a symbolic
-    /// data word `x ≠ 0` whose codeword weight is `< min_distance`
-    /// (formula φ_md of §3.2, in the linear-code single-word form:
-    /// two codewords differing in fewer than `md` bits exist iff a
-    /// non-zero codeword of weight `< md` exists).
+    /// data word `x ≠ 0` and a unary counting register over the bits of
+    /// its codeword (formula φ_md of §3.2, in the linear-code
+    /// single-word form: two codewords differing in fewer than `d` bits
+    /// exist iff a non-zero codeword of weight `< d` exists).
     ///
-    /// Returns the `x` literals so the caller can read the witness.
-    pub fn assert_distance_violation(&self, s: &mut SmtSolver, enc: CardEncoding) -> Vec<Lit> {
+    /// Returns the `x` literals, so the caller can read the witness,
+    /// and the register `weight`, where `weight[j]` holds iff the
+    /// codeword has weight ≥ `j + 1`. The violation of distance `d` is
+    /// `¬weight[d − 1]`: a unit clause for a fixed distance, or a
+    /// solve-time assumption when `d` changes between queries.
+    pub fn assert_distance_violation(
+        &self,
+        s: &mut SmtSolver,
+        enc: CardEncoding,
+    ) -> (Vec<Lit>, Vec<Lit>) {
         let xs: Vec<Lit> = (0..self.data_len).map(|_| s.fresh_lit()).collect();
         s.add_clause(&xs); // x ≠ 0
         let parities: Vec<Lit> = (0..self.max_check)
@@ -200,8 +202,8 @@ impl SymbolicGenerator {
             .collect();
         let mut all: Vec<Lit> = xs.clone();
         all.extend(parities);
-        s.at_most_k_with(&all, self.min_distance - 1, enc);
-        xs
+        let weight = s.counting_register(&all, enc);
+        (xs, weight)
     }
 }
 
@@ -214,7 +216,7 @@ mod tests {
     #[test]
     fn extract_round_trips_a_pinned_candidate() {
         let mut s = SmtSolver::new();
-        let sym = SymbolicGenerator::new(&mut s, 4, 5, 3);
+        let sym = SymbolicGenerator::new(&mut s, 4, 5);
         let g = standards::hamming_7_4();
         let pins = sym.pin_assumptions(&g);
         assert_eq!(s.solve(&pins), SmtResult::Sat);
@@ -227,7 +229,7 @@ mod tests {
     #[test]
     fn inactive_columns_are_zero() {
         let mut s = SmtSolver::new();
-        let sym = SymbolicGenerator::new(&mut s, 3, 4, 2);
+        let sym = SymbolicGenerator::new(&mut s, 3, 4);
         // force len_c = 2 and a cell in column 3 — must be unsat
         sym.len_c().assert_eq(&mut s, 2);
         s.add_clause(&[sym.cell(0, 3)]);
@@ -237,7 +239,7 @@ mod tests {
     #[test]
     fn blocking_clause_excludes_exactly_that_candidate() {
         let mut s = SmtSolver::new();
-        let sym = SymbolicGenerator::new(&mut s, 4, 3, 3);
+        let sym = SymbolicGenerator::new(&mut s, 4, 3);
         sym.len_c().assert_eq(&mut s, 3);
         let g = standards::hamming_7_4();
         let clause = sym.blocking_clause(&s, &g);
@@ -254,9 +256,10 @@ mod tests {
         // pin a BAD generator (duplicate columns ⇒ md = 2) and require
         // md 3: the violation circuit must find a witness
         let mut s = SmtSolver::new();
-        let sym = SymbolicGenerator::new(&mut s, 3, 3, 3);
+        let sym = SymbolicGenerator::new(&mut s, 3, 3);
         let bad = Generator::from_coeff_str("110\n110\n011").unwrap();
-        let xs = sym.assert_distance_violation(&mut s, CardEncoding::Totalizer);
+        let (xs, weight) = sym.assert_distance_violation(&mut s, CardEncoding::Totalizer);
+        s.add_clause(&[!weight[2]]);
         assert_eq!(s.solve(&sym.pin_assumptions(&bad)), SmtResult::Sat);
         // witness: read x, confirm concretely that its codeword weight < 3
         let x = BitVec::from_bools(&xs.iter().map(|&l| s.model_lit(l)).collect::<Vec<_>>());
@@ -272,21 +275,39 @@ mod tests {
     #[test]
     fn distance_violation_unsat_for_good_generator() {
         let mut s = SmtSolver::new();
-        let sym = SymbolicGenerator::new(&mut s, 4, 3, 3);
+        let sym = SymbolicGenerator::new(&mut s, 4, 3);
         let good = standards::hamming_7_4();
-        sym.assert_distance_violation(&mut s, CardEncoding::Totalizer);
+        let (_, weight) = sym.assert_distance_violation(&mut s, CardEncoding::Totalizer);
+        s.add_clause(&[!weight[2]]);
         assert_eq!(s.solve(&sym.pin_assumptions(&good)), SmtResult::Unsat);
+    }
+
+    #[test]
+    fn distance_bound_is_one_assumption() {
+        // one verifier answers every distance: assuming ¬weight[d − 1]
+        // asks for a codeword of weight < d, so Hamming (7,4) passes
+        // d = 3 and fails d = 4 on the same solver
+        let mut s = SmtSolver::new();
+        let sym = SymbolicGenerator::new(&mut s, 4, 3);
+        let (xs, weight) = sym.assert_distance_violation(&mut s, CardEncoding::Totalizer);
+        let g = standards::hamming_7_4();
+        let query = |d: usize| [sym.pin_assumptions(&g), vec![!weight[d - 1]]].concat();
+        assert_eq!(s.solve(&query(3)), SmtResult::Unsat);
+        assert_eq!(s.solve(&query(4)), SmtResult::Sat);
+        let x = BitVec::from_bools(&xs.iter().map(|&l| s.model_lit(l)).collect::<Vec<_>>());
+        assert_eq!(g.encode(&x).count_ones(), 3);
+        assert_eq!(s.solve(&query(3)), SmtResult::Unsat, "d = 4 left no trace");
     }
 
     #[test]
     fn dataword_counterexample_prunes_offending_matrices() {
         let mut s = SmtSolver::new();
-        let sym = SymbolicGenerator::new(&mut s, 3, 3, 3);
+        let sym = SymbolicGenerator::new(&mut s, 3, 3);
         sym.len_c().assert_eq(&mut s, 3);
         // counterexample: data word 100 must map to weight ≥ 3 codeword,
         // so row 0 of P needs weight ≥ 2
         let x = BitVec::from_bitstring("100").unwrap();
-        sym.add_dataword_counterexample(&mut s, &x, CardEncoding::Totalizer);
+        sym.add_dataword_counterexample(&mut s, &x, 3, CardEncoding::Totalizer);
         assert_eq!(s.solve(&[]), SmtResult::Sat);
         let g = sym.extract(&s);
         assert!(g.coefficients().row(0).count_ones() >= 2);
@@ -300,11 +321,12 @@ mod tests {
         // miniature CEGIS loop entirely at this layer: synthesize a
         // (6,3) code with md = 3
         let mut syn = SmtSolver::new();
-        let sym_s = SymbolicGenerator::new(&mut syn, 3, 3, 3);
+        let sym_s = SymbolicGenerator::new(&mut syn, 3, 3);
         sym_s.len_c().assert_eq(&mut syn, 3);
         let mut ver = SmtSolver::new();
-        let sym_v = SymbolicGenerator::new(&mut ver, 3, 3, 3);
-        let xs = sym_v.assert_distance_violation(&mut ver, CardEncoding::Totalizer);
+        let sym_v = SymbolicGenerator::new(&mut ver, 3, 3);
+        let (xs, weight) = sym_v.assert_distance_violation(&mut ver, CardEncoding::Totalizer);
+        ver.add_clause(&[!weight[2]]);
         let mut found = None;
         for _ in 0..200 {
             assert_eq!(syn.solve(&[]), SmtResult::Sat, "synthesizer ran dry");
@@ -314,7 +336,7 @@ mod tests {
                 break;
             }
             let x = BitVec::from_bools(&xs.iter().map(|&l| ver.model_lit(l)).collect::<Vec<_>>());
-            sym_s.add_dataword_counterexample(&mut syn, &x, CardEncoding::Totalizer);
+            sym_s.add_dataword_counterexample(&mut syn, &x, 3, CardEncoding::Totalizer);
         }
         let g = found.expect("no generator found in 200 iterations");
         assert_eq!(distance::min_distance_exhaustive(&g), 3);

@@ -1,43 +1,48 @@
-//! Differential proof of the incremental CEGIS core: the warm path
+//! Differential proof of the incremental CEGIS core: the warm driver
 //! (solvers built once, learned clauses / activities / phases carried
-//! across iterations, per-query clause deltas into the portfolio pool)
-//! must be observationally equivalent to the from-scratch reference
-//! mode (`incremental: false`), which rebuilds every solver per
+//! across iterations and bounds, per-query clause deltas into the
+//! portfolio pool) must be observationally equivalent to
+//! `fec_synth::reference::synthesize`, which rebuilds every solver per
 //! iteration and replays stored counterexamples.
 //!
-//! For every spec in the grid both modes run with the static-analysis
-//! gate off (raw CEGIS answers only) and the contract is:
+//! For every spec in the grid both drivers run with the
+//! static-analysis gate off (raw CEGIS answers only) and the contract
+//! is:
 //!
 //! - **identical verdicts** — synthesized vs `NoSolution`, spec by
 //!   spec (timeouts abstain: there is no verdict to compare);
 //! - **generators verify** — every synthesized code's
-//!   exhaustively-measured minimum distance meets the spec in *both*
-//!   modes (the modes need not produce the same matrix — solver
+//!   exhaustively-measured minimum distance meets the spec for *both*
+//!   drivers (they need not produce the same matrix — solver
 //!   heuristics differ — only equally-correct ones);
 //! - **optimization agrees** — `minimal(len_c)` runs reach the same
-//!   optimal check length in both modes (both tighten to UNSAT);
+//!   optimal check length, and `maximal(md)` runs the same final
+//!   distance `d`, for both drivers (both tighten to UNSAT);
 //! - the `fec-analyze` verdict brackets both answers: points the
-//!   bounds refute stay `NoSolution`, and `NeedsSearch` answers land
-//!   inside the static `d_lo..=d_hi` bracket.
+//!   bounds refute stay `NoSolution`, `NeedsSearch` answers land
+//!   inside the static `d_lo..=d_hi` bracket, and no `maximal(md)` run
+//!   climbs past `d_hi`.
 //!
 //! A certified subset re-runs representative specs under
 //! `check_certificates` (the CLI's `--check-proofs`): every verifier
 //! UNSAT must come with a DRAT certificate that replays through the
 //! independent `fec-drat` checker — including warm-pool answers, whose
-//! certificates are stitched from per-query proof segments.
+//! certificates are stitched from per-query proof segments, and
+//! `maximal(md)` answers under the `¬weight[d − 1]` assumption.
 //!
 //! The default tests keep tier-1 fast with a compact grid; the
-//! `#[ignore]`d exhaustive grid (≥200 specs, the issue's floor) runs
-//! in the CI `cegis-incremental` job with `--include-ignored`.
+//! `#[ignore]`d exhaustive grid (≥200 specs) runs in the CI
+//! `cegis-incremental` job with `--include-ignored`.
 
-use fec_analyze::{analyze_point, PointVerdict};
+use fec_analyze::{analyze_point, bounds, PointVerdict};
 use fec_hamming::distance;
-use fec_synth::cegis::{SynthError, SynthesisConfig, Synthesizer};
-use fec_synth::spec::parse_property;
+use fec_synth::cegis::{SynthError, SynthesisConfig, SynthesisResult, Synthesizer};
+use fec_synth::reference;
+use fec_synth::spec::{parse_property, Prop};
 use std::time::Duration;
 
 /// The warm default, gate off so the solver answers everything.
-fn incremental_config() -> SynthesisConfig {
+fn config() -> SynthesisConfig {
     SynthesisConfig {
         timeout: Duration::from_secs(60),
         static_analysis: false,
@@ -45,55 +50,57 @@ fn incremental_config() -> SynthesisConfig {
     }
 }
 
-/// The from-scratch reference mode.
-fn scratch_config() -> SynthesisConfig {
-    SynthesisConfig {
-        incremental: false,
-        ..incremental_config()
-    }
+type Outcome = Result<SynthesisResult, SynthError>;
+
+/// Runs `prop` through the warm driver and the reference; `None` when
+/// either timed out (no verdict to compare).
+fn both(prop: &Prop, cfg: SynthesisConfig) -> Option<(Outcome, Outcome)> {
+    let warm = Synthesizer::new(cfg).run(prop);
+    let cold = reference::synthesize(prop, cfg);
+    let timed_out = |r: &Outcome| match r {
+        Ok(r) => !r.optimal,
+        Err(e) => *e == SynthError::Timeout,
+    };
+    (!timed_out(&warm) && !timed_out(&cold)).then_some((warm, cold))
 }
 
-/// Runs one spec through both modes and checks the full contract.
+/// Runs one spec through both drivers and checks the full contract.
 /// Returns `true` if a comparable verdict pair was obtained (neither
 /// side timed out).
 fn check_spec(spec: &str, min_distance: usize) -> bool {
     let prop = parse_property(spec).unwrap();
-    let warm = Synthesizer::new(incremental_config()).run(&prop);
-    let cold = Synthesizer::new(scratch_config()).run(&prop);
-    if matches!(warm, Err(SynthError::Timeout)) || matches!(cold, Err(SynthError::Timeout)) {
-        return false; // no verdict to compare
-    }
+    let Some((warm, cold)) = both(&prop, config()) else {
+        return false;
+    };
     match (&warm, &cold) {
         (Ok(w), Ok(c)) => {
-            for (mode, r) in [("incremental", w), ("from-scratch", c)] {
+            for (driver, r) in [("warm", w), ("reference", c)] {
                 let md = distance::min_distance_exhaustive(&r.generators[0]);
                 assert!(
                     md >= min_distance,
-                    "{spec}: {mode} synthesized distance {md} < {min_distance}"
+                    "{spec}: {driver} synthesized distance {md} < {min_distance}"
                 );
             }
         }
         (Err(SynthError::NoSolution), Err(SynthError::NoSolution)) => {}
-        (w, c) => panic!("{spec}: incremental {w:?} but from-scratch {c:?}"),
+        (w, c) => panic!("{spec}: warm {w:?} but reference {c:?}"),
     }
     true
 }
 
-/// Grid point: compare modes and cross-check against the static
+/// Grid point: compare drivers and cross-check against the static
 /// analyzer's verdict (the bracket must contain both answers).
 fn check_point(k: usize, r: usize, d: usize) -> bool {
     let n = k + r;
     let spec = format!("len_d(G0) = {k} && len_c(G0) = {r} && md(G0) >= {d}");
     let prop = parse_property(&spec).unwrap();
-    let warm = Synthesizer::new(incremental_config()).run(&prop);
-    let cold = Synthesizer::new(scratch_config()).run(&prop);
-    if matches!(warm, Err(SynthError::Timeout)) || matches!(cold, Err(SynthError::Timeout)) {
+    let Some((warm, cold)) = both(&prop, config()) else {
         return false;
-    }
+    };
     assert_eq!(
         warm.is_ok(),
         cold.is_ok(),
-        "[{n}, {k}, {d}]: incremental {warm:?} but from-scratch {cold:?}"
+        "[{n}, {k}, {d}]: warm {warm:?} but reference {cold:?}"
     );
     match analyze_point(n, k, d) {
         PointVerdict::Infeasible(c) => {
@@ -117,16 +124,46 @@ fn check_point(k: usize, r: usize, d: usize) -> bool {
         },
     }
     if let (Ok(w), Ok(c)) = (&warm, &cold) {
-        for (mode, res) in [("incremental", w), ("from-scratch", c)] {
+        for (driver, res) in [("warm", w), ("reference", c)] {
             let md = distance::min_distance_exhaustive(&res.generators[0]);
-            assert!(md >= d, "[{n}, {k}, {d}]: {mode} distance {md} < {d}");
+            assert!(md >= d, "[{n}, {k}, {d}]: {driver} distance {md} < {d}");
         }
     }
     true
 }
 
+/// `maximal(md(G0))` at `[k + r, k]`: both drivers must climb to the
+/// same final `d`, each result's exhaustive distance must reach it,
+/// and it must not exceed the analyzer's `d_hi`.
+fn check_max_distance(k: usize, r: usize, cfg: SynthesisConfig) -> bool {
+    let n = k + r;
+    let spec = format!("len_d(G0) = {k} && len_c(G0) = {r} && maximal(md(G0))");
+    let prop = parse_property(&spec).unwrap();
+    let Some((warm, cold)) = both(&prop, cfg) else {
+        return false;
+    };
+    let (w, c) = (warm.unwrap(), cold.unwrap());
+    let d = w.intermediates.last().unwrap().0;
+    assert_eq!(
+        c.intermediates.last().unwrap().0,
+        d,
+        "[{n}, {k}]: warm climbed to d = {d}, reference to {:?}",
+        c.intermediates.last().map(|x| x.0)
+    );
+    for (driver, res) in [("warm", &w), ("reference", &c)] {
+        let md = distance::min_distance_exhaustive(&res.generators[0]) as i64;
+        assert!(md >= d, "[{n}, {k}]: {driver} distance {md} < final d {d}");
+    }
+    let d_hi = bounds::distance_upper_bound(n, k) as i64;
+    assert!(
+        d <= d_hi,
+        "[{n}, {k}]: climbed to {d} past static d_hi {d_hi}"
+    );
+    true
+}
+
 #[test]
-fn compact_grid_modes_agree() {
+fn compact_grid_drivers_agree() {
     // the fast tier-1 slice of the exhaustive grid: every verdict kind
     // (infeasible, trivially feasible, needs-search) appears
     let mut compared = 0;
@@ -143,24 +180,41 @@ fn compact_grid_modes_agree() {
 }
 
 #[test]
-fn optimization_reaches_the_same_optimum_in_both_modes() {
-    // minimal(len_c) tightens to UNSAT in both modes, so the achieved
-    // optimum — not just the verdict — must match
+fn compact_maximal_distance_drivers_agree() {
+    // the tier-1 maximal(md) slice: trivial climbs ([4, 3] stops at
+    // d = 2), the Hamming [7, 4, 3] and extended [8, 4, 4] optima,
+    // and shortened codes where the climb ends below Singleton
+    let mut compared = 0;
+    for (k, r) in [(3usize, 1usize), (4, 3), (4, 4), (3, 3), (5, 3), (2, 4)] {
+        if check_max_distance(k, r, config()) {
+            compared += 1;
+        }
+    }
+    assert!(
+        compared >= 5,
+        "only {compared} comparable maximal(md) specs"
+    );
+}
+
+#[test]
+fn optimization_reaches_the_same_optimum_in_both_drivers() {
+    // minimal(len_c) tightens to UNSAT for both drivers, so the
+    // achieved optimum — not just the verdict — must match
     for (k, d, optimum) in [(4usize, 3usize, 3usize), (4, 4, 4), (3, 3, 3)] {
         let spec =
             format!("len_d(G0) = {k} && 1 <= len_c(G0) <= 8 && md(G0) = {d} && minimal(len_c(G0))");
         let prop = parse_property(&spec).unwrap();
-        let warm = Synthesizer::new(incremental_config()).run(&prop).unwrap();
-        let cold = Synthesizer::new(scratch_config()).run(&prop).unwrap();
+        let warm = Synthesizer::new(config()).run(&prop).unwrap();
+        let cold = reference::synthesize(&prop, config()).unwrap();
         assert_eq!(
             warm.generators[0].check_len(),
             optimum,
-            "incremental missed the [{k}, d={d}] optimum"
+            "warm driver missed the [{k}, d={d}] optimum"
         );
         assert_eq!(
             cold.generators[0].check_len(),
             optimum,
-            "from-scratch missed the [{k}, d={d}] optimum"
+            "reference missed the [{k}, d={d}] optimum"
         );
         assert!(distance::min_distance_exhaustive(&warm.generators[0]) >= d);
         assert!(distance::min_distance_exhaustive(&cold.generators[0]) >= d);
@@ -168,29 +222,42 @@ fn optimization_reaches_the_same_optimum_in_both_modes() {
 }
 
 #[test]
-fn certified_subset_replays_drat_in_both_modes() {
+fn certified_subset_replays_drat_for_both_drivers() {
     // --check-proofs end to end: every verifier UNSAT (the step that
     // declares a candidate correct) and the final synthesizer UNSAT of
     // the optimization loop must carry a replayable DRAT certificate;
     // the certifying SmtSolver panics on any discrepancy, so finishing
     // IS the assertion
-    for incremental in [true, false] {
-        let cfg = SynthesisConfig {
-            check_certificates: true,
-            incremental,
-            ..incremental_config()
-        };
-        let p =
-            parse_property("len_d(G0) = 4 && len_c(G0) <= 4 && md(G0) = 3 && minimal(len_c(G0))")
-                .unwrap();
-        let r = Synthesizer::new(cfg).run(&p).unwrap();
-        assert_eq!(r.generators[0].check_len(), 3, "incremental={incremental}");
+    let cfg = SynthesisConfig {
+        check_certificates: true,
+        ..config()
+    };
+    let p = parse_property("len_d(G0) = 4 && len_c(G0) <= 4 && md(G0) = 3 && minimal(len_c(G0))")
+        .unwrap();
+    let runs = [
+        ("warm", Synthesizer::new(cfg).run(&p).unwrap()),
+        ("reference", reference::synthesize(&p, cfg).unwrap()),
+    ];
+    for (driver, r) in runs {
+        assert_eq!(r.generators[0].check_len(), 3, "{driver}");
         assert_eq!(
             distance::min_distance_exhaustive(&r.generators[0]),
             3,
-            "incremental={incremental}"
+            "{driver}"
         );
     }
+}
+
+#[test]
+fn certified_maximal_distance_replays_drat() {
+    // the warm climb answers every d on one verifier under the
+    // ¬weight[d − 1] assumption; each of those UNSAT answers, and the
+    // final UNSAT at d = 5, must replay through fec-drat
+    let cfg = SynthesisConfig {
+        check_certificates: true,
+        ..config()
+    };
+    assert!(check_max_distance(4, 4, cfg), "certified climb timed out");
 }
 
 #[test]
@@ -198,30 +265,32 @@ fn certified_warm_pool_answers_stay_certifiable() {
     // jobs=2 routes every query through the resident warm pool; with
     // certification on, each verdict is certified against a per-worker
     // DRAT stream stitched from per-query proof segments
-    for incremental in [true, false] {
-        let cfg = SynthesisConfig {
-            check_certificates: true,
-            jobs: 2,
-            incremental,
-            ..incremental_config()
-        };
-        let p = parse_property("len_d(G0) = 4 && len_c(G0) = 3 && md(G0) = 3").unwrap();
-        let r = Synthesizer::new(cfg).run(&p).unwrap();
+    let cfg = SynthesisConfig {
+        check_certificates: true,
+        jobs: 2,
+        ..config()
+    };
+    let p = parse_property("len_d(G0) = 4 && len_c(G0) = 3 && md(G0) = 3").unwrap();
+    let runs = [
+        ("warm", Synthesizer::new(cfg).run(&p).unwrap()),
+        ("reference", reference::synthesize(&p, cfg).unwrap()),
+    ];
+    for (driver, r) in runs {
         assert_eq!(
             distance::min_distance_exhaustive(&r.generators[0]),
             3,
-            "incremental={incremental}"
+            "{driver}"
         );
     }
 }
 
 /// The exhaustive differential grid the CI `cegis-incremental` job
 /// runs with `--include-ignored`: 210 `[k + r, k, d]` points plus the
-/// optimization and certified specs above — past the issue's 200-spec
-/// floor, every one answered by both modes.
+/// optimization and certified specs above, every one answered by both
+/// drivers.
 #[test]
 #[ignore = "exhaustive: run via CI cegis-incremental (--include-ignored)"]
-fn exhaustive_grid_modes_agree() {
+fn exhaustive_grid_drivers_agree() {
     let mut specs = 0;
     let mut compared = 0;
     for k in 2..=6 {
@@ -243,6 +312,37 @@ fn exhaustive_grid_modes_agree() {
     assert!(
         compared >= specs * 9 / 10,
         "only {compared}/{specs} points comparable"
+    );
+}
+
+/// `maximal(md(G0))` over `[k + r, k]` for k = 2..=6, r = 1..=5, plus
+/// the same climbs with counterexamples dropped per bound.
+#[test]
+#[ignore = "exhaustive: run via CI cegis-incremental (--include-ignored)"]
+fn exhaustive_maximal_distance_drivers_agree() {
+    let mut specs = 0;
+    let mut compared = 0;
+    for k in 2..=6 {
+        for r in 1..=5 {
+            specs += 1;
+            if check_max_distance(k, r, config()) {
+                compared += 1;
+            }
+        }
+    }
+    let paper = SynthesisConfig {
+        persist_counterexamples: false,
+        ..config()
+    };
+    for (k, r) in [(4usize, 3usize), (4, 4), (5, 4)] {
+        specs += 1;
+        if check_max_distance(k, r, paper) {
+            compared += 1;
+        }
+    }
+    assert!(
+        compared >= specs * 9 / 10,
+        "only {compared}/{specs} maximal(md) specs comparable"
     );
 }
 
@@ -278,10 +378,19 @@ fn exhaustive_structured_specs_agree() {
              && len_d(G1) = 8 && len_c(G1) = 1 && md(G1) = 2",
             3,
         ),
+        (
+            "len_d(G0) = 4 && len_c(G0) = 4 && G0(0, 4) = 0 && maximal(md(G0))",
+            3,
+        ),
+        (
+            "len_G = 2 && len_d(G0) = 4 && len_c(G0) = 3 && md(G0) = 3 \
+             && len_d(G1) = 4 && len_c(G1) = 4 && maximal(md(G1))",
+            3,
+        ),
     ] {
         if check_spec(spec, d) {
             checked += 1;
         }
     }
-    assert!(checked >= 5, "only {checked} structured specs comparable");
+    assert!(checked >= 7, "only {checked} structured specs comparable");
 }
