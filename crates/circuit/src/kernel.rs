@@ -7,7 +7,9 @@
 //! streaming pipeline). [`CircuitKernel`] compiles a circuit once into
 //! a flat op list over a reusable scratch buffer, so the per-word cost
 //! is exactly `inputs` loads plus `xor_count` XORs — the §4.4 cost
-//! model, executed literally.
+//! model, executed literally. [`CircuitKernel::encode_checks_lanes`]
+//! runs the same op list over 64 words at once (word `t` in bit lane
+//! `t` of every value slot), so `xor_count` XORs encode 64 words.
 //!
 //! The intended construction path is [`CircuitKernel::minimized`],
 //! which runs the certified CSE minimizer and therefore inherits its
@@ -115,10 +117,16 @@ impl CircuitKernel {
         self.ops.len()
     }
 
-    fn run(&mut self) -> u64 {
+    /// The op loop, shared by every entry point: each value slot is a
+    /// `u64` of independent bit lanes.
+    fn eval(&mut self) {
         for (i, &(a, b)) in self.ops.iter().enumerate() {
             self.vals[self.inputs + i] = self.vals[a as usize] ^ self.vals[b as usize];
         }
+    }
+
+    fn run(&mut self) -> u64 {
+        self.eval();
         let mut out = 0u64;
         for (j, &s) in self.outs.iter().enumerate() {
             if s != ZERO {
@@ -149,6 +157,71 @@ impl CircuitKernel {
             self.vals[i] = data.get(i / 64).map_or(0, |w| (w >> (i % 64)) & 1);
         }
         self.run()
+    }
+
+    /// Encodes the check bits of up to 64 data words in one pass of
+    /// the op list. Word `t` is `words[t * stride..(t + 1) * stride]`,
+    /// packed as in [`CircuitKernel::encode_checks_wide`], and rides bit
+    /// lane `t` of every value slot; its check bits land in `checks[t]`.
+    /// Bits at or above `k` are ignored, so `words` may hold whole
+    /// codewords, and data bits beyond `stride` words read as zero.
+    ///
+    /// # Panics
+    /// Panics if `stride` is zero, `words.len()` is not a multiple of
+    /// `stride`, there are more than 64 words, or `checks` is shorter
+    /// than the word count.
+    pub fn encode_checks_lanes(&mut self, words: &[u64], stride: usize, checks: &mut [u64]) {
+        assert!(
+            stride > 0 && words.len().is_multiple_of(stride),
+            "encode_checks_lanes: ragged words"
+        );
+        let lanes = words.len() / stride;
+        assert!(lanes <= 64, "encode_checks_lanes: at most 64 lanes");
+        assert!(
+            checks.len() >= lanes,
+            "encode_checks_lanes: checks too short"
+        );
+        let mut block = [0u64; 64];
+        for j in 0..self.inputs.div_ceil(64) {
+            let slots = &mut self.vals[64 * j..(64 * j + 64).min(self.inputs)];
+            if j >= stride {
+                slots.fill(0);
+                continue;
+            }
+            for (t, row) in block[..lanes].iter_mut().enumerate() {
+                *row = words[t * stride + j];
+            }
+            block[lanes..].fill(0);
+            transpose64(&mut block);
+            slots.copy_from_slice(&block[..slots.len()]);
+        }
+        self.eval();
+        block.fill(0);
+        for (row, &s) in block.iter_mut().zip(&self.outs) {
+            if s != ZERO {
+                *row = self.vals[s as usize];
+            }
+        }
+        transpose64(&mut block);
+        checks[..lanes].copy_from_slice(&block[..lanes]);
+    }
+}
+
+/// Transposes a 64×64 bit matrix in place: bit `c` of `a[r]` moves to
+/// bit `r` of `a[c]` (recursive block swaps, six rounds).
+fn transpose64(a: &mut [u64; 64]) {
+    let mut j = 32;
+    let mut m: u64 = 0x0000_0000_FFFF_FFFF;
+    while j != 0 {
+        let mut k = 0;
+        while k < 64 {
+            let t = ((a[k] >> j) ^ a[k + j]) & m;
+            a[k] ^= t << j;
+            a[k + j] ^= t;
+            k = (k + j + 1) & !j;
+        }
+        j >>= 1;
+        m ^= m << j;
     }
 }
 
@@ -302,6 +375,112 @@ mod tests {
             let expect = g.encode(&bits).slice(120..128).to_u128() as u64;
             assert_eq!(k.encode_checks_wide(&words), expect);
             assert_eq!(k.encode_checks_wide(bits.words()), expect);
+        }
+    }
+
+    /// Table 1's k = 4 optima (md = 8 down to 2) as coefficient rows.
+    const K4_CODES: [[&str; 4]; 7] = [
+        ["11011011100", "01100111110", "11001100111", "00111101101"],
+        ["0011110011", "1110111000", "0111011101", "1000011111"],
+        ["11100110", "10111111", "11011010", "01010111"],
+        ["1111001", "1011111", "0110011", "0111100"],
+        ["1011", "1101", "1110", "0111"],
+        ["110", "011", "101", "111"],
+        ["01", "10", "10", "10"],
+    ];
+
+    fn lane_kernels() -> Vec<(CircuitKernel, usize)> {
+        let mut out = vec![(
+            CircuitKernel::minimized(&standards::ieee_8023df_128_120()),
+            2,
+        )];
+        for rows in K4_CODES {
+            let g = Generator::from_coeff_str(&rows.join("\n")).expect("pinned code");
+            out.push((CircuitKernel::minimized(&g), 1));
+        }
+        out
+    }
+
+    /// Every batch size the datapath produces: empty, one, two, a
+    /// partial and a full pass.
+    fn lanes_match_per_word(kernel: &mut CircuitKernel, words: &[u64], stride: usize) {
+        for lanes in [0, 1, 2, 63, 64] {
+            let batch = &words[..lanes * stride];
+            let mut got = [u64::MAX; 65];
+            kernel.encode_checks_lanes(batch, stride, &mut got);
+            for (t, word) in batch.chunks(stride).enumerate() {
+                assert_eq!(
+                    got[t],
+                    kernel.encode_checks_wide(word),
+                    "lane {t} of {lanes}"
+                );
+            }
+            assert_eq!(got[lanes], u64::MAX, "wrote past the lanes");
+        }
+    }
+
+    #[test]
+    fn transpose64_moves_bit_c_of_row_r_to_bit_r_of_row_c() {
+        let mut a = [0u64; 64];
+        for (r, row) in a.iter_mut().enumerate() {
+            *row = (r as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (1 << (r % 7));
+        }
+        let before = a;
+        transpose64(&mut a);
+        for (r, row) in before.iter().enumerate() {
+            for (c, col) in a.iter().enumerate() {
+                assert_eq!((col >> r) & 1, (row >> c) & 1, "({r}, {c})");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// One 64-lane pass equals per-word `encode_checks_wide` on the
+        /// 802.3df kernel and the seven pinned k = 4 codes.
+        #[test]
+        fn prop_lanes_match_per_word_encodes(
+            words in proptest::collection::vec(proptest::prelude::any::<u64>(), 128)
+        ) {
+            for (mut kernel, stride) in lane_kernels() {
+                lanes_match_per_word(&mut kernel, &words[..64 * stride], stride);
+            }
+        }
+
+        /// Bits at or above `k` never reach the op list, as on the
+        /// scalar path: whole codewords encode like their data bits.
+        #[test]
+        fn prop_lanes_ignore_bits_above_k(
+            words in proptest::collection::vec(proptest::prelude::any::<u64>(), 128)
+        ) {
+            for (mut kernel, stride) in lane_kernels() {
+                let k = kernel.data_len();
+                let words = &words[..64 * stride];
+                let clean: Vec<u64> = words
+                    .chunks(stride)
+                    .flat_map(|w| {
+                        w.iter().enumerate().map(|(j, &x)| x & mask64(k.saturating_sub(64 * j)))
+                    })
+                    .collect();
+                let (mut dirty_checks, mut clean_checks) = ([0u64; 64], [0u64; 64]);
+                kernel.encode_checks_lanes(words, stride, &mut dirty_checks);
+                kernel.encode_checks_lanes(&clean, stride, &mut clean_checks);
+                proptest::prop_assert_eq!(dirty_checks, clean_checks);
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_read_missing_words_as_zero() {
+        let mut k = CircuitKernel::minimized(&standards::ieee_8023df_128_120());
+        let lo: Vec<u64> = (0..64u64)
+            .map(|t| t.wrapping_mul(0xA076_1D64_78BD_642F))
+            .collect();
+        let mut got = [0u64; 64];
+        k.encode_checks_lanes(&lo, 1, &mut got);
+        for (t, &w) in lo.iter().enumerate() {
+            assert_eq!(got[t], k.encode_checks_wide(&[w]));
         }
     }
 

@@ -1516,6 +1516,27 @@ mod tests {
     }
 
     #[test]
+    fn report_times_every_stream_stage() {
+        let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let jsonl = tmp_path("stream-stages.jsonl");
+        let (code, out, err) = run(&argv(&[
+            "stream",
+            "--seed=7",
+            "--bytes=8192",
+            &format!("--trace-jsonl={}", jsonl.display()),
+        ]));
+        assert_eq!(code, 0, "{out}{err}");
+        let (code, out, err) = run(&argv(&["report", jsonl.to_str().unwrap()]));
+        assert_eq!(code, 0, "{err}");
+        assert!(out.contains("stream stages"), "{out}");
+        for stage in report::STREAM_STAGES {
+            let row = out.lines().find(|l| l.trim_start().starts_with(stage));
+            assert!(row.is_some(), "{stage} missing in\n{out}");
+        }
+        let _ = std::fs::remove_file(&jsonl);
+    }
+
+    #[test]
     fn traced_verify_emits_valid_jsonl_and_metrics() {
         let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let jsonl = tmp_path("verify.jsonl");

@@ -12,6 +12,10 @@
 //! wait on the driver side lands in the `portfolio` phase, and the
 //! workers' busy time shows up separately in the all-thread table.
 //!
+//! A traced `fecsynth stream` run also gets a stage table: the
+//! self-time of each `stream.*` stage span and of `stream.run` itself
+//! (the glue between stages), as shares of the `stream.run` total.
+//!
 //! Also summarized: idle time of portfolio workers after they finish
 //! while the slowest worker of the same query is still running (the
 //! diagnosable half of a sub-1.0× speedup), and the watchdog's
@@ -26,6 +30,23 @@ use crate::{fail, has_flag, usage};
 /// Phase names, in report order. `other` and `untraced` are appended
 /// by the renderers.
 const PHASES: [&str; 5] = ["synth", "verify", "simplify", "proof-check", "portfolio"];
+
+/// The stream pipeline's stage spans, children of `stream.run`, in
+/// datapath order.
+pub const STREAM_STAGES: [&str; 6] = [
+    "stream.packetize",
+    "stream.encode",
+    "stream.channel",
+    "stream.decode",
+    "stream.estimate",
+    "stream.deliver",
+];
+
+/// The stage spans, then `stream.run` itself (its self-time is the
+/// glue between stages).
+fn stream_spans() -> impl Iterator<Item = &'static str> {
+    STREAM_STAGES.into_iter().chain(["stream.run"])
+}
 
 /// Maps a span name to its phase. Unmapped spans inherit the nearest
 /// mapped ancestor's phase; with no mapped ancestor they count as
@@ -66,6 +87,11 @@ pub struct RunReport {
     pub driver_self_us: BTreeMap<&'static str, u64>,
     /// Self-time per phase summed over every thread.
     pub busy_self_us: BTreeMap<&'static str, u64>,
+    /// Self-time of each stream stage span and of `stream.run`, over
+    /// every thread (empty when the trace holds no stream run).
+    pub stream_self_us: BTreeMap<&'static str, u64>,
+    /// Summed duration of the `stream.run` spans.
+    pub stream_run_us: u64,
     pub worker_spans: u64,
     pub portfolio_idle_us: u64,
     pub heartbeats: u64,
@@ -145,6 +171,12 @@ pub fn analyze(text: &str) -> RunReport {
                     match stack.last_mut() {
                         Some(parent) => parent.child_us += dur,
                         None => *top_us.entry(tid).or_default() += dur,
+                    }
+                    if let Some(stage) = stream_spans().find(|&s| s == name) {
+                        *r.stream_self_us.entry(stage).or_default() += self_time;
+                        if stage == "stream.run" {
+                            r.stream_run_us += dur;
+                        }
                     }
                 }
                 if name == "portfolio.pool.solve" {
@@ -261,6 +293,27 @@ pub fn render_text(r: &RunReport, path: &str) -> String {
             }
         }
     }
+    if r.stream_run_us > 0 {
+        let _ = writeln!(
+            out,
+            "stream stages (self-time, share of {:.3} s in stream.run):",
+            secs(r.stream_run_us)
+        );
+        for stage in stream_spans() {
+            let label = if stage == "stream.run" {
+                "stream.run (glue)"
+            } else {
+                stage
+            };
+            let us = r.stream_self_us.get(stage).copied().unwrap_or(0);
+            let _ = writeln!(
+                out,
+                "  {label:<18} {:>10.3} s  {:>5.1}%",
+                secs(us),
+                pct(us, r.stream_run_us)
+            );
+        }
+    }
     if r.worker_spans > 0 {
         let _ = writeln!(
             out,
@@ -318,6 +371,16 @@ pub fn render_json(r: &RunReport) -> String {
             attributed as f64 / r.wall_us as f64
         }
     );
+    let _ = write!(
+        out,
+        "  \"stream\": {{\"run_us\": {}, \"self_us\": {{",
+        r.stream_run_us
+    );
+    for (i, stage) in stream_spans().enumerate() {
+        let us = r.stream_self_us.get(stage).copied().unwrap_or(0);
+        let _ = write!(out, "{}\"{stage}\": {us}", if i == 0 { "" } else { ", " });
+    }
+    let _ = writeln!(out, "}}}},");
     let _ = writeln!(
         out,
         "  \"portfolio\": {{\"worker_spans\": {}, \"idle_us\": {}}},",
@@ -407,6 +470,30 @@ mod tests {
         assert_eq!(r.driver_self_us["synth"], 500);
         assert_eq!(r.driver_self_us["other"], 100); // cegis.run self
         assert_eq!(r.attributed_us(), 500);
+    }
+
+    #[test]
+    fn stream_stages_get_self_time_and_shares() {
+        // stream.run [0, 1000] with packetize [0, 100] and channel
+        // [100, 700]; the other 300 us are glue
+        let mut t = String::new();
+        t += &line(0, 0, "begin", "stream.run", None);
+        t += &line(0, 0, "begin", "stream.packetize", None);
+        t += &line(100, 0, "end", "stream.packetize", Some(100));
+        t += &line(100, 0, "begin", "stream.channel", None);
+        t += &line(700, 0, "end", "stream.channel", Some(600));
+        t += &line(1000, 0, "end", "stream.run", Some(1000));
+        let r = analyze(&t);
+        assert_eq!(r.stream_run_us, 1000);
+        assert_eq!(r.stream_self_us["stream.packetize"], 100);
+        assert_eq!(r.stream_self_us["stream.channel"], 600);
+        assert_eq!(r.stream_self_us["stream.run"], 300);
+        let text = render_text(&r, "t.jsonl");
+        assert!(text.contains("stream.channel"), "{text}");
+        assert!(text.contains("60.0%"), "{text}");
+        let json = fec_trace::parse_json(&render_json(&r)).expect("report JSON parses");
+        let stream = json.get("stream").expect("stream section");
+        assert_eq!(stream.get("run_us").and_then(Json::as_num), Some(1000.0));
     }
 
     #[test]

@@ -59,6 +59,17 @@ impl BitVec {
         v
     }
 
+    /// Builds a `len`-bit vector from words packed as in
+    /// [`BitVec::words`]; missing words read as zero and bits at or
+    /// beyond `len` are dropped.
+    pub fn from_words(words: &[u64], len: usize) -> Self {
+        let mut v = Self::zeros(len);
+        let n = v.words.len().min(words.len());
+        v.words[..n].copy_from_slice(&words[..n]);
+        v.mask_tail();
+        v
+    }
+
     /// Interprets the first `min(len, 128)` bits as an integer,
     /// bit `i` of the vector at bit `i` of the result.
     pub fn to_u128(&self) -> u128 {
@@ -361,6 +372,19 @@ mod tests {
         assert_eq!(format!("{c}"), "1010110");
         assert_eq!(format!("{}", c.slice(3..7)), "0110");
         assert_eq!(c.slice(0..0).len(), 0);
+    }
+
+    #[test]
+    fn from_words_masks_the_tail() {
+        let v = BitVec::from_words(&[u64::MAX, u64::MAX], 70);
+        assert_eq!(v, BitVec::ones(70));
+        assert_eq!(BitVec::from_words(&[0b101], 130), {
+            let mut w = BitVec::zeros(130);
+            w.set(0, true);
+            w.set(2, true);
+            w
+        });
+        assert!(BitVec::from_words(&[], 0).is_empty());
     }
 
     #[test]

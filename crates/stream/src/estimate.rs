@@ -84,16 +84,24 @@ impl BurstProfile {
     /// (`true` = that channel bit was flipped). Stretches are assumed
     /// contiguous with the previous call, so bursts may span calls.
     pub fn observe(&mut self, errors: impl IntoIterator<Item = bool>) {
-        for e in errors {
-            let pos = (self.bits_observed % POS_BUCKETS as u64) as usize;
-            self.bits_observed += 1;
-            if e {
-                self.bit_errors += 1;
-                self.position_errors[pos] += 1;
-                self.open_run += 1;
-            } else {
-                self.close_run();
-            }
+        self.observe_gapped(errors.into_iter().map(Some));
+    }
+
+    /// Feeds the next observed channel bit as an error.
+    fn observe_error(&mut self) {
+        let pos = (self.bits_observed % POS_BUCKETS as u64) as usize;
+        self.bits_observed += 1;
+        self.bit_errors += 1;
+        self.position_errors[pos] += 1;
+        self.open_run += 1;
+    }
+
+    /// Feeds `len` consecutive observed, error-free channel bits: the
+    /// same as `len` `false`s to [`BurstProfile::observe`].
+    pub(crate) fn observe_clean(&mut self, len: u64) {
+        if len > 0 {
+            self.close_run();
+            self.bits_observed += len;
         }
     }
 
@@ -137,12 +145,22 @@ impl BurstProfile {
     /// gaps: `None` marks bits whose error status is unknown (they are
     /// not counted as observed and break any open run).
     pub fn observe_gapped(&mut self, bits: impl IntoIterator<Item = Option<bool>>) {
+        // error-free bits are counted up and fed as one clean stretch
+        let mut clean = 0u64;
         for b in bits {
             match b {
-                Some(e) => self.observe([e]),
-                None => self.discontinuity(),
+                Some(false) => clean += 1,
+                Some(true) => {
+                    self.observe_clean(std::mem::take(&mut clean));
+                    self.observe_error();
+                }
+                None => {
+                    self.observe_clean(std::mem::take(&mut clean));
+                    self.discontinuity();
+                }
             }
         }
+        self.observe_clean(clean);
     }
 
     /// Completed bursts plus a still-open trailing run.
@@ -297,6 +315,20 @@ mod tests {
         p.discontinuity();
         assert_eq!(p.bursts, 2);
         assert_eq!(p.run_hist[1], 1); // the trailing length-2 run
+    }
+
+    #[test]
+    fn clean_stretches_close_runs_and_count_bits() {
+        let mut p = BurstProfile::new();
+        p.observe([true, true]);
+        p.observe_clean(0); // nothing observed: the run stays open
+        p.observe([true]);
+        p.observe_clean(70);
+        assert_eq!((p.bursts, p.run_hist[2], p.bits_observed), (1, 1, 73));
+        p.observe([true]); // channel bit 73
+        assert_eq!(p.position_errors[..4], [1, 1, 1, 0]);
+        assert_eq!(p.position_errors[73 % 64], 1);
+        assert_eq!(p.bit_errors, 4);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use fec_gf2::BitVec;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
-fn mask64(bits: usize) -> u64 {
+pub(crate) fn mask64(bits: usize) -> u64 {
     if bits >= 64 {
         u64::MAX
     } else {
@@ -62,19 +62,47 @@ pub fn repair_mask(chunk: usize, seed: u64, generation: u64, r: usize) -> u64 {
 pub fn encode_repairs(words: &[BitVec], seed: u64, generation: u64, repair: usize) -> Vec<BitVec> {
     assert!(!words.is_empty() && words.len() <= 64);
     let word_len = words[0].len();
-    (1..=repair)
-        .map(|r| {
-            let mask = repair_mask(words.len(), seed, generation, r);
-            let mut acc = BitVec::zeros(word_len);
-            for (i, w) in words.iter().enumerate() {
-                if mask >> i & 1 == 1 {
-                    assert_eq!(w.len(), word_len, "ragged generation");
-                    acc ^= w;
-                }
-            }
-            acc
-        })
+    let mut flat = Vec::with_capacity(words.len() * word_len.div_ceil(64));
+    for w in words {
+        assert_eq!(w.len(), word_len, "ragged generation");
+        flat.extend_from_slice(w.words());
+    }
+    let stride = word_len.div_ceil(64).max(1);
+    flat.resize(words.len() * stride, 0);
+    let mut out = vec![0u64; repair * stride];
+    encode_repair_words(&flat, stride, seed, generation, &mut out);
+    out.chunks(stride)
+        .map(|w| BitVec::from_words(w, word_len))
         .collect()
+}
+
+/// [`encode_repairs`] over flat words: the generation's data words
+/// are `words`, `stride` `u64`s each, and repair word `r` (1-based) is
+/// written to `out[(r-1)·stride..r·stride]`; `out` holds as many
+/// repair words as it has room for.
+///
+/// # Panics
+/// Panics if `stride` is zero, `words` is empty, holds more than 64
+/// words or a partial one, or `out` holds a partial word.
+pub(crate) fn encode_repair_words(
+    words: &[u64],
+    stride: usize,
+    seed: u64,
+    generation: u64,
+    out: &mut [u64],
+) {
+    let chunk = whole_words(words, stride);
+    assert!(
+        out.len().is_multiple_of(stride),
+        "encode_repair_words: partial repair word"
+    );
+    for (ri, acc) in out.chunks_mut(stride).enumerate() {
+        let mask = repair_mask(chunk, seed, generation, ri + 1);
+        acc.fill(0);
+        for i in ones(mask) {
+            xor_into(acc, &words[i * stride..(i + 1) * stride]);
+        }
+    }
 }
 
 /// Recovers erased data words of one generation in place.
@@ -88,63 +116,137 @@ pub fn recover_generation(
     repairs: &[(u64, Option<BitVec>)],
     word_len: usize,
 ) -> Vec<usize> {
-    let unknowns: Vec<usize> = (0..data.len()).filter(|&i| data[i].is_none()).collect();
-    if unknowns.is_empty() {
-        return Vec::new();
+    let stride = word_len.div_ceil(64).max(1);
+    let mut flat = vec![0u64; data.len() * stride];
+    let mut erased = 0u64;
+    for (i, slot) in data.iter().enumerate() {
+        match slot {
+            Some(w) => {
+                assert_eq!(w.len(), word_len, "recover_generation: word width");
+                flat[i * stride..i * stride + w.words().len()].copy_from_slice(w.words());
+            }
+            None => erased |= 1 << i,
+        }
     }
-    // column index of each unknown in the elimination
-    let col_of = |i: usize| unknowns.iter().position(|&u| u == i);
+    let equations = repairs.iter().map(|(mask, word)| {
+        let word = word.as_ref().map(|w| {
+            assert_eq!(w.len(), word_len, "recover_generation: repair width");
+            w.words()
+        });
+        (*mask, word)
+    });
+    let recovered = recover_words(&mut flat, stride, erased, equations);
+    ones(recovered)
+        .inspect(|&i| data[i] = Some(BitVec::from_words(&flat[i * stride..], word_len)))
+        .collect()
+}
 
-    // one row per surviving repair: (mask over unknown columns, rhs)
-    let mut rows: Vec<(u64, BitVec)> = Vec::new();
-    for &(mask, ref word) in repairs {
+/// [`recover_generation`] over flat words: `data` holds the
+/// generation's words, `stride` `u64`s each; bit `i` of `erased` marks
+/// word `i` unknown (its contents are ignored and, when recovered,
+/// overwritten). `repairs` yields each repair word's mask with its
+/// received value, `None` when that frame was erased; a received word
+/// shorter than `stride` reads as zero-padded. Returns the mask of
+/// recovered words.
+///
+/// Gauss–Jordan elimination over the unknowns in ascending index
+/// order: after full reduction a pivot row whose mask is a single bit
+/// uniquely determines that unknown.
+///
+/// # Panics
+/// Panics if `stride` is zero or `data` holds more than 64 words or a
+/// partial one.
+pub(crate) fn recover_words<'a>(
+    data: &mut [u64],
+    stride: usize,
+    erased: u64,
+    repairs: impl IntoIterator<Item = (u64, Option<&'a [u64]>)>,
+) -> u64 {
+    let chunk = whole_words(data, stride);
+    let erased = erased & mask64(chunk);
+    if erased == 0 {
+        return 0;
+    }
+    // one row per surviving repair that touches an unknown: its mask
+    // over the unknowns, and its right-hand side (the received word
+    // minus the known words it covers) at the same index of `rhs`
+    let mut masks: Vec<u64> = Vec::new();
+    let mut rhs: Vec<u64> = Vec::new();
+    for (mask, word) in repairs {
         let Some(word) = word else { continue };
-        let mut rmask = 0u64;
-        let mut rhs = word.clone();
-        for (i, slot) in data.iter().enumerate() {
-            if mask >> i & 1 == 0 {
-                continue;
-            }
-            match slot {
-                Some(w) => rhs ^= w,
-                None => rmask |= 1 << col_of(i).expect("unknown indexed"),
-            }
+        let mask = mask & mask64(chunk);
+        if mask & erased == 0 {
+            continue;
         }
-        if rmask != 0 {
-            rows.push((rmask, rhs));
+        let row = rhs.len();
+        rhs.resize(row + stride, 0);
+        let n = word.len().min(stride);
+        rhs[row..row + n].copy_from_slice(&word[..n]);
+        for i in ones(mask & !erased) {
+            xor_into(
+                &mut rhs[row..row + stride],
+                &data[i * stride..(i + 1) * stride],
+            );
         }
+        masks.push(mask & erased);
     }
 
-    // Gauss–Jordan: after full reduction a pivot row whose mask is a
-    // single bit uniquely determines that unknown.
-    let mut pivot_rows: Vec<(usize, usize)> = Vec::new(); // (col, row)
-    for col in 0..unknowns.len() {
-        let Some(pr) = (0..rows.len())
-            .find(|&ri| rows[ri].0 >> col & 1 == 1 && pivot_rows.iter().all(|&(_, r)| r != ri))
+    let mut pivots: Vec<(usize, usize)> = Vec::new(); // (column, row)
+    for col in ones(erased) {
+        let Some(pr) = (0..masks.len())
+            .find(|&ri| masks[ri] >> col & 1 == 1 && pivots.iter().all(|&(_, r)| r != ri))
         else {
             continue;
         };
-        let (pmask, prhs) = (rows[pr].0, rows[pr].1.clone());
-        for (ri, row) in rows.iter_mut().enumerate() {
-            if ri != pr && row.0 >> col & 1 == 1 {
-                row.0 ^= pmask;
-                row.1 ^= &prhs;
+        let pmask = masks[pr];
+        for ri in 0..masks.len() {
+            if ri != pr && masks[ri] >> col & 1 == 1 {
+                masks[ri] ^= pmask;
+                for w in 0..stride {
+                    rhs[ri * stride + w] ^= rhs[pr * stride + w];
+                }
             }
         }
-        pivot_rows.push((col, pr));
+        pivots.push((col, pr));
     }
 
-    let mut recovered = Vec::new();
-    for &(col, ri) in &pivot_rows {
-        if rows[ri].0 == 1 << col {
-            let idx = unknowns[col];
-            debug_assert_eq!(rows[ri].1.len(), word_len);
-            data[idx] = Some(rows[ri].1.clone());
-            recovered.push(idx);
+    let mut recovered = 0u64;
+    for &(col, ri) in &pivots {
+        if masks[ri] == 1 << col {
+            data[col * stride..(col + 1) * stride]
+                .copy_from_slice(&rhs[ri * stride..(ri + 1) * stride]);
+            recovered |= 1 << col;
         }
     }
-    recovered.sort_unstable();
     recovered
+}
+
+/// The number of `stride`-wide words in `words`, checked.
+fn whole_words(words: &[u64], stride: usize) -> usize {
+    assert!(
+        stride > 0 && words.len().is_multiple_of(stride),
+        "partial word"
+    );
+    let count = words.len() / stride;
+    assert!(count <= 64, "generation size must be ≤ 64");
+    count
+}
+
+/// Indices of the set bits of `mask`, ascending.
+pub(crate) fn ones(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
+pub(crate) fn xor_into(acc: &mut [u64], word: &[u64]) {
+    for (a, w) in acc.iter_mut().zip(word) {
+        *a ^= w;
+    }
 }
 
 #[cfg(test)]

@@ -8,20 +8,30 @@
 //! sender-side truth is used solely to *audit* the outcome (the
 //! `corrupted_words` count — deliveries the receiver wrongly trusted).
 //!
-//! Every stage is allocation-light and memory-ordering-free: frames
-//! are processed strictly in sequence, the only cross-frame state is
-//! the Gilbert–Elliott channel state and the interleaver's block
-//! position, and all randomness derives from `StreamConfig::seed`
-//! through fixed domain-separated sub-seeds — the same seed always
-//! yields the bit-identical run, on any thread count.
+//! The datapath works on words, not bits. Data words and frames live
+//! in flat `u64` buffers allocated once per call (a frame is its
+//! codeword, packed as `BitVec::words`); the inner kernel encodes and
+//! checks up to 64 frames per pass of its op list; the channel flips
+//! frame bits in place, visiting them in the interleaver's channel
+//! order; only fountain recovery allocates per generation, and only for
+//! generations with erasures. Each stage's code lives in its module
+//! (`Packetizer`, `fountain`, `BlockInterleaver`, `GilbertElliott`,
+//! `BurstProfile`), whose public `BitVec` forms wrap the flat forms
+//! called here, so probes of the public functions time this code.
+//!
+//! Runs are memory-ordering-free: frames are processed strictly in
+//! sequence, the only cross-frame state is the Gilbert–Elliott channel
+//! state and the interleaver's block position, and all randomness
+//! derives from `StreamConfig::seed` through fixed domain-separated
+//! sub-seeds — the same seed always yields the bit-identical run, on
+//! any thread count.
 
 use crate::adapt::{synthesize_adapted, AdaptConfig, AdaptedCode};
 use crate::estimate::BurstProfile;
-use crate::fountain::{encode_repairs, recover_generation, repair_mask};
+use crate::fountain::{encode_repair_words, mask64, ones, recover_words, repair_mask, xor_into};
 use crate::packet::Packetizer;
 use fec_channel::burst::{BlockInterleaver, GeState, GilbertElliott};
 use fec_circ::{CircuitKernel, CompositeKernel};
-use fec_gf2::BitVec;
 use fec_hamming::{standards, CompositeCode, Generator};
 use fec_synth::cegis::SynthError;
 use fec_trace::Level;
@@ -75,61 +85,87 @@ impl InnerCode {
                 k: g.data_len(),
                 n: g.codeword_len(),
             },
-            InnerCode::Composite(c) => InnerKernel::Composite {
-                kernel: CompositeKernel::new(c),
-                k: c.data_len(),
-                n: c.codeword_len(),
-            },
+            InnerCode::Composite(c) => InnerKernel::Composite(CompositeKernel::new(c)),
         }
     }
 }
 
+/// The compiled inner code, applied to flat frame buffers: `stride`
+/// `u64`s per frame, data in bits `0..k`, check bits in `k..n`.
 enum InnerKernel {
     Single {
         kernel: CircuitKernel,
         k: usize,
         n: usize,
     },
-    Composite {
-        kernel: CompositeKernel,
-        k: usize,
-        n: usize,
-    },
+    /// Codewords of at most 64 bits: one `u64` per frame.
+    Composite(CompositeKernel),
 }
 
 impl InnerKernel {
-    fn encode(&mut self, data: &BitVec) -> BitVec {
+    /// Fills in the check bits of frames whose check bits are zero.
+    fn encode(&mut self, frames: &mut [u64], stride: usize) {
         match self {
-            InnerKernel::Single { kernel, k, n } => {
-                debug_assert_eq!(data.len(), *k);
-                let checks = kernel.encode_checks_wide(data.words());
-                data.concat(&BitVec::from_u128(checks as u128, *n - *k))
+            InnerKernel::Single { kernel, k, .. } => {
+                let mut checks = [0u64; 64];
+                for batch in frames.chunks_mut(64 * stride) {
+                    kernel.encode_checks_lanes(batch, stride, &mut checks);
+                    for (frame, &c) in batch.chunks_mut(stride).zip(&checks) {
+                        xor_bits(frame, *k, c);
+                    }
+                }
             }
-            InnerKernel::Composite { kernel, k, n } => {
-                debug_assert_eq!(data.len(), *k);
-                BitVec::from_u128(kernel.encode(data.to_u128() as u64) as u128, *n)
+            InnerKernel::Composite(kernel) => {
+                debug_assert_eq!(stride, 1);
+                for w in frames {
+                    *w = kernel.encode(*w);
+                }
             }
         }
     }
 
-    fn is_valid(&mut self, word: &BitVec) -> bool {
+    /// Appends each frame's syndrome verdict (`true` = valid) to `ok`.
+    fn check(&mut self, frames: &[u64], stride: usize, ok: &mut Vec<bool>) {
         match self {
             InnerKernel::Single { kernel, k, n } => {
-                debug_assert_eq!(word.len(), *n);
-                let expect = kernel.encode_checks_wide(word.slice(0..*k).words());
-                expect == word.slice(*k..*n).to_u128() as u64
+                let mut checks = [0u64; 64];
+                for batch in frames.chunks(64 * stride) {
+                    kernel.encode_checks_lanes(batch, stride, &mut checks);
+                    for (frame, &c) in batch.chunks(stride).zip(&checks) {
+                        ok.push(c == get_bits(frame, *k, *n - *k));
+                    }
+                }
             }
-            InnerKernel::Composite { kernel, n, .. } => {
-                debug_assert_eq!(word.len(), *n);
-                kernel.is_valid(word.to_u128() as u64)
+            InnerKernel::Composite(kernel) => {
+                debug_assert_eq!(stride, 1);
+                ok.extend(frames.iter().map(|&w| kernel.is_valid(w)));
             }
         }
     }
+}
 
-    fn data_len(&self) -> usize {
-        match self {
-            InnerKernel::Single { k, .. } | InnerKernel::Composite { k, .. } => *k,
-        }
+/// Bits `at .. at + len` (`len ≤ 64`) of a packed frame.
+fn get_bits(frame: &[u64], at: usize, len: usize) -> u64 {
+    if len == 0 {
+        return 0;
+    }
+    let (w, s) = (at / 64, at % 64);
+    let mut v = frame[w] >> s;
+    if s + len > 64 {
+        v |= frame[w + 1] << (64 - s);
+    }
+    v & mask64(len)
+}
+
+/// XORs `value` into a packed frame at bit offset `at`.
+fn xor_bits(frame: &mut [u64], at: usize, value: u64) {
+    if value == 0 {
+        return;
+    }
+    let (w, s) = (at / 64, at % 64);
+    frame[w] ^= value << s;
+    if s != 0 && value >> (64 - s) != 0 {
+        frame[w + 1] ^= value >> (64 - s);
     }
 }
 
@@ -233,23 +269,26 @@ pub struct StreamOutcome {
     pub profile: BurstProfile,
 }
 
-enum FrameKind {
-    /// Data word with this stream-wide index.
-    Data(usize),
-    /// Repair word `r` (1-based) of this generation.
-    Repair(usize, usize),
+/// What the receiver knows of a frame's transmitted codeword.
+#[derive(Clone, Copy)]
+enum Truth {
+    /// The syndrome passed: trusted as received, error pattern zero.
+    Arrived,
+    /// Erased, then rebuilt from recovered words: its error pattern
+    /// is entry `i` of the re-encoded batch.
+    Rebuilt(usize),
+    /// Erased and not rebuilt: a gap in the channel-order view.
+    Unknown,
 }
 
 /// Runs the full pipeline over `bytes` and returns the delivered
 /// stream plus its audit.
 pub fn run_stream(bytes: &[u8], cfg: &StreamConfig) -> StreamOutcome {
     assert!((1..=64).contains(&cfg.gen_size), "gen_size must be 1..=64");
-    let mut kernel = cfg.inner.kernel();
-    let k = kernel.data_len();
+    let k = cfg.inner.data_len();
     let n = cfg.inner.codeword_len();
     let pkt = Packetizer::new(k);
-    let data_words = pkt.packetize(bytes);
-    let d = data_words.len();
+    let d = pkt.words_for(bytes.len());
     let mask_seed = sub_seed(cfg.seed, 1);
     let channel_seed = sub_seed(cfg.seed, 2);
 
@@ -257,208 +296,223 @@ pub fn run_stream(bytes: &[u8], cfg: &StreamConfig) -> StreamOutcome {
         "data_words" => d, "word_len" => k, "codeword_len" => n,
         "depth" => cfg.depth, "gen_size" => cfg.gen_size, "repair" => cfg.repair);
 
-    // --- sender: generations, repair words, frame sequence ---------
-    let n_gens = d.div_ceil(cfg.gen_size);
-    let mut frames: Vec<BitVec> = Vec::new();
-    let mut kinds: Vec<FrameKind> = Vec::new();
-    let mut frame_of_word = vec![0usize; d];
-    let mut gen_last_frame = vec![0usize; n_gens];
-    for (g, last_frame) in gen_last_frame.iter_mut().enumerate() {
-        let base = g * cfg.gen_size;
-        let chunk = &data_words[base..d.min(base + cfg.gen_size)];
-        for (i, w) in chunk.iter().enumerate() {
-            frame_of_word[base + i] = frames.len();
-            frames.push(w.clone());
-            kinds.push(FrameKind::Data(base + i));
-        }
-        for (ri, rep) in encode_repairs(chunk, mask_seed, g as u64, cfg.repair)
-            .into_iter()
-            .enumerate()
-        {
-            frames.push(rep);
-            kinds.push(FrameKind::Repair(g, ri + 1));
-        }
-        *last_frame = frames.len().saturating_sub(1);
-    }
+    // Layout: generation g owns frames g·(gen + repair) .. — its data
+    // words, then its repair words. Data words take `s` u64s, frames
+    // `cs`.
+    let (gen, repair) = (cfg.gen_size, cfg.repair);
+    let (s, cs) = (pkt.stride(), n.div_ceil(64));
+    let n_gens = d.div_ceil(gen);
+    let frames = d + n_gens * repair;
+    let chunk_len = |g: usize| gen.min(d - g * gen);
+    let first_frame = |g: usize| g * (gen + repair);
 
-    // --- inner encode (minimized kernels) + interleave + channel ---
-    let codewords: Vec<BitVec> = frames.iter().map(|w| kernel.encode(w)).collect();
+    let data = {
+        let _s = fec_trace::span!(Level::Info, "stream.packetize");
+        pkt.packetize_words(bytes)
+    };
+
+    // --- sender: repair words, inner encode (minimized kernel) -----
+    let (mut kernel, mut cw) = {
+        let _s = fec_trace::span!(Level::Info, "stream.encode");
+        let mut kernel = cfg.inner.kernel();
+        let mut cw = vec![0u64; frames * cs];
+        for g in 0..n_gens {
+            let (chunk, first) = (chunk_len(g), first_frame(g));
+            for i in 0..chunk {
+                let (f, j) = (first + i, g * gen + i);
+                cw[f * cs..f * cs + s].copy_from_slice(&data[j * s..(j + 1) * s]);
+            }
+            let (words, rest) = cw[first * cs..].split_at_mut(chunk * cs);
+            encode_repair_words(words, cs, mask_seed, g as u64, &mut rest[..repair * cs]);
+        }
+        kernel.encode(&mut cw, cs);
+        (kernel, cw)
+    };
+
+    // --- interleaved channel, applied to the frames in place -------
     let depth = cfg.depth.max(1);
     let il = BlockInterleaver::new(depth, n);
-    let mut ge_state = GeState::Good;
-    let mut rng = SmallRng::seed_from_u64(channel_seed);
-    let mut received: Vec<BitVec> = Vec::with_capacity(frames.len());
-    let mut blocks: Vec<(usize, usize)> = Vec::new(); // (first frame, count)
-    let mut flips = 0u64;
-    let mut start = 0;
-    while start < codewords.len() {
-        let count = depth.min(codewords.len() - start);
-        let mut logical = BitVec::zeros(count * n);
-        for (f, cw) in codewords[start..start + count].iter().enumerate() {
-            for i in cw.iter_ones() {
-                logical.set(f * n + i, true);
-            }
+    let flips = {
+        let _s = fec_trace::span!(Level::Info, "stream.channel");
+        let mut state = GeState::Good;
+        let mut rng = SmallRng::seed_from_u64(channel_seed);
+        let mut flips = 0u64;
+        for block in cw.chunks_mut(depth * cs) {
+            let order = il.channel_order(block.len() / cs * n);
+            flips += cfg
+                .channel
+                .transmit_cells(&mut rng, &mut state, order, |(r, c)| {
+                    block[r * cs + c / 64] ^= 1 << (c % 64);
+                }) as u64;
         }
-        let mut tx = il.interleave_partial(&logical);
-        flips += cfg.channel.transmit(&mut rng, &mut ge_state, &mut tx) as u64;
-        let rx = il.deinterleave_partial(&tx);
-        for f in 0..count {
-            received.push(rx.slice(f * n..(f + 1) * n));
-        }
-        blocks.push((start, count));
-        start += count;
-    }
+        flips
+    };
 
     // --- receiver: detect-and-erase, then fountain recovery --------
-    let mut rx_words: Vec<Option<BitVec>> = Vec::with_capacity(received.len());
-    let mut erased_frames = 0u64;
+    let mut ok: Vec<bool> = Vec::with_capacity(frames);
+    let mut delivered = vec![0u64; d * s];
+    // per generation, the mask of delivered (arrived or recovered) words
+    let mut got = vec![0u64; n_gens];
     let mut erased_data = 0u64;
-    for (fi, rxw) in received.iter().enumerate() {
-        if kernel.is_valid(rxw) {
-            rx_words.push(Some(rxw.slice(0..k)));
-        } else {
-            erased_frames += 1;
-            if matches!(kinds[fi], FrameKind::Data(_)) {
-                erased_data += 1;
-            }
-            rx_words.push(None);
-        }
-    }
-
-    let mut delivered: Vec<Option<BitVec>> = vec![None; d];
-    let mut latencies: Vec<u64> = Vec::new();
     let mut max_gen_erasures = 0u64;
-    for (g, &gen_last) in gen_last_frame.iter().enumerate() {
-        let base = g * cfg.gen_size;
-        let chunk_len = d.min(base + cfg.gen_size) - base;
-        let mut gen_data: Vec<Option<BitVec>> = (0..chunk_len)
-            .map(|i| rx_words[frame_of_word[base + i]].clone())
-            .collect();
-        let repair_eqs: Vec<(u64, Option<BitVec>)> = (1..=cfg.repair)
-            .map(|r| {
-                let fi = frame_of_word[base + chunk_len - 1] + r;
+    let (mut recovered, mut latency_sum, mut latency_max) = (0u64, 0u64, 0u64);
+    {
+        let _s = fec_trace::span!(Level::Info, "stream.decode");
+        kernel.check(&cw, cs, &mut ok);
+        // A frame's first `s` words hold its data bits, with check bits
+        // above `k` in the last one. Recovery reads repair frames in
+        // place: GF(2) sums keep bits apart, so only the bits above
+        // `k` of a recovered word are off, and `tail` clears them.
+        let tail = mask64(k - 64 * (s - 1));
+        for (g, got) in got.iter_mut().enumerate() {
+            let (chunk, first, base) = (chunk_len(g), first_frame(g), g * gen);
+            let mut erased = 0u64;
+            for i in 0..chunk {
+                let f = first + i;
+                if ok[f] {
+                    let word = &mut delivered[(base + i) * s..(base + i + 1) * s];
+                    word.copy_from_slice(&cw[f * cs..f * cs + s]);
+                    word[s - 1] &= tail;
+                } else {
+                    erased |= 1 << i;
+                }
+            }
+            let first_repair = first + chunk;
+            let erased_repairs = ok[first_repair..first_repair + repair]
+                .iter()
+                .filter(|&&v| !v)
+                .count();
+            erased_data += u64::from(erased.count_ones());
+            max_gen_erasures =
+                max_gen_erasures.max(u64::from(erased.count_ones()) + erased_repairs as u64);
+            let equations = (1..=repair).map(|r| {
+                let f = first_repair + r - 1;
                 (
-                    repair_mask(chunk_len, mask_seed, g as u64, r),
-                    rx_words[fi].clone(),
+                    repair_mask(chunk, mask_seed, g as u64, r),
+                    ok[f].then(|| &cw[f * cs..f * cs + s]),
                 )
-            })
-            .collect();
-        let gen_erased = gen_data.iter().filter(|w| w.is_none()).count()
-            + repair_eqs.iter().filter(|(_, w)| w.is_none()).count();
-        max_gen_erasures = max_gen_erasures.max(gen_erased as u64);
-        let rec = recover_generation(&mut gen_data, &repair_eqs, k);
-        for &i in &rec {
-            latencies.push((gen_last - frame_of_word[base + i]) as u64);
-        }
-        for (i, w) in gen_data.into_iter().enumerate() {
-            delivered[base + i] = w;
+            });
+            let words = &mut delivered[base * s..(base + chunk) * s];
+            let rec = recover_words(words, s, erased, equations);
+            for i in ones(rec) {
+                words[(i + 1) * s - 1] &= tail;
+                // frames from the word's own to the generation's last
+                let latency = (chunk + repair - 1 - i) as u64;
+                recovered += 1;
+                latency_sum += latency;
+                latency_max = latency_max.max(latency);
+            }
+            *got = (!erased & mask64(chunk)) | rec;
         }
     }
+    let erased_frames = ok.iter().filter(|&&v| !v).count() as u64;
 
     // --- decoder-side burst estimation -----------------------------
     // Truth per frame, from receiver knowledge only: frames the inner
-    // code accepted are trusted as-is; erased data frames use their
-    // fountain-recovered word; erased repair frames are recomputed
-    // from their mask once the whole subset is known. Frames that stay
-    // unknown become gaps in the channel-order view.
-    let mut truth_words: Vec<Option<BitVec>> = rx_words.clone();
-    for fi in 0..frames.len() {
-        if truth_words[fi].is_some() {
-            continue;
-        }
-        truth_words[fi] = match kinds[fi] {
-            FrameKind::Data(j) => delivered[j].clone(),
-            FrameKind::Repair(g, r) => {
-                let base = g * cfg.gen_size;
-                let chunk_len = d.min(base + cfg.gen_size) - base;
-                let mask = repair_mask(chunk_len, mask_seed, g as u64, r);
-                let mut acc = BitVec::zeros(k);
-                let mut complete = true;
-                for i in 0..chunk_len {
-                    if mask >> i & 1 == 1 {
-                        match &delivered[base + i] {
-                            Some(w) => acc ^= w,
-                            None => {
-                                complete = false;
-                                break;
-                            }
-                        }
-                    }
-                }
-                complete.then_some(acc)
-            }
-        };
-    }
+    // code accepted are trusted as-is (they re-encode to exactly what
+    // arrived); erased data frames use their fountain-recovered word;
+    // erased repair frames are recomputed from their mask once the
+    // whole subset is known. Only rebuilt frames are re-encoded, once
+    // each; frames that stay unknown become gaps in the channel-order
+    // view.
     let mut profile = BurstProfile::new();
-    profile.frame_bits = n as u64;
-    // Frame-order erasure evidence first: the syndrome verdict is
-    // known for every frame, so this channel has no survivorship bias
-    // even when recovery fails. Reconstructed erased frames also yield
-    // the conditional in-frame error density the design BER needs.
-    for fi in 0..frames.len() {
-        let erased = rx_words[fi].is_none();
-        profile.observe_frame(erased);
-        if erased {
-            match &truth_words[fi] {
-                Some(word) => {
-                    let mut e = kernel.encode(word);
-                    e ^= &received[fi];
+    {
+        let _s = fec_trace::span!(Level::Info, "stream.estimate");
+        let mut truth = vec![Truth::Arrived; frames];
+        let mut rebuilt: Vec<usize> = Vec::new();
+        let mut errors: Vec<u64> = Vec::new();
+        for (f, t) in truth.iter_mut().enumerate() {
+            if ok[f] {
+                continue;
+            }
+            let g = f / (gen + repair);
+            let (chunk, base) = (chunk_len(g), g * gen);
+            let i = f - first_frame(g);
+            let cover = if i < chunk {
+                1 << i
+            } else {
+                repair_mask(chunk, mask_seed, g as u64, i - chunk + 1)
+            };
+            if cover & !got[g] != 0 {
+                *t = Truth::Unknown;
+                continue;
+            }
+            *t = Truth::Rebuilt(rebuilt.len());
+            rebuilt.push(f);
+            errors.resize(errors.len() + cs, 0);
+            let at = errors.len() - cs;
+            for j in ones(cover) {
+                xor_into(
+                    &mut errors[at..at + s],
+                    &delivered[(base + j) * s..(base + j + 1) * s],
+                );
+            }
+        }
+        kernel.encode(&mut errors, cs);
+        for (e, &f) in errors.chunks_mut(cs).zip(&rebuilt) {
+            xor_into(e, &cw[f * cs..(f + 1) * cs]);
+        }
+
+        profile.frame_bits = n as u64;
+        // Frame-order erasure evidence first: the syndrome verdict is
+        // known for every frame, so this channel has no survivorship
+        // bias even when recovery fails. Rebuilt erased frames also
+        // yield the conditional in-frame error density the design BER
+        // needs.
+        for (f, t) in truth.iter().enumerate() {
+            profile.observe_frame(!ok[f]);
+            match *t {
+                Truth::Arrived => {}
+                Truth::Rebuilt(j) => {
                     profile.erased_truth_frames += 1;
-                    profile.erased_truth_flips += e.count_ones() as u64;
+                    profile.erased_truth_flips += errors[j * cs..(j + 1) * cs]
+                        .iter()
+                        .map(|w| u64::from(w.count_ones()))
+                        .sum::<u64>();
                 }
-                None => profile.unknown_frames += 1,
+                Truth::Unknown => profile.unknown_frames += 1,
             }
         }
-    }
-    for &(first, count) in &blocks {
-        let mut err = BitVec::zeros(count * n);
-        let mut known = BitVec::zeros(count * n);
-        for f in 0..count {
-            let fi = first + f;
-            // known word → re-encode for the true codeword
-            if let Some(word) = &truth_words[fi] {
-                let truth = kernel.encode(word);
-                let mut e = truth.clone();
-                e ^= &received[fi];
-                for i in e.iter_ones() {
-                    err.set(f * n + i, true);
-                }
-                for i in 0..n {
-                    known.set(f * n + i, true);
-                }
+        // Then the bit-level view, block by block in channel order. A
+        // block without rebuilt frames holds no error bits, so in
+        // channel order it only closes any open run and adds its
+        // arrived frames' bits.
+        for block in truth.chunks(depth) {
+            if block.iter().any(|t| matches!(t, Truth::Rebuilt(_))) {
+                let order = il.channel_order(block.len() * n);
+                profile.observe_gapped(order.map(|(r, c)| match block[r] {
+                    Truth::Arrived => Some(false),
+                    Truth::Rebuilt(j) => Some(errors[j * cs + c / 64] >> (c % 64) & 1 == 1),
+                    Truth::Unknown => None,
+                }));
+            } else {
+                let arrived = block.iter().filter(|t| matches!(t, Truth::Arrived)).count();
+                profile.discontinuity();
+                profile.observe_clean((arrived * n) as u64);
             }
         }
-        let err_ch = il.interleave_partial(&err);
-        let known_ch = il.interleave_partial(&known);
-        profile.observe_gapped((0..count * n).map(|o| known_ch.get(o).then(|| err_ch.get(o))));
+        profile.finish();
     }
-    profile.finish();
 
     // --- deliver + audit -------------------------------------------
     let mut lost: Vec<usize> = Vec::new();
     let mut corrupted = 0u64;
-    let mut out_words: Vec<BitVec> = Vec::with_capacity(d);
-    for (j, w) in delivered.iter().enumerate() {
-        match w {
-            Some(w) => {
-                if *w != data_words[j] {
-                    corrupted += 1; // sender-side audit only
-                }
-                out_words.push(w.clone());
-            }
-            None => {
-                lost.push(j);
-                out_words.push(BitVec::zeros(k));
+    let bytes_out = {
+        let _s = fec_trace::span!(Level::Info, "stream.deliver");
+        for j in 0..d {
+            if got[j / gen] >> (j % gen) & 1 == 0 {
+                lost.push(j); // its delivered word stayed zero
+            } else if delivered[j * s..(j + 1) * s] != data[j * s..(j + 1) * s] {
+                corrupted += 1; // sender-side audit only
             }
         }
-    }
-    let bytes_out = pkt.depacketize(&out_words, bytes.len());
+        pkt.depacketize_words(&delivered, bytes.len())
+    };
 
-    let recovered = latencies.len() as u64;
     let stats = StreamStats {
         data_words: d as u64,
-        frames: frames.len() as u64,
-        channel_bits: (frames.len() * n) as u64,
+        frames: frames as u64,
+        channel_bits: (frames * n) as u64,
         channel_flips: flips,
         erased_frames,
         erased_data_words: erased_data,
@@ -469,9 +523,9 @@ pub fn run_stream(bytes: &[u8], cfg: &StreamConfig) -> StreamOutcome {
         recovery_latency_mean: if recovered == 0 {
             0.0
         } else {
-            latencies.iter().sum::<u64>() as f64 / recovered as f64
+            latency_sum as f64 / recovered as f64
         },
-        recovery_latency_max: latencies.iter().copied().max().unwrap_or(0),
+        recovery_latency_max: latency_max,
         max_generation_erasures: max_gen_erasures,
     };
 
