@@ -103,6 +103,7 @@ fn validate(text: &str) -> Result<(), String> {
 }
 
 fn main() {
+    fec_bench::check_flags(&["quick", "timeout", "validate"]);
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let path = root.join("BENCH_analyze.json");
 

@@ -21,6 +21,7 @@ use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
 fn main() {
+    fec_bench::check_flags(&["trials"]);
     let trials = arg_u64("trials", 3_000);
     let hamming = standards::shortened_hamming(57, 6).unwrap(); // (63,57), corrects 1 bit
     let field = GfTables::new(4).unwrap();

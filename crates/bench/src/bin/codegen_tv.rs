@@ -2,18 +2,16 @@
 //! the named standards, the 802.3df flagship, and every coefficient
 //! matrix printed into `results/*.txt` by earlier experiment runs.
 //!
-//! For each generator, every codegen backend form is rebuilt as (or
-//! parsed into) a `fec-circ` circuit and *proved* equal to the
-//! generator matrix by the symbolic GF(2) validator — no compilation,
-//! no execution. The minimizer then runs and must certify its output;
-//! the flagship must clear the ≥25% XOR-reduction gate from ISSUE.md.
+//! For each generator, the six encoder forms — the generator circuit,
+//! the minimized circuit, and the C and Rust emitted from each — are
+//! *proved* equal to the generator matrix by the symbolic GF(2)
+//! validator, the same list `fecsynth lint-kernel` proves: no
+//! compilation, no execution. The flagship must clear a ≥25%
+//! XOR-reduction gate.
 //!
 //! Results go to `BENCH_circuit.json` at the workspace root; any
 //! failed proof (or a missed gate) exits nonzero so CI fails loudly.
 
-use fec_circ::{emit_c_circuit, emit_rust_circuit, minimize, validate_circuit, validate_source};
-use fec_circ::{Circuit, Lang};
-use fec_codegen::{emit_c, emit_rust, MaskKernel, NaiveKernel, SparseKernel};
 use fec_hamming::{standards, Generator};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -30,59 +28,10 @@ struct Row {
     valid: bool,
 }
 
-/// Proves every applicable backend form for `g`; returns the row and
-/// prints one line per failed proof.
+/// Proves the six encoder forms of `g` (`fec_circ::validate_forms`);
+/// returns the row and prints one line per failed proof.
 fn sweep(name: &str, g: &Generator) -> Row {
-    let mut forms: Vec<(String, fec_circ::Report)> = Vec::new();
-    forms.push((
-        "generator-circuit".into(),
-        validate_circuit(&Circuit::from_generator(g), g),
-    ));
-    if g.data_len() <= 64 {
-        forms.push((
-            "mask-kernel".into(),
-            validate_circuit(&Circuit::from_mask_kernel(&MaskKernel::new(g)), g),
-        ));
-        forms.push((
-            "sparse-kernel".into(),
-            validate_circuit(&Circuit::from_sparse_kernel(&SparseKernel::new(g)), g),
-        ));
-        forms.push((
-            "naive-kernel".into(),
-            validate_circuit(&Circuit::from_naive_kernel(&NaiveKernel::new(g)), g),
-        ));
-        forms.push((
-            "emitted-c".into(),
-            validate_source(&emit_c(g, false), Lang::C, g),
-        ));
-        forms.push((
-            "emitted-rust".into(),
-            validate_source(&emit_rust(g), Lang::Rust, g),
-        ));
-    } else {
-        // runtime kernels and the legacy emitters cap at 64 data
-        // bits; wide generators are covered by the circuit emitters
-        let c = Circuit::from_generator(g);
-        forms.push((
-            "emitted-c".into(),
-            validate_source(&emit_c_circuit(&c), Lang::C, g),
-        ));
-        forms.push((
-            "emitted-rust".into(),
-            validate_source(&emit_rust_circuit(&c), Lang::Rust, g),
-        ));
-    }
-    let m = minimize(g);
-    forms.push(("minimized-circuit".into(), validate_circuit(&m.circuit, g)));
-    forms.push((
-        "minimized-emitted-c".into(),
-        validate_source(&emit_c_circuit(&m.circuit), Lang::C, g),
-    ));
-    forms.push((
-        "minimized-emitted-rust".into(),
-        validate_source(&emit_rust_circuit(&m.circuit), Lang::Rust, g),
-    ));
-
+    let (m, forms) = fec_circ::validate_forms(g);
     let mut valid = true;
     for (form, rep) in &forms {
         if !rep.is_valid() {
@@ -145,6 +94,7 @@ fn matrices_in(text: &str) -> Vec<Generator> {
 }
 
 fn main() {
+    fec_bench::check_flags(&[]);
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
 
     let mut targets: Vec<(String, Generator)> = vec![

@@ -133,6 +133,7 @@ impl Chain {
 }
 
 fn main() {
+    fec_bench::check_flags(&["frames"]);
     let frames = arg_u64("frames", 300);
     let chain = Chain::new();
     let modes: [(&str, Mode); 4] = [

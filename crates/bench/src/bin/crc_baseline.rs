@@ -21,6 +21,7 @@ use fec_synth::cegis::{SynthesisConfig, Synthesizer};
 use fec_synth::spec::parse_property;
 
 fn main() {
+    fec_bench::check_flags(&["quick", "seed", "timeout", "trials"]);
     let trials = arg_u64("trials", 1_000_000);
     let seed = arg_u64("seed", 0xC4C);
     let threads = std::thread::available_parallelism().map_or(4, |n| n.get());

@@ -5,35 +5,26 @@
 //!
 //! ```text
 //! cargo run -p fec-bench --release --bin fig4 [--quick] [--trials=N]
-//!     [--seed=N] [--backend=kernel|matrix]
+//!     [--seed=N] [--threads=N] [--timeout=SECS]
 //! ```
 //!
 //! `--seed` pins every channel draw for bit-reproducible CI runs (the
-//! per-row seed is `seed + md`). `--backend=matrix` forces the legacy
-//! matrix-multiply encode path; the default runs the certified
-//! minimized kernels, which produce bit-identical reports (a property
-//! CI checks) at a fraction of the encode cost.
+//! per-row seed is `seed + md`). The trials run on the certified
+//! minimized kernels, which produce reports bit-identical to the
+//! matrix-multiply reference (a property CI checks) at a fraction of
+//! the encode cost.
 
 use fec_bench::{arg_u64, print_header, print_row, synth_timeout, thread_count, trial_count};
-use fec_channel::experiment::{robustness_trial_backend, EncodeBackend, RobustnessReport};
+use fec_channel::experiment::{robustness_trial, RobustnessReport};
 use fec_hamming::distance;
 use fec_synth::cegis::{SynthesisConfig, Synthesizer};
 use fec_synth::spec::parse_property;
 
 fn main() {
+    fec_bench::check_flags(&["quick", "seed", "threads", "timeout", "trials"]);
     let trials = trial_count();
     let threads = thread_count();
     let seed = arg_u64("seed", 0xF164);
-    let backend =
-        match std::env::args().find_map(|a| a.strip_prefix("--backend=").map(str::to_string)) {
-            Some(ref b) if b == "matrix" => EncodeBackend::MatrixMul,
-            Some(ref b) if b == "kernel" => EncodeBackend::MinimizedKernel,
-            Some(b) => {
-                eprintln!("unknown --backend={b} (kernel|matrix)");
-                std::process::exit(2);
-            }
-            None => EncodeBackend::default(),
-        };
     let config = SynthesisConfig {
         timeout: synth_timeout(),
         ..Default::default()
@@ -60,8 +51,7 @@ fn main() {
             .unwrap_or_else(|e| panic!("synthesis for md={m} failed: {e}"));
         let g = r.generators[0].clone();
         let md = distance::min_distance_exhaustive(&g);
-        let report =
-            robustness_trial_backend(&g, md, 0.1, trials, seed + m as u64, threads, backend);
+        let report = robustness_trial(&g, md, 0.1, trials, seed + m as u64, threads);
         let theory = RobustnessReport::theoretical_at_least_md(g.codeword_len(), md, 0.1, trials);
         print_row(
             &[

@@ -1,15 +1,17 @@
 //! Figure 5: encode/check performance vs. coefficient-matrix ones.
 //!
 //! §4.4: synthesize (49,32) md-3 generators across a range of `len_1`
-//! values, emit a specialized C program for each (only the set
-//! coefficient bits appear as `>>`/`^` terms), compile with the system
-//! C compiler at `-O0` and `-O3`, and time the paper's sweep over
-//! 32-bit words in steps of 21 (204,522,253 words; the default stride
-//! here is larger so a laptop run finishes — use `--full` for 21).
+//! values, emit a specialized C program for each from its sparse
+//! generator circuit (only the set coefficient bits appear as `>>`/`^`
+//! terms, one XOR chain per check bit), compile with the system C
+//! compiler at `-O0` and `-O3`, and time the paper's sweep over 32-bit
+//! words in steps of 21 (204,522,253 words; the default stride here is
+//! larger so a laptop run finishes — use `--full` for 21).
 //!
-//! When no C compiler is found, the in-process [`SparseKernel`] (whose
-//! cost is also proportional to `len_1`) provides the series instead;
-//! its timing column is always printed as a cross-check.
+//! When no C compiler is found, the in-process [`CircuitKernel`] over
+//! the same sparse circuit (whose cost is also proportional to `len_1`)
+//! provides the series instead; its timing column is always printed as
+//! a cross-check.
 //!
 //! ```text
 //! cargo run -p fec-bench --release --bin fig5 \
@@ -17,7 +19,8 @@
 //! ```
 
 use fec_bench::{arg_flag, arg_u64, print_header, print_row, synth_timeout};
-use fec_codegen::{emit_c_bench, SparseKernel};
+use fec_circ::{Circuit, CircuitKernel};
+use fec_codegen::emit_c;
 use fec_hamming::Generator;
 use fec_synth::cegis::{SynthesisConfig, Synthesizer};
 use fec_synth::spec::parse_property;
@@ -25,6 +28,7 @@ use std::path::Path;
 use std::time::Instant;
 
 fn main() {
+    fec_bench::check_flags(&["full", "points", "quick", "runs", "stride", "timeout"]);
     let config = SynthesisConfig {
         timeout: synth_timeout(),
         ..Default::default()
@@ -72,13 +76,17 @@ fn main() {
     let widths = [6, 11, 11, 13];
     print_header(&["ones", "C -O0 (s)", "C -O3 (s)", "sparse (s)"], &widths);
     for (ones, g) in &family {
-        let sparse = SparseKernel::new(g);
+        let circuit = Circuit::from_generator(g);
+        let mut sparse = CircuitKernel::new(&circuit);
         let t_sparse = avg(runs, || {
-            time_sweep(stride, |d| sparse.syndrome(d, sparse.encode_checks(d)))
+            time_sweep(stride, |d| {
+                let c = sparse.encode_checks(d);
+                sparse.encode_checks(d) ^ c
+            })
         });
         let (t_o0, t_o3) = match &cc {
             Some(cc) => {
-                let src = emit_c_bench(g, stride);
+                let src = emit_c(&circuit, Some(stride));
                 let dir = std::env::temp_dir().join("fec_fig5");
                 std::fs::create_dir_all(&dir).expect("temp dir");
                 let c_path = dir.join(format!("gen_{ones}.c"));

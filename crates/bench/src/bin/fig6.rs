@@ -23,6 +23,7 @@ use fec_synth::cegis::{SynthesisConfig, Synthesizer};
 use fec_synth::spec::parse_property;
 
 fn main() {
+    fec_bench::check_flags(&["points", "quick", "timeout"]);
     let config = SynthesisConfig {
         timeout: synth_timeout(),
         ..Default::default()

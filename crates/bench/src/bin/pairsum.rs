@@ -17,6 +17,7 @@ use fec_smt::Budget;
 use fec_synth::verify::sat_min_distance;
 
 fn main() {
+    fec_bench::check_flags(&[]);
     let g74 = standards::hamming_7_4();
     println!(
         "plain (7,4): pair-sum status = {:?}",

@@ -19,6 +19,7 @@ use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
 fn main() {
+    fec_bench::check_flags(&["chase", "trials"]);
     let trials = arg_u64("trials", 4_000);
     let t = arg_u64("chase", 4) as usize;
     let g = standards::ieee_8023df_128_120();

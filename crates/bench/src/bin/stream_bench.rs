@@ -108,6 +108,7 @@ fn validate(text: &str) -> Result<(), String> {
 }
 
 fn main() {
+    fec_bench::check_flags(&["bytes", "seed", "timeout", "validate"]);
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let path = root.join("BENCH_stream.json");
 

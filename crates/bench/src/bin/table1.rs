@@ -20,6 +20,7 @@ use fec_synth::encode::CexMode;
 use fec_synth::spec::parse_property;
 
 fn main() {
+    fec_bench::check_flags(&["paper-mode", "quick", "timeout"]);
     let mut config = SynthesisConfig {
         timeout: synth_timeout(),
         ..Default::default()

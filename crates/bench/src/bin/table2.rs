@@ -33,6 +33,7 @@ fn synth(config: &SynthesisConfig, prop: &str) -> Generator {
 }
 
 fn main() {
+    fec_bench::check_flags(&["quick", "seed", "threads", "timeout", "trials"]);
     let trials = trial_count();
     let threads = thread_count();
     let seed = arg_u64("seed", 0x7AB1E2);

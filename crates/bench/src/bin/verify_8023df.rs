@@ -29,18 +29,13 @@ use fec_smt::Budget;
 use fec_synth::verify::{verify_min_distance_exact_with, VerifyOptions, VerifyOutcome};
 
 fn main() {
+    fec_bench::check_flags(&["check-proofs", "jobs", "simplify"]);
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // the fecsynth flag rules: unknown flags, a bad --jobs, or an
-    // unwritable trace path are usage errors (exit 2)
-    let parsed = fec_cli::check_flags(&args, &["check-proofs", "jobs", "simplify"])
-        .and_then(|()| fec_cli::parse_jobs(&args))
-        .and_then(|jobs| Ok((jobs, fec_cli::setup_trace(&args)?)));
-    let (jobs, traced) = parsed.unwrap_or_else(|e| {
-        let mut err = String::new();
-        fec_cli::fail(&mut err, "usage", &e);
-        eprint!("{err}");
-        std::process::exit(2)
-    });
+    // the fecsynth flag rules: a bad --jobs or an unwritable trace
+    // path is a usage error (exit 2)
+    let parsed =
+        fec_cli::parse_jobs(&args).and_then(|jobs| Ok((jobs, fec_cli::setup_trace(&args)?)));
+    let (jobs, traced) = parsed.unwrap_or_else(|e| fec_bench::usage_exit(&e));
     let check_proofs = fec_cli::has_flag(&args, "check-proofs");
     let simplify = fec_cli::has_flag(&args, "simplify");
     let opts = VerifyOptions {

@@ -1,8 +1,11 @@
 //! Experiment harness: shared helpers for the per-table/figure
 //! binaries in `src/bin/` and the Criterion benchmarks in `benches/`.
 //!
-//! Every binary accepts `--quick` (scaled-down workload for smoke
-//! runs) and prints the same rows/series the paper reports; see
+//! Every binary starts with [`check_flags`]: an unknown flag, or a
+//! numeric flag whose value does not parse, exits 2 with an
+//! `error: kind=usage` line, as in `fecsynth`. The binaries that
+//! synthesize accept `--quick` (scaled-down workload for smoke runs).
+//! Each prints the same rows/series the paper reports; see
 //! EXPERIMENTS.md for the paper-vs-measured record.
 
 #![forbid(unsafe_code)]
@@ -62,13 +65,37 @@ pub fn bench_meta(reps: u64) -> String {
     )
 }
 
+/// Prints the structured `error: kind=usage` line and exits 2.
+pub fn usage_exit(msg: &str) -> ! {
+    let mut err = String::new();
+    fec_cli::fail(&mut err, "usage", msg);
+    eprint!("{err}");
+    std::process::exit(2)
+}
+
+/// Exits 2 (see [`usage_exit`]) unless every `--name` on the command
+/// line is in `accepted` or in the CLI's TRACE family — the
+/// `fecsynth` flag rules. Each binary calls this first in `main`.
+pub fn check_flags(accepted: &[&str]) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = fec_cli::check_flags(&args, accepted) {
+        usage_exit(&e);
+    }
+}
+
 /// Parses `--name=value` (or `--name value`) from the command line,
-/// with a default.
+/// with a default; a value that is not a non-negative integer exits 2
+/// (see [`usage_exit`]).
 pub fn arg_u64(name: &str, default: u64) -> u64 {
     let args: Vec<String> = std::env::args().collect();
-    fec_cli::flag_value(&args, name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    match fec_cli::flag_value(&args, name) {
+        None => default,
+        Some(v) => v.parse().unwrap_or_else(|_| {
+            usage_exit(&format!(
+                "--{name} must be a non-negative integer, got {v:?}"
+            ))
+        }),
+    }
 }
 
 /// `true` when `--flag` is present.

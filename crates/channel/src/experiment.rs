@@ -1,13 +1,13 @@
 //! Robustness trial harnesses: the machinery behind Fig. 4 and Table 2.
 //!
-//! Both trial loops run, by default, on the certified minimized
-//! kernels from `fec-circ` ([`EncodeBackend::MinimizedKernel`]): the
-//! generator is minimized once per trial, each worker clones the
-//! compiled kernel, and the hot loop is pure `u64` arithmetic with no
-//! allocation. The pre-kernel scalar matrix–vector path is kept as
-//! [`EncodeBackend::MatrixMul`] for A/B timing; both backends consume
-//! the RNG identically (the BSC's geometric gap sampler draws the same
-//! sequence for `BitVec` and `u64` words), so they produce
+//! Both trial loops run on the certified minimized kernels from
+//! `fec-circ` whenever the codeword fits one `u64`: the generator is
+//! minimized once per trial, each worker clones the compiled kernel,
+//! and the hot loop is pure `u64` arithmetic with no allocation. Wider
+//! codewords take the scalar `BitVec` matrix–vector workers, which are
+//! also the reference the kernel workers are tested against: both
+//! consume the RNG identically (the BSC's geometric gap sampler draws
+//! the same sequence for `BitVec` and `u64` words), so they produce
 //! bit-identical reports under the same seed.
 
 use crate::bsc::Bsc;
@@ -19,14 +19,13 @@ use fec_hamming::{CompositeCode, Generator};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
-/// Which encoder implementation a Monte-Carlo trial drives.
+/// The encoder a Monte-Carlo trial drives. The input alone decides
+/// the worker, so this has one variant; it remains only for
+/// [`robustness_trial_backend`]'s callers.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum EncodeBackend {
-    /// Scalar `BitVec` matrix–vector multiply — the pre-kernel
-    /// reference implementation, kept for differential timing.
-    MatrixMul,
-    /// Certified minimized circuit kernels (`fec-circ`); falls back to
-    /// the matrix path for codes wider than one `u64` word.
+    /// Certified minimized circuit kernels (`fec-circ`), or the matrix
+    /// workers for codewords wider than one `u64`.
     #[default]
     MinimizedKernel,
 }
@@ -63,12 +62,50 @@ impl RobustnessReport {
     }
 }
 
+/// Splits `trials` across `threads` scoped workers and returns their
+/// reports in worker order. Worker `t` runs `work(n, seed')` with its
+/// share `n` (the last takes the remainder) and
+/// `seed' = seed + salt · (t + 1)`.
+fn split_trials<R: Send>(
+    trials: u64,
+    seed: u64,
+    salt: u64,
+    threads: usize,
+    work: impl Fn(u64, u64) -> R + Sync,
+) -> Vec<R> {
+    let threads = threads.max(1);
+    let chunk = trials / threads as u64;
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let n = if t == threads - 1 {
+                    trials - chunk * (threads as u64 - 1)
+                } else {
+                    chunk
+                };
+                let worker_seed = seed.wrapping_add(salt.wrapping_mul(t as u64 + 1));
+                scope.spawn(move || work(n, worker_seed))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker panicked"))
+            .collect()
+    })
+}
+
+/// Per-worker seed salts of the two experiments.
+const ROBUSTNESS_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
+const FLOAT32_SALT: u64 = 0xD1B5_4A32_D192_ED03;
+
 /// Runs the §4.2 robustness experiment for one generator: `trials`
 /// random data words, encode, BSC with rate `p`, count outcomes.
 ///
 /// `md` is the generator's minimum distance (used only for the
-/// ≥-md-flips counter). Work is split across `threads`. Runs on the
-/// default [`EncodeBackend::MinimizedKernel`].
+/// ≥-md-flips counter). Work is split across `threads`. Codewords up
+/// to 64 bits run on the certified minimized kernel, wider ones on
+/// the matrix worker.
 pub fn robustness_trial(
     g: &Generator,
     md: usize,
@@ -77,10 +114,23 @@ pub fn robustness_trial(
     seed: u64,
     threads: usize,
 ) -> RobustnessReport {
-    robustness_trial_backend(g, md, p, trials, seed, threads, EncodeBackend::default())
+    let reports = if g.codeword_len() <= 64 {
+        // minimize (and certify) once, outside the worker threads
+        let kernel = CircuitKernel::minimized(g);
+        split_trials(trials, seed, ROBUSTNESS_SALT, threads, |n, s| {
+            robustness_worker_kernel(g, kernel.clone(), md, p, n, s)
+        })
+    } else {
+        split_trials(trials, seed, ROBUSTNESS_SALT, threads, |n, s| {
+            robustness_worker(g, md, p, n, s)
+        })
+    };
+    reports
+        .into_iter()
+        .fold(RobustnessReport::default(), RobustnessReport::merge)
 }
 
-/// [`robustness_trial`] with an explicit encode backend.
+/// [`robustness_trial`]; `backend` has one value and changes nothing.
 pub fn robustness_trial_backend(
     g: &Generator,
     md: usize,
@@ -90,40 +140,9 @@ pub fn robustness_trial_backend(
     threads: usize,
     backend: EncodeBackend,
 ) -> RobustnessReport {
-    let threads = threads.max(1);
-    let chunk = trials / threads as u64;
-    // minimize (and certify) once, outside the worker threads
-    let kernel = match backend {
-        EncodeBackend::MinimizedKernel if g.codeword_len() <= 64 => {
-            Some(CircuitKernel::minimized(g))
-        }
-        _ => None,
-    };
-    let mut reports: Vec<RobustnessReport> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let n = if t == threads - 1 {
-                    trials - chunk * (threads as u64 - 1)
-                } else {
-                    chunk
-                };
-                let worker_seed =
-                    seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(t as u64 + 1));
-                let kernel = kernel.clone();
-                scope.spawn(move || match kernel {
-                    Some(k) => robustness_worker_kernel(g, k, md, p, n, worker_seed),
-                    None => robustness_worker(g, md, p, n, worker_seed),
-                })
-            })
-            .collect();
-        for h in handles {
-            reports.push(h.join().expect("worker panicked"));
-        }
-    });
-    reports
-        .into_iter()
-        .fold(RobustnessReport::default(), RobustnessReport::merge)
+    match backend {
+        EncodeBackend::MinimizedKernel => robustness_trial(g, md, p, trials, seed, threads),
+    }
 }
 
 fn robustness_worker(g: &Generator, md: usize, p: f64, trials: u64, seed: u64) -> RobustnessReport {
@@ -245,7 +264,9 @@ impl Float32Report {
 
 /// Runs the §4.3 experiment: `trials` random *numeric* float32 words,
 /// encoded with `code`, BSC at rate `p`; counts undetected errors,
-/// their numeric magnitude, and non-numeric corruptions.
+/// their numeric magnitude, and non-numeric corruptions. Codewords up
+/// to 64 bits run on the per-segment minimized kernels, wider ones on
+/// the matrix worker.
 pub fn float32_trial(
     code: &CompositeCode,
     p: f64,
@@ -253,49 +274,17 @@ pub fn float32_trial(
     seed: u64,
     threads: usize,
 ) -> Float32Report {
-    float32_trial_backend(code, p, trials, seed, threads, EncodeBackend::default())
-}
-
-/// [`float32_trial`] with an explicit encode backend.
-pub fn float32_trial_backend(
-    code: &CompositeCode,
-    p: f64,
-    trials: u64,
-    seed: u64,
-    threads: usize,
-    backend: EncodeBackend,
-) -> Float32Report {
     assert_eq!(code.data_len(), 32, "float32 trial needs a 32-bit code");
-    let threads = threads.max(1);
-    let chunk = trials / threads as u64;
-    let kernel = match backend {
-        EncodeBackend::MinimizedKernel if code.codeword_len() <= 64 => {
-            Some(CompositeKernel::new(code))
-        }
-        _ => None,
+    let reports = if code.codeword_len() <= 64 {
+        let kernel = CompositeKernel::new(code);
+        split_trials(trials, seed, FLOAT32_SALT, threads, |n, s| {
+            float32_worker_kernel(code, kernel.clone(), p, n, s)
+        })
+    } else {
+        split_trials(trials, seed, FLOAT32_SALT, threads, |n, s| {
+            float32_worker(code, p, n, s)
+        })
     };
-    let mut reports = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let n = if t == threads - 1 {
-                    trials - chunk * (threads as u64 - 1)
-                } else {
-                    chunk
-                };
-                let worker_seed =
-                    seed.wrapping_add(0xD1B5_4A32_D192_ED03u64.wrapping_mul(t as u64 + 1));
-                let kernel = kernel.clone();
-                scope.spawn(move || match kernel {
-                    Some(k) => float32_worker_kernel(code, k, p, n, worker_seed),
-                    None => float32_worker(code, p, n, worker_seed),
-                })
-            })
-            .collect();
-        for h in handles {
-            reports.push(h.join().expect("worker panicked"));
-        }
-    });
     reports
         .into_iter()
         .fold(Float32Report::default(), Float32Report::merge)
@@ -387,33 +376,54 @@ mod tests {
     use super::*;
     use fec_hamming::standards;
 
+    /// The matrix workers over the same split and seeds as the trials.
+    fn robustness_by_matrix(
+        g: &Generator,
+        md: usize,
+        p: f64,
+        trials: u64,
+        seed: u64,
+    ) -> RobustnessReport {
+        split_trials(trials, seed, ROBUSTNESS_SALT, 3, |n, s| {
+            robustness_worker(g, md, p, n, s)
+        })
+        .into_iter()
+        .fold(RobustnessReport::default(), RobustnessReport::merge)
+    }
+
     #[test]
     fn backends_produce_bit_identical_reports() {
         // same seed, same RNG consumption → the kernel path must
         // reproduce the matrix path exactly, field for field
         let g = standards::hamming_extended_8_4();
-        let a = robustness_trial_backend(&g, 4, 0.1, 60_000, 42, 3, EncodeBackend::MatrixMul);
-        let b = robustness_trial_backend(&g, 4, 0.1, 60_000, 42, 3, EncodeBackend::MinimizedKernel);
+        let a = robustness_by_matrix(&g, 4, 0.1, 60_000, 42);
+        let b = robustness_trial(&g, 4, 0.1, 60_000, 42, 3);
         assert_eq!(a, b);
         let code = CompositeCode::contiguous_msb_first(vec![
             standards::shortened_hamming(16, 6).unwrap(),
             standards::parity_code(16),
         ])
         .unwrap();
-        let fa = float32_trial_backend(&code, 0.1, 60_000, 42, 3, EncodeBackend::MatrixMul);
-        let fb = float32_trial_backend(&code, 0.1, 60_000, 42, 3, EncodeBackend::MinimizedKernel);
+        let fa = split_trials(60_000, 42, FLOAT32_SALT, 3, |n, s| {
+            float32_worker(&code, 0.1, n, s)
+        })
+        .into_iter()
+        .fold(Float32Report::default(), Float32Report::merge);
+        let fb = float32_trial(&code, 0.1, 60_000, 42, 3);
         assert_eq!(fa, fb);
+        // the frozen entry point is the same trial
+        let c = robustness_trial_backend(&g, 4, 0.1, 60_000, 42, 3, EncodeBackend::MinimizedKernel);
+        assert_eq!(b, c);
     }
 
     #[test]
-    fn kernel_backend_handles_wide_codes_via_fallback() {
-        // codeword_len 67 > 64 but k = 60 ≤ 64: MinimizedKernel must
-        // silently take the matrix path and still match it exactly
+    fn wide_codewords_take_the_matrix_worker() {
+        // codeword_len 67 > 64 but k = 60 ≤ 64: the trial takes the
+        // matrix worker and matches it exactly
         let g = standards::shortened_hamming(60, 7).unwrap();
-        let a = robustness_trial_backend(&g, 3, 0.02, 5_000, 7, 2, EncodeBackend::MinimizedKernel);
-        let b = robustness_trial_backend(&g, 3, 0.02, 5_000, 7, 2, EncodeBackend::MatrixMul);
+        let a = robustness_trial(&g, 3, 0.02, 5_000, 7, 3);
         assert_eq!(a.trials, 5_000);
-        assert_eq!(a, b);
+        assert_eq!(a, robustness_by_matrix(&g, 3, 0.02, 5_000, 7));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! distinct lint classes. Structural defects (bad references, unbound
 //! outputs) are linted first and poison only the affected forms.
 
-use crate::ir::{Circuit, Node, Output};
 use crate::{LintClass, Report, Severity};
+use fec_codegen::{Circuit, Node, Output};
 use fec_gf2::BitVec;
 use fec_hamming::Generator;
 use std::collections::HashMap;
@@ -245,17 +245,16 @@ pub(crate) fn compare_form(report: &mut Report, column: usize, got: &BitVec, wan
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{Circuit, Node, Output};
     use fec_hamming::standards;
 
     #[test]
     fn faithful_circuits_validate_for_all_builders() {
         let g = standards::shortened_hamming(21, 6).unwrap();
+        let cols: Vec<_> = (0..g.check_len()).map(|j| g.check_column(j)).collect();
         let circs = [
             Circuit::from_generator(&g),
-            Circuit::from_mask_kernel(&fec_codegen::MaskKernel::new(&g)),
-            Circuit::from_sparse_kernel(&fec_codegen::SparseKernel::new(&g)),
-            Circuit::from_naive_kernel(&fec_codegen::NaiveKernel::new(&g)),
+            Circuit::from_columns(g.data_len(), &cols),
+            crate::minimize(&g).circuit,
         ];
         for c in &circs {
             let r = validate_circuit(c, &g);

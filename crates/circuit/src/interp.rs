@@ -557,7 +557,7 @@ fn bit_xor(a: &SymWord, b: &SymWord) -> SymWord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fec_codegen::{emit_c, emit_rust};
+    use fec_codegen::{emit_c, emit_rust, Circuit};
     use fec_hamming::standards;
 
     #[test]
@@ -568,9 +568,10 @@ mod tests {
             standards::shortened_hamming(32, 6).unwrap(),
             standards::parity_code(16),
         ] {
-            let rc = validate_source(&emit_c(&g, true), Lang::C, &g);
+            let c = Circuit::from_generator(&g);
+            let rc = validate_source(&emit_c(&c, Some(21)), Lang::C, &g);
             assert!(rc.is_valid(), "C {:?}: {:?}", g, rc.diags);
-            let rr = validate_source(&emit_rust(&g), Lang::Rust, &g);
+            let rr = validate_source(&emit_rust(&c), Lang::Rust, &g);
             assert!(rr.is_valid(), "Rust {:?}: {:?}", g, rr.diags);
             // xor count: len_1 - columns with ≥1 term, plus nothing else
             let nonempty = (0..g.check_len())
@@ -585,14 +586,15 @@ mod tests {
     fn wrong_generator_is_refuted() {
         let g = standards::hamming_7_4();
         let other = standards::hamming_extended_8_4();
-        let r = validate_source(&emit_c(&g, false), Lang::C, &other);
+        let src = emit_c(&Circuit::from_generator(&g), None);
+        let r = validate_source(&src, Lang::C, &other);
         assert!(!r.is_valid());
     }
 
     #[test]
     fn nonlinear_source_is_rejected_with_class() {
         let g = standards::hamming_7_4();
-        let src = emit_c(&g, false).replace("(d >> 1)", "(d + 1)");
+        let src = emit_c(&Circuit::from_generator(&g), None).replace("(d >> 1)", "(d + 1)");
         let r = validate_source(&src, Lang::C, &g);
         assert!(!r.is_valid());
         assert!(r.has_class(LintClass::NonLinearOp), "{:?}", r.diags);

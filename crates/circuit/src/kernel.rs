@@ -19,8 +19,8 @@
 //! gather map), covering the §4.3 weighted codes the stream pipeline
 //! swaps in mid-flight.
 
-use crate::ir::{Circuit, Node, Output};
 use crate::minimize::minimize;
+use fec_codegen::{Circuit, Node, Output};
 use fec_hamming::{CompositeCode, Generator};
 
 /// Output slot marker for a constant-zero binding.
@@ -347,6 +347,7 @@ mod tests {
             standards::hamming_extended_8_4(),
             standards::shortened_hamming(32, 6).unwrap(),
             standards::shortened_hamming(57, 7).unwrap(),
+            standards::shortened_hamming(64, 7).unwrap(),
         ] {
             let mut k = CircuitKernel::minimized(&g);
             assert_eq!(k.data_len(), g.data_len());

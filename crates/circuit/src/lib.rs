@@ -1,20 +1,15 @@
-//! **fec-circ** — an XOR-circuit intermediate representation with
-//! *static translation validation* for every codegen backend, and the
-//! first optimizer it certifies: a cancellation-aware common-
-//! subexpression-elimination minimizer.
+//! **fec-circ** — static translation validation, lints, and a
+//! cancellation-aware common-subexpression-elimination minimizer over
+//! the XOR-circuit IR, plus the runtime kernels compiled from it.
 //!
 //! The paper's §4.4 emits per-generator C encoders and argues that
 //! minimizing `len_1` (total set coefficient bits) minimizes encode
-//! cost. Until this crate, the emitted sources were only spot-checked
-//! by regexing the text back into masks; any new emitter or optimizer
-//! shipped unverified. Following the proof-carrying discipline of the
-//! DRAT/RUP certification stack (`fec-drat`), every optimized artifact
-//! now comes with a statically checkable equivalence argument:
+//! cost. `fec-codegen` produces every encoder in the workspace as an
+//! XOR [`Circuit`] and prints it as C or Rust; this crate re-exports
+//! that IR and, following the proof-carrying discipline of the
+//! DRAT/RUP certification stack (`fec-drat`), gives every artifact a
+//! statically checkable equivalence argument:
 //!
-//! - [`Circuit`]: the IR — `k` inputs, binary XOR gates, one output
-//!   binding per check bit — with builders from a [`Generator`] matrix
-//!   and from every runtime kernel (`MaskKernel`, `SparseKernel`,
-//!   `NaiveKernel`);
 //! - [`validate_circuit`]: a symbolic GF(2) evaluator that computes
 //!   each output's exact linear form as a bitset over the inputs and
 //!   proves it equal to the corresponding generator column, plus
@@ -31,10 +26,13 @@
 //!   IR (output differencing with GF(2) cancellation + Paar-style
 //!   shared-pair extraction) whose result is accepted **only** if the
 //!   validator proves it equivalent to the matrix;
-//! - [`CircuitKernel`] / [`CompositeKernel`]: the minimized circuits
-//!   compiled into flat, allocation-free runtime evaluators — the
-//!   encode path the Monte-Carlo sweeps and the `fec-stream` datapath
-//!   actually execute.
+//! - [`validate_forms`]: the six forms every generator is proved in —
+//!   the generator circuit, its emitted C and Rust, the minimized
+//!   circuit, and its emitted C and Rust — shared by
+//!   `fecsynth lint-kernel` and the `codegen_tv` sweep;
+//! - [`CircuitKernel`] / [`CompositeKernel`]: circuits compiled into
+//!   flat, allocation-free runtime evaluators — the encode path the
+//!   Monte-Carlo sweeps and the `fec-stream` datapath actually execute.
 //!
 //! Diagnostics carry a [`LintClass`] so failures are machine-checkable
 //! (the CLI's `lint-kernel` exit codes and the mutation test-suite key
@@ -43,21 +41,54 @@
 #![forbid(unsafe_code)]
 
 mod analyze;
-mod emit;
 mod interp;
-mod ir;
 mod kernel;
 mod minimize;
 mod parse;
 
 pub use analyze::validate_circuit;
-pub use emit::{emit_c_circuit, emit_rust_circuit};
+pub use fec_codegen::{Circuit, Gate, Node, Output};
 pub use interp::{validate_source, Lang};
-pub use ir::{Circuit, Gate, Node, Output};
 pub use kernel::{CircuitKernel, CompositeKernel};
 pub use minimize::{minimize, Minimized};
 
+use fec_codegen::{emit_c, emit_rust};
+use fec_hamming::Generator;
 use std::fmt;
+
+/// Proves the six forms of `g`'s encoder equal to `g`, in order:
+/// `generator-circuit`, `emitted-c`, `emitted-rust`,
+/// `minimized-circuit`, `minimized-c`, `minimized-rust`. The emitted
+/// forms are the text `fecsynth emit` prints (no benchmark `main`).
+/// Returns the minimization too, for its XOR counts.
+///
+/// # Panics
+/// Panics if `g.check_len() > 64` (inherited from `minimize`).
+pub fn validate_forms(g: &Generator) -> (Minimized, [(&'static str, Report); 6]) {
+    let sparse = Circuit::from_generator(g);
+    let m = minimize(g);
+    let forms = [
+        ("generator-circuit", validate_circuit(&sparse, g)),
+        (
+            "emitted-c",
+            validate_source(&emit_c(&sparse, None), Lang::C, g),
+        ),
+        (
+            "emitted-rust",
+            validate_source(&emit_rust(&sparse), Lang::Rust, g),
+        ),
+        ("minimized-circuit", m.report.clone()),
+        (
+            "minimized-c",
+            validate_source(&emit_c(&m.circuit, None), Lang::C, g),
+        ),
+        (
+            "minimized-rust",
+            validate_source(&emit_rust(&m.circuit), Lang::Rust, g),
+        ),
+    ];
+    (m, forms)
+}
 
 /// The lint catalogue: every defect class the validator can report.
 ///

@@ -24,8 +24,8 @@
 //! therefore rely on `Minimized::report.is_valid()`.
 
 use crate::analyze::validate_circuit;
-use crate::ir::{Circuit, Node, Output};
 use crate::Report;
+use fec_codegen::{Circuit, Node, Output};
 use fec_gf2::BitVec;
 use fec_hamming::Generator;
 use std::collections::HashMap;

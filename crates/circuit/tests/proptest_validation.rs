@@ -1,12 +1,13 @@
-//! Property tests: for random generator matrices, every backend form —
-//! the three runtime kernels lifted to circuits, the emitted C, the
-//! emitted Rust, and the minimized circuit — is *proved* equivalent to
-//! the matrix by the static validator; and validating any form against
-//! a perturbed matrix is refuted with the right lint class.
+//! Property tests: for random generator matrices, every encoder form —
+//! the generator circuit, the minimized circuit, and the C and Rust
+//! emitted from each — is *proved* equivalent to the matrix by the
+//! static validator; and validating any form against a perturbed
+//! matrix is refuted with the right lint class.
 
-use fec_circ::{minimize, validate_circuit, validate_source, Circuit, Lang, LintClass};
-use fec_codegen::{emit_c, emit_rust, MaskKernel, NaiveKernel, SparseKernel};
-use fec_gf2::BitMatrix;
+use fec_circ::{minimize, validate_circuit, validate_forms, validate_source, Circuit, Lang};
+use fec_circ::{CircuitKernel, LintClass};
+use fec_codegen::{emit_c, emit_rust};
+use fec_gf2::{BitMatrix, BitVec};
 use fec_hamming::Generator;
 use proptest::prelude::*;
 
@@ -32,24 +33,18 @@ fn random_generator(seed: u64, k: usize, r: usize) -> Generator {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every backend form validates against the matrix it came from.
+    /// Every encoder form validates against the matrix it came from.
     #[test]
     fn prop_all_backend_forms_validate(seed in 0u64..u64::MAX, k in 1usize..=32, r in 1usize..=8) {
         let g = random_generator(seed, k, r);
-        let circuits = [
-            ("generator", Circuit::from_generator(&g)),
-            ("mask", Circuit::from_mask_kernel(&MaskKernel::new(&g))),
-            ("sparse", Circuit::from_sparse_kernel(&SparseKernel::new(&g))),
-            ("naive", Circuit::from_naive_kernel(&NaiveKernel::new(&g))),
-        ];
-        for (form, c) in &circuits {
-            let rep = validate_circuit(c, &g);
+        let (_, forms) = validate_forms(&g);
+        prop_assert_eq!(forms.len(), 6);
+        for (form, rep) in &forms {
             prop_assert!(rep.is_valid(), "{form}: {:?}", rep.diags);
         }
-        let rep = validate_source(&emit_c(&g, true), Lang::C, &g);
-        prop_assert!(rep.is_valid(), "emitted C: {:?}", rep.diags);
-        let rep = validate_source(&emit_rust(&g), Lang::Rust, &g);
-        prop_assert!(rep.is_valid(), "emitted Rust: {:?}", rep.diags);
+        let src = emit_c(&Circuit::from_generator(&g), Some(21));
+        let rep = validate_source(&src, Lang::C, &g);
+        prop_assert!(rep.is_valid(), "emitted C with main: {:?}", rep.diags);
     }
 
     /// Minimization never loses equivalence and never costs more than
@@ -60,21 +55,25 @@ proptest! {
         let m = minimize(&g);
         prop_assert!(m.report.is_valid(), "{:?}", m.report.diags);
         prop_assert!(m.xor_count() <= m.sparse_xor_count);
-        let rep = validate_source(&fec_circ::emit_c_circuit(&m.circuit), Lang::C, &g);
+        let rep = validate_source(&emit_c(&m.circuit, None), Lang::C, &g);
         prop_assert!(rep.is_valid(), "minimized C: {:?}", rep.diags);
-        let rep = validate_source(&fec_circ::emit_rust_circuit(&m.circuit), Lang::Rust, &g);
+        let rep = validate_source(&emit_rust(&m.circuit), Lang::Rust, &g);
         prop_assert!(rep.is_valid(), "minimized Rust: {:?}", rep.diags);
     }
 
-    /// The minimized circuit agrees with the MaskKernel on random data
-    /// words — the symbolic proof and the concrete semantics coincide.
+    /// The minimized circuit and the kernel compiled from the sparse
+    /// circuit agree with `Generator::encode` on random data words —
+    /// the symbolic proof and the concrete semantics coincide.
     #[test]
     fn prop_minimized_eval_matches_kernel(seed in 0u64..u64::MAX, k in 1usize..=32, r in 1usize..=8, d in 0u64..u64::MAX) {
         let g = random_generator(seed, k, r);
         let m = minimize(&g);
-        let kernel = MaskKernel::new(&g);
-        let d = if k == 64 { d } else { d & ((1u64 << k) - 1) };
-        prop_assert_eq!(m.circuit.eval_u64(d), kernel.encode_checks(d));
+        let mut kernel = CircuitKernel::new(&Circuit::from_generator(&g));
+        let d = d & ((1u64 << k) - 1);
+        let word = g.encode(&BitVec::from_u128(d as u128, k));
+        let expect = word.slice(k..k + r).to_u128() as u64;
+        prop_assert_eq!(m.circuit.eval_u64(d), expect);
+        prop_assert_eq!(kernel.encode_checks(d), expect);
     }
 
     /// Flipping one coefficient makes every form fail validation
@@ -104,7 +103,7 @@ proptest! {
             prop_assert!(rep.has_class(LintClass::MissingTerm), "{:?}", rep.diags);
         }
         // and the emitted source is refuted the same way
-        let rep = validate_source(&emit_c(&g, false), Lang::C, &g2);
+        let rep = validate_source(&emit_c(&Circuit::from_generator(&g), None), Lang::C, &g2);
         prop_assert!(!rep.is_valid());
     }
 }

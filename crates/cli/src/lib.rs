@@ -69,8 +69,8 @@ USAGE:
                     \"optimum: not proven (timeout)\"
     --minimize      (emit) run the cancellation-aware CSE minimizer and
                     emit the certified circuit instead of the sparse
-                    per-column form; the output is accepted only if the
-                    static validator proves it equal to the matrix
+                    generator circuit; the output is accepted only if
+                    the static validator proves it equal to the matrix
 
 analyze runs the static feasibility pipeline without any solver: the
 property is canonicalized (constant folding, interval narrowing,
@@ -95,8 +95,9 @@ both codes; exit 1 if the adapted code fails to strictly lower residual
 loss.
 
 lint-kernel statically validates encoder artifacts against the matrix:
-    without --file, every internal backend form (kernels, emitted C,
-    emitted Rust, minimized circuit) is symbolically proved equivalent;
+    without --file, six forms are symbolically proved equivalent (the
+    generator circuit, its emitted C and Rust, the minimized circuit,
+    and its emitted C and Rust);
     with --file PATH, the given emitted source is parsed and proved
     instead. Diagnostics carry stable classes (missing-term,
     extra-term, shift-range, non-linear-op, …); exit 1 on any
@@ -601,21 +602,14 @@ fn cmd_emit(args: &[String], out: &mut String, err: &mut String) -> i32 {
     let circuit = if has_flag(args, "minimize") {
         // certified: minimize() falls back to the sparse circuit unless
         // the validator proves the optimized one equivalent
-        Some(fec_circ::minimize(&g).circuit)
-    } else if g.data_len() > 64 {
-        // the legacy scalar emitters cap at one data word; wide codes
-        // go through the circuit emitter (word-array parameter)
-        Some(fec_circ::Circuit::from_generator(&g))
+        fec_circ::minimize(&g).circuit
     } else {
-        None
+        fec_circ::Circuit::from_generator(&g)
     };
-    let src = match (circuit, lang) {
-        (Some(c), fec_circ::Lang::C) => fec_circ::emit_c_circuit(&c),
-        (Some(c), fec_circ::Lang::Rust) => fec_circ::emit_rust_circuit(&c),
-        (None, fec_circ::Lang::C) => fec_codegen::emit_c(&g, false),
-        (None, fec_circ::Lang::Rust) => fec_codegen::emit_rust(&g),
-    };
-    out.push_str(&src);
+    out.push_str(&match lang {
+        fec_circ::Lang::C => fec_codegen::emit_c(&circuit, None),
+        fec_circ::Lang::Rust => fec_codegen::emit_rust(&circuit),
+    });
     0
 }
 
@@ -659,51 +653,12 @@ fn cmd_lint_kernel(args: &[String], out: &mut String, err: &mut String) -> i32 {
         let ok = lint_verdict(out, path, &report);
         return i32::from(!ok);
     }
-    // no --file: prove every internal backend form
+    // no --file: prove the six encoder forms
+    let (m, forms) = fec_circ::validate_forms(&g);
     let mut all_ok = true;
-    let wide = g.data_len() > 64;
-    let sparse_circuit = fec_circ::Circuit::from_generator(&g);
-    all_ok &= lint_verdict(
-        out,
-        "generator-circuit",
-        &fec_circ::validate_circuit(&sparse_circuit, &g),
-    );
-    if wide {
-        out.push_str("mask-kernel: skipped (runtime kernels cap at 64 data bits)\n");
-        out.push_str("sparse-kernel: skipped\n");
-        out.push_str("naive-kernel: skipped\n");
-    } else {
-        let mask = fec_circ::Circuit::from_mask_kernel(&fec_codegen::MaskKernel::new(&g));
-        all_ok &= lint_verdict(out, "mask-kernel", &fec_circ::validate_circuit(&mask, &g));
-        let sparse = fec_circ::Circuit::from_sparse_kernel(&fec_codegen::SparseKernel::new(&g));
-        all_ok &= lint_verdict(
-            out,
-            "sparse-kernel",
-            &fec_circ::validate_circuit(&sparse, &g),
-        );
-        let naive = fec_circ::Circuit::from_naive_kernel(&fec_codegen::NaiveKernel::new(&g));
-        all_ok &= lint_verdict(out, "naive-kernel", &fec_circ::validate_circuit(&naive, &g));
+    for (form, report) in &forms {
+        all_ok &= lint_verdict(out, form, report);
     }
-    let (c_src, rust_src) = if wide {
-        (
-            fec_circ::emit_c_circuit(&sparse_circuit),
-            fec_circ::emit_rust_circuit(&sparse_circuit),
-        )
-    } else {
-        (fec_codegen::emit_c(&g, true), fec_codegen::emit_rust(&g))
-    };
-    all_ok &= lint_verdict(
-        out,
-        "emitted-c",
-        &fec_circ::validate_source(&c_src, fec_circ::Lang::C, &g),
-    );
-    all_ok &= lint_verdict(
-        out,
-        "emitted-rust",
-        &fec_circ::validate_source(&rust_src, fec_circ::Lang::Rust, &g),
-    );
-    let m = fec_circ::minimize(&g);
-    all_ok &= lint_verdict(out, "minimized-circuit", &m.report);
     let _ = writeln!(
         out,
         "minimizer: {} → {} xors ({:.1}% reduction vs sparse)",
@@ -1347,25 +1302,65 @@ mod tests {
         assert_eq!(code, 0, "{out}{err}");
         for form in [
             "generator-circuit",
-            "mask-kernel",
-            "sparse-kernel",
-            "naive-kernel",
             "emitted-c",
             "emitted-rust",
             "minimized-circuit",
+            "minimized-c",
+            "minimized-rust",
         ] {
             assert!(
                 out.contains(&format!("{form}: OK")),
                 "{form} missing in {out}"
             );
         }
+        assert_eq!(out.matches(": OK").count(), 6, "{out}");
         assert!(out.contains("minimizer:"), "{out}");
+    }
+
+    /// `fecsynth emit` output, written to a file, passes
+    /// `lint-kernel --file` in every variant: sparse and minimized, C
+    /// and Rust, for a one-word code and the 120-bit 802.3df code.
+    #[test]
+    fn emitted_files_pass_lint_kernel() {
+        let wide = fec_hamming::standards::ieee_8023df_128_120();
+        let wide_rows: Vec<String> = (0..wide.data_len())
+            .map(|y| {
+                (0..wide.check_len())
+                    .map(|j| {
+                        if wide.coefficients().get(y, j) {
+                            '1'
+                        } else {
+                            '0'
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let narrow = "10011/11010/01101/10110/01011/11100/00111/11001/10101/01110/11111/00011";
+        let path = tmp_path("emitted-roundtrip");
+        for coeff in [narrow.to_string(), wide_rows.join("/")] {
+            for lang in ["--lang=c", "--lang=rust"] {
+                for extra in [None, Some("--minimize")] {
+                    let mut emit = vec!["emit", "--coeff", &coeff, lang];
+                    emit.extend(extra);
+                    let (code, src, err) = run(&argv(&emit));
+                    assert_eq!(code, 0, "{err}");
+                    std::fs::write(&path, &src).unwrap();
+                    let file = path.to_str().unwrap();
+                    let lint = ["lint-kernel", "--coeff", &coeff, lang, "--file", file];
+                    let (code, out, err) = run(&argv(&lint));
+                    assert_eq!(code, 0, "{emit:?}: {out}{err}");
+                    assert!(out.contains(": OK"), "{out}");
+                }
+            }
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn lint_kernel_file_flags_defect_with_class_and_exit_1() {
         let g = Generator::from_coeff_str("101\n110\n111\n011").unwrap();
-        let good = fec_codegen::emit_c(&g, false);
+        let good = fec_codegen::emit_c(&fec_circ::Circuit::from_generator(&g), None);
         let path = tmp_path("lint-good.c");
         std::fs::write(&path, &good).unwrap();
         let (code, out, _) = run(&argv(&[
@@ -1378,7 +1373,7 @@ mod tests {
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("OK"), "{out}");
         // tamper: drop one term → missing-term, exit 1
-        let bad = good.replacen("(d >> 0) ^ ", "", 1);
+        let bad = good.replacen(" ^ (d >> 1);", ";", 1);
         assert_ne!(bad, good);
         std::fs::write(&path, &bad).unwrap();
         let (code, out, _) = run(&argv(&[

@@ -1,75 +1,127 @@
-//! Source emission: per-generator C and Rust encode/check functions.
+//! Source emission from the circuit IR.
 //!
-//! The emitted code has the same shape as the paper's §4.4 generated C:
-//! straight-line `&`/`^`/shift expressions, one statement per check
-//! bit, with only the *set* coefficient bits appearing — so the
-//! instruction count tracks `len_1` directly.
+//! The emitters walk an arbitrary [`Circuit`]: gates become named
+//! single-assignment temporaries, and generators wider than one word
+//! take their data as a word array (`const uint64_t d[W]` /
+//! `d: &[u64; W]`). Each temporary's *bit 0* carries the gate's value —
+//! the upper bits are whatever the shifts drag along — and the
+//! accumulator masks with `& 1` before placing each check bit. Both
+//! shapes round-trip through the `fec-circ` parser and symbolic
+//! validator. Emitting `Circuit::from_generator(g)` gives the paper's
+//! §4.4 sparse encoder, whose XOR count tracks `len_1`.
 
-use fec_hamming::Generator;
+use crate::ir::{Circuit, Node, Output};
 use std::fmt::Write;
 
-/// Emits a self-contained C translation unit with
-/// `uint64_t encode_checks(uint64_t d)` and
-/// `uint64_t syndrome(uint64_t d, uint64_t checks)` for `g`, plus a
-/// `main` that sweeps 32-bit words with the paper's stride-21 workload
-/// when `with_main` is set.
-///
-/// # Panics
-/// Panics if `g.data_len() > 64` or `g.check_len() > 64`.
-pub fn emit_c(g: &Generator, with_main: bool) -> String {
-    emit_c_impl(g, with_main.then_some(21))
+/// Number of 64-bit data words the circuit's inputs occupy.
+fn words(c: &Circuit) -> usize {
+    c.inputs().div_ceil(64)
 }
 
-/// Shared emission core; `main_stride` selects whether a `main` sweep
-/// is emitted and, if so, with which stride — a real parameter rather
-/// than post-hoc text substitution, so the emitted program is identical
-/// in shape for every stride.
-fn emit_c_impl(g: &Generator, main_stride: Option<u64>) -> String {
-    assert!(
-        g.data_len() <= 64 && g.check_len() <= 64,
-        "emit_c supports ≤ 64 bits"
-    );
-    let with_main = main_stride.is_some();
+/// The C expression for a node as a full word whose bit 0 is the
+/// node's value.
+fn c_term(c: &Circuit, n: Node) -> String {
+    match n {
+        Node::Gate(g) => format!("t{g}"),
+        Node::Input(i) => {
+            let (w, b) = (i as usize / 64, i % 64);
+            if words(c) == 1 {
+                if b == 0 {
+                    "d".to_string()
+                } else {
+                    format!("(d >> {b})")
+                }
+            } else if b == 0 {
+                format!("d[{w}]")
+            } else {
+                format!("(d[{w}] >> {b})")
+            }
+        }
+    }
+}
+
+fn rust_term(c: &Circuit, n: Node) -> String {
+    // identical surface syntax for the subset we emit
+    c_term(c, n)
+}
+
+/// Emits a self-contained C translation unit computing the circuit:
+/// `encode_checks` plus the standard `syndrome` helper. With
+/// `main_stride`, it also emits the §4.4 benchmark `main`: every
+/// 32-bit data word in steps of the stride (the paper uses 21) is
+/// encoded and checked, and an accumulator is printed so the work
+/// cannot be optimized away. Wide circuits sweep the low word and
+/// hold the others at zero.
+///
+/// # Panics
+/// Panics if the circuit has more than 64 outputs or an unbound one.
+pub fn emit_c(c: &Circuit, main_stride: Option<u64>) -> String {
+    assert!(c.outputs().len() <= 64, "emit_c packs checks into a u64");
+    let w = words(c);
     let mut out = String::new();
     out.push_str("#include <stdint.h>\n");
-    if with_main {
+    if main_stride.is_some() {
         out.push_str("#include <stdio.h>\n");
     }
-    out.push_str("\n/* generated encoder: ");
+    out.push('\n');
     let _ = writeln!(
         out,
-        "({}, {}) code, {} coefficient ones */",
-        g.codeword_len(),
-        g.data_len(),
-        g.coefficient_ones()
+        "/* generated encoder (circuit form): ({}, {}) code, {} XOR gates */",
+        c.inputs() + c.outputs().len(),
+        c.inputs(),
+        c.xor_count()
     );
-    out.push_str("uint64_t encode_checks(uint64_t d) {\n    uint64_t c = 0, b;\n");
-    for j in 0..g.check_len() {
-        let terms: Vec<String> = (0..g.data_len())
-            .filter(|&y| g.coefficients().get(y, j))
-            .map(|y| format!("(d >> {y})"))
-            .collect();
-        if terms.is_empty() {
-            let _ = writeln!(out, "    b = 0;");
-        } else {
-            let _ = writeln!(out, "    b = {};", terms.join(" ^ "));
+    let param = if w == 1 {
+        "uint64_t d".to_string()
+    } else {
+        format!("const uint64_t d[{w}]")
+    };
+    let _ = writeln!(out, "uint64_t encode_checks({param}) {{");
+    for (g, gate) in c.gates().iter().enumerate() {
+        let _ = writeln!(
+            out,
+            "    uint64_t t{g} = {} ^ {};",
+            c_term(c, gate.a),
+            c_term(c, gate.b)
+        );
+    }
+    out.push_str("    uint64_t c = 0;\n");
+    for (j, o) in c.outputs().iter().enumerate() {
+        match *o {
+            Output::Unbound => panic!("emit_c: output {j} unbound"),
+            Output::Zero => {}
+            Output::Node(n) => {
+                let _ = writeln!(out, "    c |= ({} & 1) << {j};", c_term(c, n));
+            }
         }
-        let _ = writeln!(out, "    c |= (b & 1) << {j};");
     }
     out.push_str("    return c;\n}\n\n");
-    out.push_str(
-        "uint64_t syndrome(uint64_t d, uint64_t checks) {\n    \
-         return encode_checks(d) ^ checks;\n}\n",
+    let _ = writeln!(
+        out,
+        "uint64_t syndrome({param}, uint64_t checks) {{\n    \
+         return encode_checks(d) ^ checks;\n}}"
     );
     if let Some(stride) = main_stride {
+        // a wide circuit sweeps word 0 of a zeroed array
+        let (decl, load, arg) = if w == 1 {
+            (String::new(), "", "d")
+        } else {
+            (
+                format!("    uint64_t x[{w}] = {{0}};\n"),
+                "        x[0] = d;\n",
+                "x",
+            )
+        };
         let _ = write!(
             out,
             "\nint main(void) {{\n    \
-             uint64_t acc = 0;\n    \
+             uint64_t acc = 0;\n\
+             {decl}    \
              /* the paper's workload: all 32-bit words in steps of {stride} */\n    \
-             for (uint64_t d = 0; d <= 0xFFFFFFFFull; d += {stride}) {{\n        \
-             uint64_t c = encode_checks(d);\n        \
-             acc ^= syndrome(d, c);\n        \
+             for (uint64_t d = 0; d <= 0xFFFFFFFFull; d += {stride}) {{\n\
+             {load}        \
+             uint64_t c = encode_checks({arg});\n        \
+             acc ^= syndrome({arg}, c);\n        \
              acc += c;\n    }}\n    \
              printf(\"%llu\\n\", (unsigned long long)acc);\n    \
              return 0;\n}}\n",
@@ -78,42 +130,50 @@ fn emit_c_impl(g: &Generator, main_stride: Option<u64>) -> String {
     out
 }
 
-/// Like [`emit_c`] with a main, but with a configurable sweep stride
-/// (the paper uses 21; larger strides scale the workload down).
-pub fn emit_c_bench(g: &Generator, stride: u64) -> String {
-    emit_c_impl(g, Some(stride))
-}
-
-/// Emits a Rust function pair with the same structure as [`emit_c`].
-pub fn emit_rust(g: &Generator) -> String {
-    assert!(
-        g.data_len() <= 64 && g.check_len() <= 64,
-        "emit_rust supports ≤ 64 bits"
-    );
+/// Emits a Rust module computing the circuit, mirroring [`emit_c`]
+/// without the benchmark `main`.
+///
+/// # Panics
+/// Panics if the circuit has more than 64 outputs or an unbound one.
+pub fn emit_rust(c: &Circuit) -> String {
+    assert!(c.outputs().len() <= 64, "emit_rust packs checks into a u64");
+    let w = words(c);
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "/// Generated encoder: ({}, {}) code, {} coefficient ones.",
-        g.codeword_len(),
-        g.data_len(),
-        g.coefficient_ones()
+        "/// Generated encoder (circuit form): ({}, {}) code, {} XOR gates.",
+        c.inputs() + c.outputs().len(),
+        c.inputs(),
+        c.xor_count()
     );
-    out.push_str("pub fn encode_checks(d: u64) -> u64 {\n    let mut c = 0u64;\n");
-    for j in 0..g.check_len() {
-        let terms: Vec<String> = (0..g.data_len())
-            .filter(|&y| g.coefficients().get(y, j))
-            .map(|y| format!("(d >> {y})"))
-            .collect();
-        let expr = if terms.is_empty() {
-            "0".to_string()
-        } else {
-            terms.join(" ^ ")
-        };
-        let _ = writeln!(out, "    c |= (({expr}) & 1) << {j};");
+    let param = if w == 1 {
+        "d: u64".to_string()
+    } else {
+        format!("d: &[u64; {w}]")
+    };
+    let _ = writeln!(out, "pub fn encode_checks({param}) -> u64 {{");
+    for (g, gate) in c.gates().iter().enumerate() {
+        let _ = writeln!(
+            out,
+            "    let t{g} = {} ^ {};",
+            rust_term(c, gate.a),
+            rust_term(c, gate.b)
+        );
+    }
+    out.push_str("    let mut c = 0u64;\n");
+    for (j, o) in c.outputs().iter().enumerate() {
+        match *o {
+            Output::Unbound => panic!("emit_rust: output {j} unbound"),
+            Output::Zero => {}
+            Output::Node(n) => {
+                let _ = writeln!(out, "    c |= ({} & 1) << {j};", rust_term(c, n));
+            }
+        }
     }
     out.push_str("    c\n}\n\n");
-    out.push_str(
-        "pub fn syndrome(d: u64, checks: u64) -> u64 {\n    encode_checks(d) ^ checks\n}\n",
+    let _ = writeln!(
+        out,
+        "pub fn syndrome({param}, checks: u64) -> u64 {{\n    encode_checks(d) ^ checks\n}}"
     );
     out
 }
@@ -124,55 +184,45 @@ mod tests {
     use fec_hamming::standards;
 
     #[test]
-    fn c_emission_contains_only_sparse_terms() {
-        let g = standards::hamming_7_4(); // 9 coefficient ones
-        let src = emit_c(&g, false);
-        // one shift term per set coefficient bit
-        assert_eq!(src.matches("(d >> ").count(), 9);
-        assert!(src.contains("uint64_t encode_checks(uint64_t d)"));
-        assert!(src.contains("uint64_t syndrome"));
-        assert!(!src.contains("main"), "no main unless requested");
-    }
-
-    #[test]
-    fn c_emission_with_main_has_stride_21_sweep() {
-        let g = standards::hamming_7_4();
-        let src = emit_c(&g, true);
-        assert!(src.contains("d += 21"));
-        assert!(src.contains("int main(void)"));
-    }
-
-    #[test]
-    fn bench_emission_threads_stride_as_parameter() {
-        let g = standards::hamming_7_4();
-        // the stride appears in the loop increment and the comment, and
-        // the encoder body is byte-identical across strides
-        let s21 = emit_c_bench(&g, 21);
-        let s997 = emit_c_bench(&g, 997);
-        assert!(s21.contains("d += 21"));
-        assert!(s997.contains("d += 997"));
-        assert!(s997.contains("steps of 997"));
-        assert!(!s997.contains("21"), "no stale default stride text");
-        let body = |s: &str| s[..s.find("int main").unwrap()].to_string();
-        assert_eq!(body(&s21), body(&s997));
-        assert_eq!(emit_c_bench(&g, 21), emit_c(&g, true));
-    }
-
-    #[test]
-    fn rust_emission_term_count_tracks_len1() {
-        for (gen, ones) in [
-            (standards::hamming_7_4(), 9),
-            (standards::parity_code(16), 16),
-            (standards::hamming_extended_8_4(), 12),
+    fn sparse_emission_has_one_xor_per_gate() {
+        for g in [
+            standards::hamming_7_4(),
+            standards::parity_code(16),
+            standards::hamming_extended_8_4(),
         ] {
-            let src = emit_rust(&gen);
-            assert_eq!(src.matches("(d >> ").count(), ones, "{gen:?}");
+            let c = Circuit::from_generator(&g);
+            let csrc = emit_c(&c, None);
+            assert!(csrc.contains("uint64_t encode_checks(uint64_t d)"));
+            assert!(csrc.contains("uint64_t syndrome"));
+            assert!(!csrc.contains("main"), "no main unless requested");
+            let body = |s: &str| s[..s.find("syndrome").unwrap()].matches(" ^ ").count();
+            assert_eq!(body(&csrc), c.xor_count(), "{g:?}");
+            assert_eq!(body(&emit_rust(&c)), c.xor_count(), "{g:?}");
         }
     }
 
-    // NOTE: the former regex-based `emitted_rust_compiles_and_matches_kernel`
-    // and the system-`cc` compile test moved to `crates/circuit`
-    // (`tests/emitted_sources.rs`), where the emitted text is checked by
-    // the fec-circ parser + symbolic GF(2) validator instead of ad-hoc
-    // string surgery, and the cc test also covers minimized kernels.
+    #[test]
+    fn bench_main_threads_stride_as_parameter() {
+        let c = Circuit::from_generator(&standards::hamming_7_4());
+        let s21 = emit_c(&c, Some(21));
+        let s997 = emit_c(&c, Some(997));
+        assert!(s21.contains("d += 21") && s21.contains("int main(void)"));
+        assert!(s997.contains("d += 997") && s997.contains("steps of 997"));
+        assert!(!s997.contains("21"), "no stale default stride text");
+        // the main is appended: the encoder text is the plain emission
+        let plain = emit_c(&c, None);
+        for src in [&s21, &s997] {
+            let without_stdio = src.replacen("#include <stdio.h>\n", "", 1);
+            assert!(without_stdio.starts_with(&plain), "{src}");
+        }
+    }
+
+    #[test]
+    fn wide_circuits_take_a_word_array() {
+        let c = Circuit::from_generator(&standards::ieee_8023df_128_120());
+        let csrc = emit_c(&c, Some(65521));
+        assert!(csrc.contains("uint64_t encode_checks(const uint64_t d[2])"));
+        assert!(csrc.contains("uint64_t x[2] = {0};") && csrc.contains("encode_checks(x)"));
+        assert!(emit_rust(&c).contains("pub fn encode_checks(d: &[u64; 2]) -> u64"));
+    }
 }

@@ -6,11 +6,10 @@
 //! output is bound to a node, to the constant zero (an empty generator
 //! column), or left unbound (a lintable defect). The representation is
 //! deliberately permissive — out-of-range or forward references are
-//! constructible — because the validator (`validate_circuit`) is the
-//! component charged with rejecting them; builders in this module only
-//! ever produce well-formed circuits.
+//! constructible — because the validator (`fec_circ::validate_circuit`)
+//! is the component charged with rejecting them; builders in this
+//! module only ever produce well-formed circuits.
 
-use fec_codegen::{MaskKernel, NaiveKernel, SparseKernel};
 use fec_gf2::BitVec;
 use fec_hamming::Generator;
 
@@ -135,37 +134,6 @@ impl Circuit {
         c
     }
 
-    /// Rebuilds the circuit a [`MaskKernel`] computes, from its
-    /// per-column data-bit masks.
-    pub fn from_mask_kernel(k: &MaskKernel) -> Circuit {
-        let cols: Vec<BitVec> = k
-            .masks()
-            .iter()
-            .map(|&m| BitVec::from_u128(m as u128, k.data_len()))
-            .collect();
-        Circuit::from_columns(k.data_len(), &cols)
-    }
-
-    /// Rebuilds the circuit a [`SparseKernel`] computes, from its
-    /// per-column term lists.
-    pub fn from_sparse_kernel(k: &SparseKernel) -> Circuit {
-        let mut cols = Vec::with_capacity(k.check_len());
-        for terms in k.terms() {
-            let mut col = BitVec::zeros(k.data_len());
-            for &y in terms {
-                col.set(y as usize, true);
-            }
-            cols.push(col);
-        }
-        Circuit::from_columns(k.data_len(), &cols)
-    }
-
-    /// Rebuilds the circuit a [`NaiveKernel`] computes (its cell walk
-    /// XORs exactly the set coefficients of the wrapped generator).
-    pub fn from_naive_kernel(k: &NaiveKernel) -> Circuit {
-        Circuit::from_generator(k.generator())
-    }
-
     /// Concretely evaluates the circuit on packed input words (input
     /// `i` = bit `i % 64` of `data[i / 64]`); returns the check bits
     /// packed into a `u64`.
@@ -274,32 +242,18 @@ mod tests {
     use fec_hamming::standards;
 
     #[test]
-    fn sparse_circuit_matches_kernels() {
+    fn sparse_circuit_matches_generator_encode() {
         let g = standards::shortened_hamming(32, 6).unwrap();
         let c = Circuit::from_generator(&g);
-        let mask = MaskKernel::new(&g);
         // gate count = len_1 - #non-empty columns
         let nonempty = (0..g.check_len())
             .filter(|&j| g.check_column(j).count_ones() > 0)
             .count();
         assert_eq!(c.xor_count(), g.coefficient_ones() - nonempty);
         for d in [0u64, 1, 0xFFFF_FFFF, 0xDEAD_BEEF, 0x1234_5678] {
-            assert_eq!(c.eval_u64(d), mask.encode_checks(d), "data {d:#x}");
-        }
-    }
-
-    #[test]
-    fn kernel_builders_agree_with_generator_builder() {
-        let g = standards::hamming_extended_8_4();
-        let from_g = Circuit::from_generator(&g);
-        let from_mask = Circuit::from_mask_kernel(&MaskKernel::new(&g));
-        let from_sparse = Circuit::from_sparse_kernel(&SparseKernel::new(&g));
-        let from_naive = Circuit::from_naive_kernel(&NaiveKernel::new(&g));
-        for d in 0u64..16 {
-            let want = from_g.eval_u64(d);
-            assert_eq!(from_mask.eval_u64(d), want);
-            assert_eq!(from_sparse.eval_u64(d), want);
-            assert_eq!(from_naive.eval_u64(d), want);
+            let word = g.encode(&BitVec::from_u128(d as u128, 32));
+            let expect = word.slice(32..38).to_u128() as u64;
+            assert_eq!(c.eval_u64(d), expect, "data {d:#x}");
         }
     }
 

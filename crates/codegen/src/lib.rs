@@ -1,33 +1,28 @@
-//! Specialized encoder/checker generation (§4.4).
+//! Encoder production (§4.4): the XOR-circuit IR and its C and Rust
+//! emitters.
 //!
-//! For a *fixed* generator, encoding reduces to one AND+parity per
-//! check bit; the number of AND'd bits is exactly the column weight of
-//! the coefficient matrix. The paper emits per-generator C programs
-//! and shows that minimizing `len_1` (total set coefficient bits)
-//! speeds up encode/check. This crate provides:
+//! For a *fixed* generator, every check bit is the XOR of the data bits
+//! its coefficient column selects. The paper emits per-generator C
+//! programs and shows that minimizing `len_1` (total set coefficient
+//! bits) speeds up encode/check. This crate holds the one
+//! representation every encoder in the workspace comes from:
 //!
-//! - [`MaskKernel`]: a runtime-specialized encoder/checker using
-//!   per-column bitmasks and hardware popcount (the analogue of the
-//!   paper's `-O3` build);
-//! - [`SparseKernel`]: term-by-term evaluation of only the set
-//!   coefficient bits — the in-process analogue of the emitted C,
-//!   whose cost scales with `len_1`;
-//! - [`NaiveKernel`]: a bit-by-bit loop over every matrix cell with no
-//!   specialization at all;
-//! - [`emit_c`] / [`emit_rust`]: source emission mirroring the paper's
-//!   generated C (`&` + `^` only), for inspection or out-of-tree
-//!   compilation.
+//! - [`Circuit`]: `k` inputs, binary XOR gates in evaluation order,
+//!   one output binding per check bit. [`Circuit::from_generator`] is
+//!   the unminimized "sparse" encoder, one XOR chain per check column,
+//!   with `len_1 - (#non-empty columns)` gates;
+//! - [`emit_c`] / [`emit_rust`]: straight-line source for any circuit
+//!   (a word-array parameter when `k > 64`), plus the stride-driven
+//!   benchmark `main` that Fig. 5 compiles.
 //!
-//! Every form this crate produces is statically validated against the
-//! generator matrix by the `fec-circ` crate (XOR-circuit IR + symbolic
-//! GF(2) translation validation); the kernels expose their internal
-//! linear structure ([`MaskKernel::masks`], [`SparseKernel::terms`],
-//! [`NaiveKernel::generator`]) for exactly that purpose.
+//! The `fec-circ` crate proves every circuit and every emitted source
+//! equal to its generator matrix, minimizes circuits, and compiles them
+//! into runtime kernels.
 
 #![forbid(unsafe_code)]
 
 mod emit;
-mod kernel;
+mod ir;
 
-pub use emit::{emit_c, emit_c_bench, emit_rust};
-pub use kernel::{MaskKernel, NaiveKernel, SparseKernel};
+pub use emit::{emit_c, emit_rust};
+pub use ir::{Circuit, Gate, Node, Output};

@@ -3,6 +3,8 @@
 //! every layer of the workspace.
 
 use fec_workbench::channel::experiment::robustness_trial;
+use fec_workbench::circ::{minimize, validate_source, Circuit, CircuitKernel, Lang};
+use fec_workbench::codegen::{emit_c, emit_rust};
 use fec_workbench::gf2::BitVec;
 use fec_workbench::hamming::{distance, standards, CompositeCode};
 use fec_workbench::smt::Budget;
@@ -116,11 +118,24 @@ fn emitted_code_agrees_with_generator_encode() {
         .unwrap()
         .generators
         .remove(0);
-    let kernel = fec_workbench::codegen::MaskKernel::new(&g);
+    // the emitted C and Rust, sparse and minimized, are proved equal to G
+    let sparse = Circuit::from_generator(&g);
+    let minimized = minimize(&g).circuit;
+    for c in [&sparse, &minimized] {
+        for (src, lang) in [(emit_c(c, None), Lang::C), (emit_rust(c), Lang::Rust)] {
+            let rep = validate_source(&src, lang, &g);
+            assert!(rep.is_valid(), "{lang:?}: {:?}", rep.diags);
+        }
+    }
+    // and the kernels compiled from both circuits compute G's checks
+    // on every data word
+    let mut kernels = [CircuitKernel::new(&sparse), CircuitKernel::new(&minimized)];
     for d in 0u64..(1 << 12) {
         let data = BitVec::from_u128(d as u128, 12);
         let word = g.encode(&data);
         let expect = word.slice(12..17).to_u128() as u64;
-        assert_eq!(kernel.encode_checks(d), expect, "data {d:#x}");
+        for kernel in &mut kernels {
+            assert_eq!(kernel.encode_checks(d), expect, "data {d:#x}");
+        }
     }
 }

@@ -5,6 +5,7 @@
 
 use fec_workbench::channel::experiment::{float32_trial, robustness_trial};
 use fec_workbench::channel::floatbits::{bit_error_profile, PAPER_FLOAT32_UPPER_WEIGHTS_MSB_FIRST};
+use fec_workbench::circ::Circuit;
 use fec_workbench::hamming::{distance, standards, CompositeCode};
 use fec_workbench::smt::Budget;
 use fec_workbench::synth::cegis::{SynthesisConfig, Synthesizer};
@@ -175,9 +176,9 @@ fn sec43_weighted_synthesis() {
     assert!(r.sum_w <= 225.43);
 }
 
-/// Fig. 5 mechanism: fewer coefficient ones ⇒ fewer sparse-kernel
-/// terms ⇒ faster encode (measured on the term count, which is the
-/// deterministic part of the claim).
+/// Fig. 5 mechanism: fewer coefficient ones ⇒ fewer XORs in the sparse
+/// generator circuit ⇒ faster encode (measured on the XOR count, which
+/// is the deterministic part of the claim).
 #[test]
 fn fig5_shape() {
     let dense = Synthesizer::new(config())
@@ -198,9 +199,11 @@ fn fig5_shape() {
         .remove(0);
     assert_eq!(dense.coefficient_ones(), 180);
     assert_eq!(sparse.coefficient_ones(), 64, "md-3 floor is 2 per row");
-    let kd = fec_workbench::codegen::SparseKernel::new(&dense);
-    let ks = fec_workbench::codegen::SparseKernel::new(&sparse);
-    assert!(kd.term_count() > ks.term_count() * 2);
+    // one XOR chain per non-empty check column: len_1 - (≤ 17) gates
+    let xd = Circuit::from_generator(&dense).xor_count();
+    let xs = Circuit::from_generator(&sparse).xor_count();
+    assert!(xd >= 180 - 17 && xs < 64, "{xd} vs {xs}");
+    assert!(xd > xs * 2);
     // both are still valid md-3 codes
     assert!(distance::has_min_distance_at_least(&dense, 3));
     assert!(distance::has_min_distance_at_least(&sparse, 3));
