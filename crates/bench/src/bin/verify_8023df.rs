@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! cargo run -p fec-bench --release --bin verify_8023df \
-//!     [-- --check-proofs] [-- --jobs N] [-- --simplify]
+//!     [-- --check-proofs] [-- --jobs N]
 //! ```
 //!
 //! With `--check-proofs`, every UNSAT answer is certified by the
@@ -15,8 +15,6 @@
 //! against the input clauses; the run aborts on any discrepancy.
 //! With `--jobs N`, every query races N diversified portfolio workers
 //! (certification then applies to the winning worker's proof).
-//! With `--simplify`, the backing solvers run the SatELite-style
-//! pre-/inprocessing pipeline (diversified per worker under `--jobs`).
 //!
 //! Observability (any flag enables the fec-trace collector):
 //! `--trace LEVEL` logs spans/events on stderr, `--trace-out PATH`
@@ -29,7 +27,7 @@ use fec_smt::Budget;
 use fec_synth::verify::{verify_min_distance_exact_with, VerifyOptions, VerifyOutcome};
 
 fn main() {
-    fec_bench::check_flags(&["check-proofs", "jobs", "simplify"]);
+    fec_bench::check_flags(&["check-proofs", "jobs"]);
     let args: Vec<String> = std::env::args().skip(1).collect();
     // the fecsynth flag rules: a bad --jobs or an unwritable trace
     // path is a usage error (exit 2)
@@ -37,17 +35,15 @@ fn main() {
         fec_cli::parse_jobs(&args).and_then(|jobs| Ok((jobs, fec_cli::setup_trace(&args)?)));
     let (jobs, traced) = parsed.unwrap_or_else(|e| fec_bench::usage_exit(&e));
     let check_proofs = fec_cli::has_flag(&args, "check-proofs");
-    let simplify = fec_cli::has_flag(&args, "simplify");
     let opts = VerifyOptions {
         budget: Budget::unlimited(),
         check_certificates: check_proofs,
         jobs,
-        simplify,
         ..VerifyOptions::default()
     };
     let g = standards::ieee_8023df_128_120();
     println!(
-        "verifying the (128,120) inner Hamming code (k={}, c={}, {} coefficient ones){}{}{}",
+        "verifying the (128,120) inner Hamming code (k={}, c={}, {} coefficient ones){}{}",
         g.data_len(),
         g.check_len(),
         g.coefficient_ones(),
@@ -60,11 +56,6 @@ fn main() {
             format!(", {jobs}-worker portfolio")
         } else {
             String::new()
-        },
-        if simplify {
-            ", with simplification"
-        } else {
-            ""
         }
     );
 

@@ -21,11 +21,16 @@ fn assert_usage_error(bin: &str, args: &[&str], mentions: &str) {
 }
 
 #[test]
-fn removed_backend_flag_is_a_usage_error() {
+fn removed_flags_are_usage_errors() {
     assert_usage_error(
         env!("CARGO_BIN_EXE_fig4"),
         &["--backend=matrix"],
         "--backend",
+    );
+    assert_usage_error(
+        env!("CARGO_BIN_EXE_verify_8023df"),
+        &["--simplify"],
+        "unknown flag --simplify",
     );
 }
 

@@ -4,7 +4,7 @@
 //! shared `bench_meta` schema (emitted by every fec-bench harness) and
 //! diffs its metrics against the committed baseline snapshot in
 //! `results/bench-baseline/`. Metrics are flattened to dotted paths
-//! (`results.2.secs`, `solve_secs.after_preprocessing`) and classified
+//! (`results.2.secs`, `table1_rows.0.incremental_secs`) and classified
 //! by name into direction-aware families, each with its own regression
 //! threshold:
 //!
@@ -36,7 +36,7 @@ pub const BENCH_SCHEMA_VERSION: u64 = 1;
 /// Relative change beyond which a gated metric is a regression.
 const THRESHOLD: f64 = 0.10;
 /// Absolute slack: changes smaller than this never gate (guards tiny
-/// denominators like a 7 ms preprocessing step or a 0.008 loss rate
+/// denominators like a 7 ms synthesis run or a 0.008 loss rate
 /// against measurement noise).
 const ABS_FLOOR: f64 = 1e-4;
 
@@ -354,7 +354,7 @@ mod tests {
     fn classifies_metric_families() {
         assert_eq!(classify("baseline_secs"), Class::LowerBetter);
         assert_eq!(
-            classify("solve_secs.after_preprocessing"),
+            classify("table1_rows.0.incremental_secs"),
             Class::LowerBetter
         );
         assert_eq!(classify("results.0.secs"), Class::LowerBetter);

@@ -34,9 +34,9 @@ fecsynth — synthesize, verify, and export Hamming FEC generators
 USAGE:
     fecsynth analyze \"<property>\" [--max-check=N] [TRACE]
     fecsynth synth  \"<property>\" [--timeout=SECS] [--check-proofs] [--jobs=N]
-                    [--simplify] [TRACE]
+                    [TRACE]
     fecsynth verify \"<property>\" --coeff <rows> [--check-proofs] [--jobs=N]
-                    [--simplify] [TRACE]
+                    [TRACE]
                     (rows like 101/110/111/011)
     fecsynth info   --coeff <rows>
     fecsynth emit   --coeff <rows> [--lang=c|rust] [--minimize]
@@ -44,7 +44,7 @@ USAGE:
     fecsynth lint-kernel --coeff <rows> [--lang=c|rust] [--file PATH]
     fecsynth stream [--adapt] [--seed=N] [--bytes=N] [--depth=N]
                     [--gen-size=N] [--repair=N] [--timeout=SECS] [--jobs=N]
-                    [--simplify] [TRACE]
+                    [TRACE]
     fecsynth trace-validate <file.jsonl>
     fecsynth report <trace.jsonl> [--json]
     fecsynth bench-compare <baseline-dir> <current-dir> [--json]
@@ -57,12 +57,6 @@ USAGE:
                     workers sharing low-LBD learned clauses (parallel
                     portfolio; composes with --check-proofs — the
                     winning worker's proof is certified)
-    --simplify      run SatELite-style pre-/inprocessing (bounded
-                    variable elimination, subsumption, failed-literal
-                    probing, vivification) in the backing solvers;
-                    composes with --jobs (workers get diversified
-                    technique mixes) and --check-proofs (simplifier
-                    steps are part of the checked DRAT stream)
     --timeout=SECS  (synth, stream --adapt) wall-clock budget for the whole
                     synthesis run; when it cuts an optimization short,
                     synth prints the best code found and
@@ -122,7 +116,7 @@ TRACE (observability; any of these enables the collector):
                         CEGIS iteration (default 30000; needs --progress)
 
 report replays a --trace-jsonl stream and attributes wall-clock to
-phases (synth, verify, simplify, proof-check, portfolio, other) from
+phases (synth, verify, proof-check, portfolio, other) from
 span self-times, plus progress/stall and instrument summaries; --json
 emits the same breakdown machine-readably.
 
@@ -156,8 +150,8 @@ EXAMPLES:
 /// other `--name` is a usage error.
 const FLAGS: &[(&str, &[&str])] = &[
     ("analyze", &["max-check"]),
-    ("synth", &["timeout", "check-proofs", "jobs", "simplify"]),
-    ("verify", &["coeff", "check-proofs", "jobs", "simplify"]),
+    ("synth", &["timeout", "check-proofs", "jobs"]),
+    ("verify", &["coeff", "check-proofs", "jobs"]),
     ("info", &["coeff"]),
     ("emit", &["coeff", "lang", "minimize"]),
     ("encode", &["coeff", "data"]),
@@ -165,7 +159,7 @@ const FLAGS: &[(&str, &[&str])] = &[
     (
         "stream",
         &[
-            "adapt", "seed", "bytes", "depth", "gen-size", "repair", "timeout", "jobs", "simplify",
+            "adapt", "seed", "bytes", "depth", "gen-size", "repair", "timeout", "jobs",
         ],
     ),
     ("trace-validate", &[]),
@@ -465,7 +459,6 @@ fn cmd_synth(args: &[String], out: &mut String, err: &mut String) -> i32 {
         timeout,
         check_certificates: has_flag(args, "check-proofs"),
         jobs,
-        simplify: has_flag(args, "simplify"),
         ..Default::default()
     };
     match Synthesizer::new(config).run(&prop) {
@@ -520,7 +513,6 @@ fn cmd_verify(args: &[String], out: &mut String, err: &mut String) -> i32 {
         budget: Budget::unlimited(),
         check_certificates: has_flag(args, "check-proofs"),
         jobs,
-        simplify: has_flag(args, "simplify"),
         ..VerifyOptions::default()
     };
     let (outcome, stats) = verify_props_with(&[g], &prop, opts);
@@ -770,7 +762,6 @@ fn cmd_stream(args: &[String], out: &mut String, err: &mut String) -> i32 {
         Ok(fec_stream::AdaptConfig {
             timeout: parse_timeout(args, 20)?,
             jobs: parse_jobs(args)?,
-            simplify: has_flag(args, "simplify"),
             ..Default::default()
         })
     })();
@@ -1101,6 +1092,16 @@ mod tests {
             &["info", "--coeff", "101/110/111/011", "--jobs=2"],
             &["stream", "--seeds=7"],
             &["report", "x.jsonl", "--csv"],
+            // removed with the simplifier
+            &["synth", "len_d(G0) = 4 && md(G0) = 3", "--simplify"],
+            &[
+                "verify",
+                "md(G0) = 3",
+                "--coeff",
+                "101/110/111/011",
+                "--simplify",
+            ],
+            &["stream", "--simplify"],
         ] {
             let (code, out, err) = run(&argv(args));
             assert_eq!(code, 2, "{args:?}: {out}{err}");
@@ -1208,45 +1209,6 @@ mod tests {
             "len_d(G0) = 4 && md(G0) = 3 && len_c(G0) <= 4 && minimal(len_c(G0))",
             "--timeout=30",
             "--jobs=2",
-        ]));
-        assert_eq!(code, 0, "{out}{err}");
-        assert!(out.contains("(7, 4) code"), "{out}");
-    }
-
-    #[test]
-    fn verify_with_simplify() {
-        let coeff = "101/110/111/011";
-        // simplified answers must match plain ones, and proof checking
-        // must still pass (simplifier steps are part of the DRAT stream)
-        let (code, out, err) = run(&argv(&[
-            "verify",
-            "md(G0) = 3",
-            "--coeff",
-            coeff,
-            "--simplify",
-            "--check-proofs",
-        ]));
-        assert_eq!(code, 0, "{out}{err}");
-        assert!(out.contains("HOLDS"), "{out}");
-        assert!(out.contains("certificates:"), "{out}");
-        let (code, out, _) = run(&argv(&[
-            "verify",
-            "md(G0) = 4",
-            "--coeff",
-            coeff,
-            "--simplify",
-        ]));
-        assert_eq!(code, 1);
-        assert!(out.contains("FAILS"), "{out}");
-    }
-
-    #[test]
-    fn synth_with_simplify() {
-        let (code, out, err) = run(&argv(&[
-            "synth",
-            "len_d(G0) = 4 && md(G0) = 3 && len_c(G0) <= 4 && minimal(len_c(G0))",
-            "--timeout=30",
-            "--simplify",
         ]));
         assert_eq!(code, 0, "{out}{err}");
         assert!(out.contains("(7, 4) code"), "{out}");

@@ -7,10 +7,10 @@
 //! whose name maps to a phase. The driver thread (the one carrying the
 //! most top-level span time — the thread that blocks on solver calls)
 //! yields the headline breakdown: its self-times partition the spans'
-//! wall-clock exactly, so `synth + verify + simplify + proof-check +
-//! portfolio + other + untraced == wall`. A portfolio solve's blocked
-//! wait on the driver side lands in the `portfolio` phase, and the
-//! workers' busy time shows up separately in the all-thread table.
+//! wall-clock exactly, so `synth + verify + proof-check + portfolio +
+//! other + untraced == wall`. A portfolio solve's blocked wait on the
+//! driver side lands in the `portfolio` phase, and the workers' busy
+//! time shows up separately in the all-thread table.
 //!
 //! A traced `fecsynth stream` run also gets a stage table: the
 //! self-time of each `stream.*` stage span and of `stream.run` itself
@@ -29,7 +29,7 @@ use crate::{fail, has_flag, usage};
 
 /// Phase names, in report order. `other` and `untraced` are appended
 /// by the renderers.
-const PHASES: [&str; 5] = ["synth", "verify", "simplify", "proof-check", "portfolio"];
+const PHASES: [&str; 4] = ["synth", "verify", "proof-check", "portfolio"];
 
 /// The stream pipeline's stage spans, children of `stream.run`, in
 /// datapath order.
@@ -56,8 +56,6 @@ fn phase_of(name: &str) -> Option<&'static str> {
         Some("synth")
     } else if name.starts_with("cegis.verify") || name.starts_with("verify.") {
         Some("verify")
-    } else if name.starts_with("sat.simplify") {
-        Some("simplify")
     } else if name.starts_with("drat.") || name.starts_with("cert.") {
         Some("proof-check")
     } else if name.starts_with("portfolio.") {
@@ -431,12 +429,12 @@ mod tests {
     #[test]
     fn self_time_attribution_partitions_wall() {
         // driver (tid 0): verify.query [0, 1000] containing
-        // sat.simplify [100, 300] and portfolio.pool.solve [400, 900];
+        // drat.check [100, 300] and portfolio.pool.solve [400, 900];
         // worker (tid 1): portfolio.pool.worker [410, 700]
         let mut t = String::new();
         t += &line(0, 0, "begin", "verify.query", None);
-        t += &line(100, 0, "begin", "sat.simplify", None);
-        t += &line(300, 0, "end", "sat.simplify", Some(200));
+        t += &line(100, 0, "begin", "drat.check", None);
+        t += &line(300, 0, "end", "drat.check", Some(200));
         t += &line(400, 0, "begin", "portfolio.pool.solve", None);
         t += &line(410, 1, "begin", "portfolio.pool.worker", None);
         t += &line(700, 1, "end", "portfolio.pool.worker", Some(290));
@@ -446,7 +444,7 @@ mod tests {
         assert_eq!(r.wall_us, 1000);
         assert_eq!(r.driver_tid, 0);
         assert_eq!(r.driver_self_us["verify"], 300); // 1000 - 200 - 500
-        assert_eq!(r.driver_self_us["simplify"], 200);
+        assert_eq!(r.driver_self_us["proof-check"], 200);
         assert_eq!(r.driver_self_us["portfolio"], 500);
         assert_eq!(r.untraced_us(), 0);
         assert_eq!(r.attributed_us(), 1000);

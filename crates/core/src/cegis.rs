@@ -62,13 +62,6 @@ pub struct SynthesisConfig {
     /// default) keeps the fully incremental single solvers (the CLI's
     /// `--jobs N`).
     pub jobs: usize,
-    /// Run the SatELite-style pre-/inprocessing pipeline in every
-    /// solver this synthesis creates (the CLI's `--simplify`).
-    /// Activation guards of the incremental push/pop layer are frozen,
-    /// so CEGIS refinement is unaffected by elimination. An
-    /// inprocessing pass also runs *between* CEGIS iterations on a
-    /// doubling cadence.
-    pub simplify: bool,
     /// Per-run cap on trace emission from this synthesis: a record is
     /// emitted only if its level is within both this cap *and* the
     /// globally installed `fec-trace` sink level. The default
@@ -96,7 +89,6 @@ impl Default for SynthesisConfig {
             persist_counterexamples: true,
             check_certificates: false,
             jobs: 1,
-            simplify: false,
             trace: fec_trace::Level::Trace,
             static_analysis: true,
         }
@@ -223,13 +215,6 @@ pub(crate) struct SynthState {
 /// A bound of the optimization loop: the objective and its value.
 pub(crate) type Bound = Option<(Objective, i64)>;
 
-/// First inprocessing pass runs after this many iterations of one
-/// `cegis` call; subsequent passes double the gap. Doubling matches
-/// the growth of the counterexample encoding: each pass costs one
-/// sweep over the clause database, so a geometric cadence keeps the
-/// total inprocessing effort proportional to total search effort.
-const INPROCESS_FIRST_AT: u64 = 8;
-
 /// The Algorithm 1 driver.
 pub struct Synthesizer {
     pub(crate) config: SynthesisConfig,
@@ -261,15 +246,11 @@ impl Synthesizer {
         } else {
             SolveBackend::Single
         };
-        let mut s = if self.config.check_certificates {
+        if self.config.check_certificates {
             SmtSolver::new_certifying_with_backend(backend)
         } else {
             SmtSolver::with_backend(backend)
-        };
-        if self.config.simplify {
-            s.set_simplify(true);
         }
-        s
     }
 
     /// Runs synthesis for pre-extracted structural constraints.
@@ -573,8 +554,7 @@ impl Synthesizer {
     ///
     /// `state` is only ever extended: every synthesizer and verifier
     /// query reuses the learned clauses, VSIDS activities, and saved
-    /// phases of all previous ones, and with `simplify` an
-    /// inprocessing pass runs between iterations on a doubling cadence.
+    /// phases of all previous ones.
     fn cegis(
         &self,
         state: &mut SynthState,
@@ -583,8 +563,6 @@ impl Synthesizer {
         deadline: Instant,
         iterations: &mut u64,
     ) -> CegisOutcome {
-        let mut local_iter = 0u64;
-        let mut next_inprocess = INPROCESS_FIRST_AT;
         loop {
             let now = Instant::now();
             if now >= deadline {
@@ -592,17 +570,9 @@ impl Synthesizer {
             }
             let budget = Budget::with_timeout(deadline - now);
             *iterations += 1;
-            local_iter += 1;
             obs::counter(self.config.trace, Level::Info, "cegis.iterations", 1);
             // each iteration is forward progress for the watchdog
             fec_trace::advance();
-            if self.config.simplify && local_iter == next_inprocess {
-                // between-iteration inprocessing: a SatELite sweep over
-                // the warm synthesizer database, geometrically spaced so
-                // total simplification effort tracks total search effort
-                state.syn.inprocess();
-                next_inprocess *= 2;
-            }
             let iter_start = Instant::now();
             let synth_verdict = {
                 // "cegis.synth" vs "cegis.verify" span totals in the
@@ -850,22 +820,6 @@ mod tests {
         let p = parse_property("len_d(G0) = 4 && len_c(G0) = 1 && md(G0) = 3").unwrap();
         let e = Synthesizer::new(quick_config()).run(&p).unwrap_err();
         assert_eq!(e, SynthError::NoSolution);
-    }
-
-    #[test]
-    fn incremental_with_inprocessing_converges() {
-        // warm solvers + between-iteration SatELite sweeps: the doubling
-        // cadence must not disturb CEGIS soundness
-        let mut cfg = quick_config();
-        cfg.simplify = true;
-        let p = parse_property(
-            "len_d(G0) = 4 && 2 <= len_c(G0) <= 8 && md(G0) = 4 && minimal(len_c(G0))",
-        )
-        .unwrap();
-        let r = Synthesizer::new(cfg).run(&p).unwrap();
-        let g = &r.generators[0];
-        assert_eq!(distance::min_distance_exhaustive(g), 4);
-        assert_eq!(g.check_len(), 4);
     }
 
     #[test]

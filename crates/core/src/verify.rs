@@ -94,10 +94,6 @@ pub struct VerifyOptions {
     /// default) keeps the single incremental solver. This is the CLI's
     /// `--jobs N` mode.
     pub jobs: usize,
-    /// Run the SatELite-style pre-/inprocessing pipeline in the
-    /// backing SAT solver(s) (portfolio workers get diversified
-    /// technique mixes). This is the CLI's `--simplify` mode.
-    pub simplify: bool,
     /// Per-run trace cap: emission from this run is limited to
     /// `min(trace, global level)`. The default (`Level::Trace`) defers
     /// entirely to the globally installed sink level; `Level::Off`
@@ -112,7 +108,6 @@ impl Default for VerifyOptions {
             budget: Budget::unlimited(),
             check_certificates: false,
             jobs: 1,
-            simplify: false,
             trace: Level::Trace,
         }
     }
@@ -125,15 +120,11 @@ impl VerifyOptions {
         } else {
             SolveBackend::Single
         };
-        let mut s = if self.check_certificates {
+        if self.check_certificates {
             SmtSolver::new_certifying_with_backend(backend)
         } else {
             SmtSolver::with_backend(backend)
-        };
-        if self.simplify {
-            s.set_simplify(true);
         }
-        s
     }
 }
 

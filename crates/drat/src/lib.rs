@@ -42,7 +42,7 @@
 //!
 //! For satisfiable answers, [`Checker::validate_model`] replays the
 //! claimed assignment against every recorded input clause (as given,
-//! before any solver-side simplification) and against the assumption
+//! before the solver normalizes it) and against the assumption
 //! literals of the query.
 
 #![forbid(unsafe_code)]

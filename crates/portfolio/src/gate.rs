@@ -2,7 +2,7 @@
 //!
 //! A [`Gate`] is the coordination core of `pool.rs`: one coordinator
 //! thread publishes a sequence of jobs (clause-delta loads, solve
-//! calls, inprocessing passes, teardown) to `n` resident workers, and
+//! calls, teardown) to `n` resident workers, and
 //! collects one report per worker per job. It also holds the
 //! portfolio's first-to-finish winner election: each published
 //! generation is a fresh election over the same slots, so the winner

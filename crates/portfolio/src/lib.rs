@@ -65,7 +65,7 @@ pub use gate::Gate;
 pub use pool::{Pool, PoolOutcome, PortfolioStats};
 pub use ring::{spsc, Consumer, Producer};
 
-use fec_sat::{PhaseInit, RestartPolicy, SimplifyConfig, SolverConfig};
+use fec_sat::{PhaseInit, RestartPolicy, SolverConfig};
 
 /// Portfolio-level configuration.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -83,12 +83,6 @@ pub struct PortfolioConfig {
     /// Log a DRAT stream in every worker and return each worker's new
     /// steps with every query.
     pub certify: bool,
-    /// Enable the SatELite-style pre-/inprocessing pipeline in the
-    /// workers, *diversified* per worker (see [`diversify_simplify`]):
-    /// different workers run different technique mixes, so the
-    /// portfolio hedges across simplifier behaviours the same way it
-    /// hedges across restart schedules.
-    pub simplify: bool,
 }
 
 impl Default for PortfolioConfig {
@@ -99,7 +93,6 @@ impl Default for PortfolioConfig {
             det_slice_conflicts: 2000,
             seed: 0,
             certify: false,
-            simplify: false,
         }
     }
 }
@@ -191,50 +184,6 @@ pub fn diversify(worker: usize, seed: u64) -> SolverConfig {
     }
 }
 
-/// The simplifier diversification schedule: the [`SimplifyConfig`] of
-/// worker `worker` when [`PortfolioConfig::simplify`] is set.
-///
-/// Worker 0 runs the stock `SimplifyConfig::on()` pipeline (so a 1-job
-/// simplifying portfolio is exactly the plain simplifying solver);
-/// workers 1.. cycle through four technique mixes so that a formula
-/// pathological for one technique (e.g. BVE blow-up on XOR chains) is
-/// still simplified productively by some peer:
-///
-/// 1. elimination-focused: BVE + subsumption only, no probing/vivification
-/// 2. propagation-focused: probing + vivification only, no BVE
-/// 3. aggressive: everything, tight inprocessing cadence, more growth
-/// 4. preprocessing only: one full pass up front, never inprocess
-pub fn diversify_simplify(worker: usize) -> SimplifyConfig {
-    if worker == 0 {
-        return SimplifyConfig::on();
-    }
-    let base = SimplifyConfig::on();
-    match (worker - 1) % 4 {
-        0 => SimplifyConfig {
-            probe: false,
-            vivify: false,
-            ..base
-        },
-        1 => SimplifyConfig {
-            bve: false,
-            subsume: true,
-            ..base
-        },
-        2 => SimplifyConfig {
-            inprocess_interval: 5,
-            bve_grow: 8,
-            bve_clause_limit: 32,
-            probe_budget: 8_000,
-            vivify_budget: 2_000,
-            ..base
-        },
-        _ => SimplifyConfig {
-            inprocess_interval: 0,
-            ..base
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,34 +215,6 @@ mod tests {
         for i in 0..8 {
             assert_ne!(diversify(i, 42).seed, diversify(i, 43).seed);
         }
-    }
-
-    #[test]
-    fn simplify_diversification() {
-        // worker 0 is the stock full pipeline
-        assert_eq!(diversify_simplify(0), SimplifyConfig::on());
-        // every mix actually simplifies
-        for w in 0..8 {
-            assert!(diversify_simplify(w).enabled(), "worker {w} mix inert");
-        }
-        // the four mixes are pairwise distinct and then repeat
-        let mixes: Vec<SimplifyConfig> = (1..5).map(diversify_simplify).collect();
-        for i in 0..mixes.len() {
-            for j in i + 1..mixes.len() {
-                assert_ne!(mixes[i], mixes[j], "mixes {i} and {j} identical");
-            }
-        }
-        assert_eq!(diversify_simplify(5), diversify_simplify(1));
-        // the elimination-focused mix really drops probing/vivification
-        let elim = diversify_simplify(1);
-        assert!(elim.bve && elim.subsume && !elim.probe && !elim.vivify);
-        // the propagation-focused mix really drops BVE
-        assert!(!diversify_simplify(2).bve);
-        // and the preprocess-only mix never inprocesses
-        let pre = diversify_simplify(4);
-        assert!(pre.preprocess && pre.inprocess_interval == 0);
-        // off by default at the portfolio level
-        assert!(!PortfolioConfig::default().simplify);
     }
 
     #[test]

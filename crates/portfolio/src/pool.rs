@@ -16,20 +16,20 @@
 //!
 //! Threading model: the coordinator (the thread driving the [`Pool`])
 //! publishes jobs through a [`Gate`] and the resident worker threads
-//! park between generations. `load` and `inprocess` are
-//! *fire-and-forget* — the coordinator returns as soon as the job is
-//! published and overlaps its own work (e.g. the CEGIS synthesizer
-//! query) with the workers'; `solve` waits for all acknowledgements
-//! and collects per-query reports. A worker whose job panics still
-//! acknowledges the generation, carrying the panic message, and then
-//! exits; the coordinator re-raises that message from its next call
-//! instead of waiting on a worker that will never acknowledge again.
+//! park between generations. `load` is *fire-and-forget* — the
+//! coordinator returns as soon as the job is published and overlaps
+//! its own work (e.g. the CEGIS synthesizer query) with the workers';
+//! `solve` waits for all acknowledgements and collects per-query
+//! reports. A worker whose job panics still acknowledges the
+//! generation, carrying the panic message, and then exits; the
+//! coordinator re-raises that message from its next call instead of
+//! waiting on a worker that will never acknowledge again.
 //!
 //! Certification: with [`PortfolioConfig::certify`] every worker keeps
 //! its `MemoryProofLogger` installed for the pool's lifetime and each
 //! `solve` report drains the buffered steps into a per-query *segment*
-//! (covering any loads/inprocessing since the previous solve plus this
-//! query's derivations). Concatenating worker `i`'s segments in query
+//! (covering any loads since the previous solve plus this query's
+//! derivations). Concatenating worker `i`'s segments in query
 //! order reconstructs worker `i`'s complete stand-alone DRAT stream —
 //! for a one-query pool the winner's single segment already is — so a
 //! stitching checker upstream (see `fec-smt`) certifies warm answers
@@ -42,7 +42,7 @@
 
 use crate::gate::Gate;
 use crate::ring::{spsc, Consumer, Producer};
-use crate::{diversify, diversify_simplify, PortfolioConfig};
+use crate::{diversify, PortfolioConfig};
 use fec_sat::{Budget, Lit, MemoryProofLogger, ProofStep, SolveResult, Solver, SolverStats, Var};
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
@@ -91,9 +91,6 @@ enum JobKind {
     Load,
     /// Apply the delta, then race a solve under the assumptions.
     Solve,
-    /// Run one on-demand inprocessing pass (`lits` = frozen literals).
-    /// Fire-and-forget: overlaps with coordinator-side work.
-    Inprocess,
     /// Tear the pool down.
     Quit,
 }
@@ -104,20 +101,20 @@ struct Job {
     num_vars: usize,
     /// Clause delta since the previous job.
     clauses: Vec<Vec<Lit>>,
-    /// `Solve`: assumptions; `Inprocess`: frozen literals.
-    lits: Vec<Lit>,
+    /// `Solve`: the query's assumptions.
+    assumptions: Vec<Lit>,
     budget: Budget,
     /// The coordinator thread, unparked after every acknowledgement.
     waker: thread::Thread,
 }
 
 impl Job {
-    fn new(kind: JobKind, num_vars: usize, clauses: Vec<Vec<Lit>>, lits: Vec<Lit>) -> Job {
+    fn new(kind: JobKind, num_vars: usize, clauses: Vec<Vec<Lit>>, assumptions: Vec<Lit>) -> Job {
         Job {
             kind,
             num_vars,
             clauses,
-            lits,
+            assumptions,
             budget: Budget::unlimited(),
             waker: thread::current(),
         }
@@ -139,7 +136,7 @@ struct WorkerReport {
 
 /// A resident worker's acknowledgement of one generation.
 enum Ack {
-    /// A load, inprocessing, or teardown job finished; its work rides
+    /// A load or teardown job finished; its work rides
     /// into the next solve report's delta.
     Done,
     /// A solve job finished.
@@ -159,7 +156,7 @@ pub struct PoolOutcome {
     pub failed_assumptions: Vec<Lit>,
     /// Per-query statistics: `workers` and `total` are *deltas* since
     /// each worker's previous solve report (so they cover this query
-    /// plus any loads/inprocessing in between), and `shipped_clauses`
+    /// plus any loads in between), and `shipped_clauses`
     /// counts only the delta physically transferred — the O(delta)
     /// guarantee the regression tests pin down.
     pub stats: PortfolioStats,
@@ -240,19 +237,6 @@ impl Pool {
             PoolInner::Inline(p) => p.load(num_vars, &clauses),
             PoolInner::Threaded(p) => {
                 p.publish(Job::new(JobKind::Load, num_vars, clauses, Vec::new()))
-            }
-        }
-    }
-
-    /// Schedules one on-demand inprocessing pass in every worker, with
-    /// `frozen` protected from elimination (assumption variables).
-    /// Fire-and-forget in racing mode — it overlaps with whatever the
-    /// coordinator does next, and the next `solve` waits for it.
-    pub fn inprocess(&mut self, frozen: Vec<Lit>) {
-        match &mut self.inner {
-            PoolInner::Inline(p) => p.inprocess(&frozen),
-            PoolInner::Threaded(p) => {
-                p.publish(Job::new(JobKind::Inprocess, 0, Vec::new(), frozen))
             }
         }
     }
@@ -389,11 +373,7 @@ impl Worker {
     /// Builds diversified worker `i` over an empty formula and, when it
     /// has peers, wires it into the sharing mesh through `ends`.
     fn new(i: usize, config: &PortfolioConfig, (prods, cons): MeshEnds) -> Worker {
-        let mut cfg = diversify(i, config.seed);
-        if config.simplify {
-            cfg.simplify = diversify_simplify(i);
-        }
-        let mut solver = Solver::with_config(cfg);
+        let mut solver = Solver::with_config(diversify(i, config.seed));
         // installed before any clause arrives, so the stream records the
         // whole input formula
         let logger = config.certify.then(|| {
@@ -544,12 +524,6 @@ impl InlinePool {
     fn load(&mut self, num_vars: usize, clauses: &[Vec<Lit>]) {
         for w in &mut self.workers {
             w.load(num_vars, clauses);
-        }
-    }
-
-    fn inprocess(&mut self, frozen: &[Lit]) {
-        for w in &mut self.workers {
-            w.solver.preprocess(frozen);
         }
     }
 
@@ -760,10 +734,6 @@ fn run_job(i: usize, w: &mut Worker, gate: &Gate<Job, Ack>, job: &Job) -> Ack {
             w.load(job.num_vars, &job.clauses);
             Ack::Done
         }
-        JobKind::Inprocess => {
-            w.solver.preprocess(&job.lits);
-            Ack::Done
-        }
         JobKind::Solve => {
             w.load(job.num_vars, &job.clauses);
             let _wsp = fec_trace::span!(
@@ -772,7 +742,7 @@ fn run_job(i: usize, w: &mut Worker, gate: &Gate<Job, Ack>, job: &Job) -> Ack {
                 "worker" => i,
             );
             let started = Instant::now();
-            let result = w.solver.solve_with_budget(&job.lits, job.budget);
+            let result = w.solver.solve_with_budget(&job.assumptions, job.budget);
             // first verdict wins this generation's election and cancels
             // the rest; losers keep their stats but extract nothing
             let won = result != SolveResult::Unknown && gate.try_win(i);

@@ -75,110 +75,6 @@ pub enum PhaseInit {
     Random,
 }
 
-/// Knobs of the SatELite-style simplification pipeline (see the
-/// `simplify` module and `DESIGN.md` § Simplification).
-///
-/// The default is **fully off**, preserving the historical solver
-/// behaviour bit for bit; [`SimplifyConfig::on`] enables the whole
-/// pipeline with balanced budgets. Each technique has its own switch so
-/// portfolio workers can run *different* simplifier mixes.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct SimplifyConfig {
-    /// Run the pipeline at the start of a `solve` call whenever new
-    /// clauses arrived since the last pass (preprocessing).
-    pub preprocess: bool,
-    /// Run the pipeline again after this many restarts during search
-    /// (inprocessing), with the spacing *doubling* after each run, so
-    /// the total inprocessing cost stays a geometrically bounded
-    /// fraction of the search; `0` disables inprocessing.
-    pub inprocess_interval: u64,
-    /// Bounded variable elimination (clause distribution).
-    pub bve: bool,
-    /// Backward subsumption + self-subsuming resolution.
-    pub subsume: bool,
-    /// Failed-literal probing.
-    pub probe: bool,
-    /// Clause vivification (distillation).
-    pub vivify: bool,
-    /// BVE may grow the clause count by at most this many clauses per
-    /// eliminated variable (0 = never grow, the SatELite default).
-    pub bve_grow: usize,
-    /// BVE skips an elimination producing any resolvent longer than this.
-    pub bve_clause_limit: usize,
-    /// BVE skips variables with more than this many occurrences in one
-    /// phase (quadratic resolvent blow-up guard).
-    pub bve_occ_limit: usize,
-    /// Signature/inclusion checks allowed per subsumption pass.
-    pub subsume_budget: u64,
-    /// Literals probed per pass.
-    pub probe_budget: u64,
-    /// Clauses vivified per pass.
-    pub vivify_budget: u64,
-    /// Cleanup → subsume → BVE fixpoint rounds per pass.
-    pub rounds: u32,
-}
-
-impl SimplifyConfig {
-    /// Everything disabled — the historical solver, bit for bit.
-    pub fn off() -> Self {
-        SimplifyConfig {
-            preprocess: false,
-            inprocess_interval: 0,
-            bve: false,
-            subsume: false,
-            probe: false,
-            vivify: false,
-            ..Self::budget_defaults()
-        }
-    }
-
-    /// The full pipeline with balanced effort budgets. The
-    /// inprocessing cadence is deliberately lazy (first pass after 100
-    /// restarts, doubling after that): a pass costs a full occurrence
-    /// scan, which short solves cannot amortize — they are served by
-    /// preprocessing alone.
-    pub fn on() -> Self {
-        SimplifyConfig {
-            preprocess: true,
-            inprocess_interval: 100,
-            bve: true,
-            subsume: true,
-            probe: true,
-            vivify: true,
-            ..Self::budget_defaults()
-        }
-    }
-
-    fn budget_defaults() -> Self {
-        SimplifyConfig {
-            preprocess: false,
-            inprocess_interval: 0,
-            bve: false,
-            subsume: false,
-            probe: false,
-            vivify: false,
-            bve_grow: 0,
-            bve_clause_limit: 24,
-            bve_occ_limit: 20,
-            subsume_budget: 2_000_000,
-            probe_budget: 4_000,
-            vivify_budget: 1_000,
-            rounds: 3,
-        }
-    }
-
-    /// `true` when any entry point (pre- or inprocessing) is active.
-    pub fn enabled(&self) -> bool {
-        self.preprocess || self.inprocess_interval > 0
-    }
-}
-
-impl Default for SimplifyConfig {
-    fn default() -> Self {
-        Self::off()
-    }
-}
-
 /// Heuristic knobs of the CDCL engine.
 ///
 /// All randomness is driven by the explicit `seed` through a
@@ -202,8 +98,6 @@ pub struct SolverConfig {
     pub randomize_order: bool,
     /// Seed for `phase_init: Random` and `randomize_order`.
     pub seed: u64,
-    /// Pre-/inprocessing pipeline (off by default).
-    pub simplify: SimplifyConfig,
 }
 
 impl Default for SolverConfig {
@@ -215,7 +109,6 @@ impl Default for SolverConfig {
             phase_init: PhaseInit::AllFalse,
             randomize_order: false,
             seed: 0,
-            simplify: SimplifyConfig::off(),
         }
     }
 }
@@ -281,23 +174,6 @@ mod tests {
         assert_eq!(c.restart, RestartPolicy::Luby { base: 100 });
         assert_eq!(c.phase_init, PhaseInit::AllFalse);
         assert!(!c.randomize_order);
-        // simplification is opt-in: the default solver never rewrites
-        // its clause database
-        assert_eq!(c.simplify, SimplifyConfig::off());
-        assert!(!c.simplify.enabled());
-    }
-
-    #[test]
-    fn simplify_presets() {
-        let on = SimplifyConfig::on();
-        assert!(on.enabled());
-        assert!(on.preprocess && on.bve && on.subsume && on.probe && on.vivify);
-        assert!(on.inprocess_interval > 0);
-        let off = SimplifyConfig::off();
-        assert!(!off.enabled());
-        assert_eq!(off, SimplifyConfig::default());
-        // presets share the same effort budgets
-        assert_eq!(on.bve_clause_limit, off.bve_clause_limit);
     }
 
     #[test]

@@ -12,9 +12,13 @@ pub struct Cnf {
 /// Parses DIMACS CNF text.
 ///
 /// Accepts comment lines (`c ...`), an optional `p cnf V C` header, and
-/// zero-terminated clause lines. Returns an error string describing the
-/// first malformed token.
+/// zero-terminated clause lines. `num_vars` is the larger of the
+/// header's count and the largest variable a literal names. Returns an
+/// error string describing the first malformed token, including a
+/// variable or count beyond `2^31`, the most a [`Lit`] can hold.
 pub fn parse_dimacs(text: &str) -> Result<Cnf, String> {
+    // variables are numbered from 1 in DIMACS
+    const MAX_VARS: usize = Var::MAX_INDEX + 1;
     let mut num_vars = 0usize;
     let mut clauses = Vec::new();
     let mut current: Vec<Lit> = Vec::new();
@@ -28,9 +32,16 @@ pub fn parse_dimacs(text: &str) -> Result<Cnf, String> {
             if parts.len() != 3 || parts[0] != "cnf" {
                 return Err(format!("line {}: malformed problem line", lineno + 1));
             }
-            num_vars = parts[1]
+            let count: usize = parts[1]
                 .parse()
                 .map_err(|_| format!("line {}: bad variable count", lineno + 1))?;
+            if count > MAX_VARS {
+                return Err(format!(
+                    "line {}: variable count {count} is above {MAX_VARS}",
+                    lineno + 1
+                ));
+            }
+            num_vars = num_vars.max(count);
             continue;
         }
         for tok in line.split_whitespace() {
@@ -39,6 +50,11 @@ pub fn parse_dimacs(text: &str) -> Result<Cnf, String> {
                 .map_err(|_| format!("line {}: bad literal {tok:?}", lineno + 1))?;
             if n == 0 {
                 clauses.push(std::mem::take(&mut current));
+            } else if n.unsigned_abs() > MAX_VARS as u64 {
+                return Err(format!(
+                    "line {}: literal {n} names a variable above {MAX_VARS}",
+                    lineno + 1
+                ));
             } else {
                 let idx = (n.unsigned_abs() - 1) as usize;
                 num_vars = num_vars.max(idx + 1);
@@ -69,6 +85,8 @@ pub fn to_dimacs(num_vars: usize, clauses: &[Vec<Lit>]) -> String {
 mod tests {
     use super::*;
     use crate::{SolveResult, Solver};
+    use proptest::collection;
+    use proptest::prelude::*;
 
     #[test]
     fn parse_simple() {
@@ -83,12 +101,83 @@ mod tests {
         let cnf = parse_dimacs("1 5 0\n-5 0").unwrap();
         assert_eq!(cnf.num_vars, 5);
         assert_eq!(cnf.clauses.len(), 2);
+        // a later, smaller header does not shrink the inferred count
+        assert_eq!(parse_dimacs("5 0\np cnf 3 1\n").unwrap().num_vars, 5);
     }
 
     #[test]
     fn parse_rejects_garbage() {
         assert!(parse_dimacs("1 x 0").is_err());
         assert!(parse_dimacs("p cnf oops 2").is_err());
+        // beyond the largest variable a literal can hold: an error, not
+        // an alias of variable 1 (or a panic)
+        assert!(parse_dimacs("2147483649 0").is_err());
+        assert!(parse_dimacs("-2147483649 0").is_err());
+        assert!(parse_dimacs("5000000000 0").is_err());
+        assert!(parse_dimacs("p cnf 2147483649 1").is_err());
+        // the largest variable itself still parses
+        let cnf = parse_dimacs("-2147483648 0").unwrap();
+        assert_eq!(cnf.num_vars, 2147483648);
+        assert_eq!(cnf.clauses[0], [Lit::neg(Var::from_index(Var::MAX_INDEX))]);
+    }
+
+    /// One whitespace-separated DIMACS token: small literals, values
+    /// around the `Lit` packing limit, arbitrary integers, and words
+    /// that are not literals.
+    fn token() -> impl Strategy<Value = String> {
+        prop_oneof![
+            (-9i64..=9).prop_map(|n| n.to_string()),
+            (-3i64..=3).prop_map(|d| (2147483648 + d).to_string()),
+            (-3i64..=3).prop_map(|d| (-2147483648 - d).to_string()),
+            any::<i64>().prop_map(|n| n.to_string()),
+            prop_oneof![
+                Just("p"),
+                Just("cnf"),
+                Just("c"),
+                Just("x"),
+                Just("-"),
+                Just("+3"),
+                Just("1e3"),
+                Just("99999999999999999999"),
+            ]
+            .prop_map(String::from),
+        ]
+    }
+
+    /// DIMACS-like text: token lines mixed with problem lines whose
+    /// counts straddle the limit.
+    fn dimacs_text() -> impl Strategy<Value = String> {
+        let header = prop_oneof![
+            (0usize..12).prop_map(|n| n.to_string()),
+            (0usize..4).prop_map(|d| (2147483647 + d).to_string()),
+            any::<u64>().prop_map(|n| n.to_string()),
+        ]
+        .prop_map(|count| format!("p cnf {count} 1"));
+        // token lines twice as often as problem lines
+        let line = prop_oneof![
+            collection::vec(token(), 0..8).prop_map(|ts| ts.join(" ")),
+            collection::vec(token(), 0..8).prop_map(|ts| ts.join(" ")),
+            header,
+        ];
+        collection::vec(line, 0..10).prop_map(|ls| ls.join("\n"))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+        #[test]
+        fn prop_parse_is_total_and_in_range(text in dimacs_text()) {
+            // a panic fails the test; every accepted literal must name
+            // a declared variable
+            if let Ok(cnf) = parse_dimacs(&text) {
+                for l in cnf.clauses.iter().flatten() {
+                    prop_assert!(
+                        l.var().index() < cnf.num_vars,
+                        "{text:?}: {l:?} outside {} variables",
+                        cnf.num_vars
+                    );
+                }
+            }
+        }
     }
 
     #[test]

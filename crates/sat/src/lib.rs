@@ -22,12 +22,7 @@
 //! - learned-clause export/import hooks for portfolio clause sharing
 //!   ([`Solver::set_export_hook`] / [`Solver::set_import_hook`]),
 //! - optional DRAT proof logging (see [`proof`]), checked independently
-//!   by the `fec-drat` crate,
-//! - a SatELite-style pre-/inprocessing pipeline (bounded variable
-//!   elimination, subsumption/strengthening, failed-literal probing,
-//!   clause vivification — see [`simplify`] and [`SimplifyConfig`]),
-//!   off by default, with solution reconstruction and RUP-only proof
-//!   logging so certification keeps working unchanged.
+//!   by the `fec-drat` crate.
 //!
 //! # Example
 //!
@@ -51,11 +46,10 @@ mod dimacs;
 mod heap;
 pub mod proof;
 pub mod reference;
-pub mod simplify;
 mod solver;
 mod types;
 
-pub use config::{PhaseInit, RestartPolicy, SimplifyConfig, SolverConfig};
+pub use config::{PhaseInit, RestartPolicy, SolverConfig};
 pub use dimacs::{parse_dimacs, to_dimacs};
 pub use proof::{DratTextLogger, MemoryProofLogger, ProofLogger, ProofStep, TeeProofLogger};
 pub use solver::{Budget, ExportHook, ImportHook, SolveResult, Solver, SolverStats};

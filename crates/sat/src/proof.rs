@@ -5,8 +5,8 @@
 //! [`ProofStep`]s:
 //!
 //! - [`ProofStep::Input`] — every clause handed to `add_clause`,
-//!   *before* any solver-side simplification, so the stream doubles as
-//!   a faithful record of the input formula;
+//!   *before* the solver normalizes it, so the stream doubles as a
+//!   faithful record of the input formula;
 //! - [`ProofStep::Learn`] — every clause derived by conflict analysis
 //!   (including learned units and the empty clause on a level-0
 //!   refutation), logged after minimization;
@@ -33,7 +33,7 @@ use std::rc::Rc;
 /// One entry of a proof stream.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ProofStep {
-    /// A clause added by the user (pre-simplification).
+    /// A clause added by the user (before normalization).
     Input(Vec<Lit>),
     /// A clause derived by the solver (DRAT addition line).
     Learn(Vec<Lit>),

@@ -1,12 +1,9 @@
 //! The CDCL search engine.
 
-mod inprocess;
-
 use crate::clause::{Clause, ClauseRef, Watcher};
-use crate::config::{PhaseInit, SimplifyConfig, SolverConfig, XorShift64};
+use crate::config::{PhaseInit, SolverConfig, XorShift64};
 use crate::heap::ActivityHeap;
 use crate::proof::ProofLogger;
-use crate::simplify::ReconStack;
 use crate::types::{LBool, Lit, Var};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -73,25 +70,12 @@ pub struct SolverStats {
     /// Shared clauses rejected because they failed the RUP admission
     /// check under proof logging (see [`Solver::set_import_hook`]).
     pub rejected_clauses: u64,
-    /// Variables eliminated by bounded variable elimination (cumulative;
-    /// restored variables are not subtracted).
-    pub eliminated_vars: u64,
-    /// Clauses deleted because another live clause subsumes them.
-    pub subsumed_clauses: u64,
-    /// Clauses shortened by self-subsuming resolution.
-    pub strengthened_clauses: u64,
-    /// Failed literals found by probing (each yields a level-0 unit).
-    pub failed_literals: u64,
-    /// Clauses shortened by vivification.
-    pub vivified_clauses: u64,
-    /// Completed pre-/inprocessing passes.
-    pub simplify_passes: u64,
 }
 
 // every field is a u64 counter; if this fails, a field of another
 // width was added and the destructuring in `merge` needs review too
 const _: () = assert!(
-    std::mem::size_of::<SolverStats>() == 16 * std::mem::size_of::<u64>(),
+    std::mem::size_of::<SolverStats>() == 10 * std::mem::size_of::<u64>(),
     "SolverStats gained or lost a field: update merge() and this assertion"
 );
 
@@ -111,12 +95,6 @@ impl SolverStats {
             exported_clauses,
             imported_clauses,
             rejected_clauses,
-            eliminated_vars,
-            subsumed_clauses,
-            strengthened_clauses,
-            failed_literals,
-            vivified_clauses,
-            simplify_passes,
         } = *other;
         self.conflicts += conflicts;
         self.decisions += decisions;
@@ -128,12 +106,6 @@ impl SolverStats {
         self.exported_clauses += exported_clauses;
         self.imported_clauses += imported_clauses;
         self.rejected_clauses += rejected_clauses;
-        self.eliminated_vars += eliminated_vars;
-        self.subsumed_clauses += subsumed_clauses;
-        self.strengthened_clauses += strengthened_clauses;
-        self.failed_literals += failed_literals;
-        self.vivified_clauses += vivified_clauses;
-        self.simplify_passes += simplify_passes;
     }
 
     /// Field-wise difference `self − baseline` — carves the effort of
@@ -159,12 +131,6 @@ impl SolverStats {
             exported_clauses,
             imported_clauses,
             rejected_clauses,
-            eliminated_vars,
-            subsumed_clauses,
-            strengthened_clauses,
-            failed_literals,
-            vivified_clauses,
-            simplify_passes,
         } = *self;
         SolverStats {
             conflicts: conflicts.saturating_sub(baseline.conflicts),
@@ -177,13 +143,6 @@ impl SolverStats {
             exported_clauses: exported_clauses.saturating_sub(baseline.exported_clauses),
             imported_clauses: imported_clauses.saturating_sub(baseline.imported_clauses),
             rejected_clauses: rejected_clauses.saturating_sub(baseline.rejected_clauses),
-            eliminated_vars: eliminated_vars.saturating_sub(baseline.eliminated_vars),
-            subsumed_clauses: subsumed_clauses.saturating_sub(baseline.subsumed_clauses),
-            strengthened_clauses: strengthened_clauses
-                .saturating_sub(baseline.strengthened_clauses),
-            failed_literals: failed_literals.saturating_sub(baseline.failed_literals),
-            vivified_clauses: vivified_clauses.saturating_sub(baseline.vivified_clauses),
-            simplify_passes: simplify_passes.saturating_sub(baseline.simplify_passes),
         }
     }
 }
@@ -195,9 +154,9 @@ pub type ExportHook = Box<dyn FnMut(&[Lit], u32) + Send>;
 /// Progress callback invoked at every restart boundary with the
 /// solver's cumulative statistics (see [`Solver::set_progress_hook`]).
 /// Independent of the tracing collector: hosts that want live
-/// conflicts/sec, propagation, restart, and simplification deltas
-/// (TTY lines, `fecsynth serve` heartbeats) subscribe here without
-/// installing any sink.
+/// conflicts/sec, propagation, and restart deltas (TTY lines,
+/// `fecsynth serve` heartbeats) subscribe here without installing any
+/// sink.
 pub type ProgressHook = Box<dyn FnMut(&SolverStats) + Send>;
 
 /// Supplier of shared clauses, polled at restart boundaries; returns
@@ -260,23 +219,6 @@ pub struct Solver {
     lbd_flushed: [u64; 16],
     // (time, conflict count) at the previous snapshot, for rates/gaps
     last_snapshot: Option<(Instant, u64)>,
-    // --- simplification state (see solver/inprocess.rs) ---
-    // frozen[v]: never eliminate v (assumption / activation variables)
-    frozen: Vec<bool>,
-    // eliminated[v]: removed by BVE; no live clause mentions v and the
-    // decision loop skips it until restored
-    eliminated: Vec<bool>,
-    // count of currently-eliminated variables (fast-path guard)
-    num_eliminated: usize,
-    // solution reconstruction records, replayed in reverse on each Sat
-    recon: ReconStack,
-    // clauses arrived since the last pass ⇒ preprocessing is due
-    simplify_dirty: bool,
-    // restarts since the last pass ⇒ inprocessing cadence
-    restarts_since_simplify: u64,
-    // completed inprocessing runs: the cadence doubles after each, so
-    // total inprocessing cost is a geometric series of the search time
-    inprocess_runs: u32,
 }
 
 impl Default for Solver {
@@ -325,13 +267,6 @@ impl Solver {
             lbd_hist: [0; 16],
             lbd_flushed: [0; 16],
             last_snapshot: None,
-            frozen: Vec::new(),
-            eliminated: Vec::new(),
-            num_eliminated: 0,
-            recon: ReconStack::new(),
-            simplify_dirty: false,
-            restarts_since_simplify: 0,
-            inprocess_runs: 0,
         }
     }
 
@@ -438,8 +373,6 @@ impl Solver {
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.frozen.push(false);
-        self.eliminated.push(false);
         self.heap.push_new_var(v, &self.activity);
         v
     }
@@ -452,54 +385,6 @@ impl Solver {
     /// Number of live problem + learnt clauses.
     pub fn num_clauses(&self) -> usize {
         self.clauses.iter().filter(|c| !c.deleted).count()
-    }
-
-    /// Number of variables currently eliminated by the simplifier.
-    pub fn num_eliminated(&self) -> usize {
-        self.num_eliminated
-    }
-
-    /// Number of variables still in play: neither eliminated nor fixed
-    /// by a level-0 assignment (size metric for preprocessing claims).
-    pub fn num_active_vars(&self) -> usize {
-        self.assigns.iter().filter(|&&a| a == LBool::Undef).count() - self.num_eliminated
-    }
-
-    /// Marks `v` as frozen: the simplifier will never eliminate it.
-    /// Required for variables used as assumptions or activation
-    /// literals *outside* `solve` calls (assumption variables of the
-    /// current call are frozen automatically).
-    pub fn freeze_var(&mut self, v: Var) {
-        if self.eliminated[v.index()] {
-            self.restore_var(v);
-        }
-        self.frozen[v.index()] = true;
-    }
-
-    /// Releases a [`Solver::freeze_var`] mark.
-    pub fn unfreeze_var(&mut self, v: Var) {
-        self.frozen[v.index()] = false;
-    }
-
-    /// `true` when `v` is frozen against elimination.
-    pub fn is_frozen(&self, v: Var) -> bool {
-        self.frozen[v.index()]
-    }
-
-    /// `true` while `v` is eliminated (restored automatically when a
-    /// new clause or assumption mentions it).
-    pub fn is_eliminated(&self, v: Var) -> bool {
-        self.eliminated[v.index()]
-    }
-
-    /// Replaces the simplification configuration (effective at the
-    /// next `solve` / [`Solver::preprocess`] call).
-    pub fn set_simplify(&mut self, cfg: SimplifyConfig) {
-        self.config.simplify = cfg;
-        if cfg.enabled() {
-            // clauses may have been added before the switch
-            self.simplify_dirty = true;
-        }
     }
 
     /// Cumulative statistics.
@@ -553,9 +438,6 @@ impl Solver {
             "learnt" => self.stats.learnt_clauses,
             "conflicts_per_s" => rate,
             "lbd_hist" => hist,
-            "eliminated_vars" => self.stats.eliminated_vars,
-            "subsumed" => self.stats.subsumed_clauses,
-            "simplify_passes" => self.stats.simplify_passes,
         );
         use fec_trace::Level::Debug;
         // gauges: the learnt-DB level and the trail depth at this
@@ -601,40 +483,21 @@ impl Solver {
     /// Adds a clause (a disjunction of `lits`). Returns `false` if the
     /// solver is already in an unsatisfiable state afterwards.
     ///
-    /// An empty clause (after simplification) makes the instance
-    /// trivially unsatisfiable.
+    /// The clause is normalized before it is attached: sorted and
+    /// deduplicated, dropped when tautological or satisfied at level 0,
+    /// and stripped of literals false at level 0. An empty clause
+    /// (after normalization) makes the instance trivially
+    /// unsatisfiable.
     pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
         debug_assert_eq!(self.decision_level(), 0, "clauses are added at level 0");
         if !self.ok {
             return false;
         }
-        // a clause over an eliminated variable re-introduces it: undo
-        // the elimination (and, transitively, any elimination its
-        // stored clauses depend on) before the clause is recorded
-        if self.num_eliminated > 0 {
-            for &l in lits {
-                if l.var().index() < self.num_vars() && self.eliminated[l.var().index()] {
-                    self.restore_var(l.var());
-                }
-            }
-            if !self.ok {
-                return false;
-            }
-        }
-        // record the clause as given, before any simplification: the
-        // proof stream doubles as the checker's input formula
+        // record the clause as given, before normalization: the proof
+        // stream doubles as the checker's input formula
         if let Some(p) = self.proof.as_deref_mut() {
             p.input(lits);
         }
-        self.simplify_dirty = true;
-        self.add_normalized(lits)
-    }
-
-    /// Normalizes and attaches one clause already recorded in the proof
-    /// stream (shared by [`Solver::add_clause`] and variable
-    /// restoration): sort, dedup, drop tautologies, satisfied clauses,
-    /// and false-at-level-0 literals.
-    fn add_normalized(&mut self, lits: &[Lit]) -> bool {
         let mut ls: Vec<Lit> = lits.to_vec();
         ls.sort_unstable();
         ls.dedup();
@@ -1037,12 +900,6 @@ impl Solver {
             if l.var().index() >= self.num_vars() {
                 return;
             }
-            // a peer's clause may mention a variable this worker has
-            // eliminated; attaching it would break the elimination
-            // invariant, so drop the import instead
-            if self.eliminated[l.var().index()] {
-                return;
-            }
             match self.lit_value(l) {
                 LBool::True => return, // satisfied at level 0
                 LBool::False => {}     // drop falsified literal
@@ -1112,27 +969,6 @@ impl Solver {
         if !self.ok {
             return SolveResult::Unsat;
         }
-        // an assumption over an eliminated variable re-introduces it
-        if self.num_eliminated > 0 {
-            for &a in assumptions {
-                if a.var().index() < self.num_vars() && self.eliminated[a.var().index()] {
-                    self.restore_var(a.var());
-                }
-            }
-            if !self.ok {
-                return SolveResult::Unsat;
-            }
-        }
-        // preprocessing: simplify once per batch of new clauses
-        if self.config.simplify.preprocess && self.simplify_dirty {
-            self.simplify_dirty = false;
-            if !self.simplify_run(assumptions) {
-                return SolveResult::Unsat;
-            }
-            if self.should_stop() {
-                return SolveResult::Unknown;
-            }
-        }
         let start = Instant::now();
         let conflict_budget = self.stats.conflicts.saturating_add(budget.max_conflicts);
         let mut restart_idx = 0u64;
@@ -1145,13 +981,11 @@ impl Solver {
             match self.search(assumptions, limit, conflict_budget, start, budget.timeout) {
                 SearchOutcome::Sat => {
                     self.model = self.assigns.clone();
-                    self.extend_model();
                     break SolveResult::Sat;
                 }
                 SearchOutcome::Unsat => break SolveResult::Unsat,
                 SearchOutcome::Restart => {
                     self.stats.restarts += 1;
-                    self.restarts_since_simplify += 1;
                     // every restart is forward progress for the watchdog
                     fec_trace::advance();
                     if fec_trace::enabled(fec_trace::Level::Debug) {
@@ -1185,24 +1019,6 @@ impl Solver {
         self.import_shared();
         if !self.ok {
             return SearchOutcome::Unsat;
-        }
-        // inprocessing: run the simplifier after `inprocess_interval`
-        // restarts, then double the spacing after each run — easy
-        // instances pay for at most one pass, long searches still get
-        // periodic cleaning at geometrically bounded total cost
-        let interval = self.config.simplify.inprocess_interval;
-        if interval > 0 {
-            let due = interval.saturating_mul(1u64 << self.inprocess_runs.min(20));
-            if self.restarts_since_simplify >= due {
-                self.restarts_since_simplify = 0;
-                self.inprocess_runs += 1;
-                if !self.simplify_run(assumptions) {
-                    return SearchOutcome::Unsat;
-                }
-                if self.should_stop() {
-                    return SearchOutcome::BudgetExhausted;
-                }
-            }
         }
         let mut conflicts_this_restart = 0u64;
         loop {
@@ -1298,12 +1114,7 @@ impl Solver {
                 let next = loop {
                     match self.heap.pop_max(&self.activity) {
                         None => return SearchOutcome::Sat, // everything assigned
-                        Some(v)
-                            if self.assigns[v.index()] == LBool::Undef
-                                && !self.eliminated[v.index()] =>
-                        {
-                            break v
-                        }
+                        Some(v) if self.assigns[v.index()] == LBool::Undef => break v,
                         Some(_) => continue,
                     }
                 };
@@ -1380,22 +1191,17 @@ impl Solver {
     ///   reasons (a reason clause's slot 0 is the literal it implied);
     /// - watched-literal integrity: every live clause has length ≥ 2,
     ///   is watched on exactly its first two literals — once *each*,
-    ///   so a strengthening that re-attaches a clause cannot leave two
-    ///   watchers on one literal and none on the other — each
-    ///   watcher's blocker is a literal of its clause, and no live
-    ///   clause has stray watcher entries;
-    /// - elimination integrity: no live clause mentions an eliminated
-    ///   variable, and eliminated variables are unassigned, unfrozen,
-    ///   and covered by an active reconstruction record count;
+    ///   not twice on one and never on the other — each watcher's
+    ///   blocker is a literal of its clause, and no live clause has
+    ///   stray watcher entries;
     /// - at a level-0 propagation fixpoint additionally: a live clause
     ///   with a falsified watched literal must be satisfied (otherwise
-    ///   propagation missed a unit or conflict after the simplifier
-    ///   rebuilt part of the database).
+    ///   propagation missed a unit or conflict).
     ///
     /// Runs in O(clauses + watchers); debug builds invoke it on a
-    /// sample of conflicts (see `debug_check_after_conflict`) and after
-    /// every simplification pass, tests and external tools may call it
-    /// at any point outside `propagate`.
+    /// sample of conflicts (see `debug_check_after_conflict`), and
+    /// tests and external tools may call it at any point outside
+    /// `propagate`.
     pub fn check_invariants(&self) {
         // --- trail / assignment agreement ---
         let assigned = self.assigns.iter().filter(|&&a| a != LBool::Undef).count();
@@ -1439,9 +1245,7 @@ impl Solver {
         }
         // --- watched-literal integrity ---
         // tracked per watch slot, not just per clause: two watchers on
-        // lits[0] and none on lits[1] also totals 2, and that is
-        // exactly the corruption a buggy strengthening re-attach
-        // would produce
+        // lits[0] and none on lits[1] also totals 2
         let mut watch_seen = vec![[false; 2]; self.clauses.len()];
         for (wi, ws) in self.watches.iter().enumerate() {
             // watches[l.index()] fires when l becomes true, i.e. holds
@@ -1493,14 +1297,6 @@ impl Solver {
                 c.lits,
                 watch_seen[i]
             );
-            for &l in &c.lits {
-                assert!(
-                    !self.eliminated[l.var().index()],
-                    "live clause {:?} mentions eliminated {:?}",
-                    c.lits,
-                    l.var()
-                );
-            }
             if at_fixpoint
                 && (self.lit_value(c.lits[0]) == LBool::False
                     || self.lit_value(c.lits[1]) == LBool::False)
@@ -1511,26 +1307,6 @@ impl Solver {
                      but is not satisfied",
                     c.lits
                 );
-            }
-        }
-        // --- elimination bookkeeping ---
-        let eliminated = self.eliminated.iter().filter(|&&e| e).count();
-        assert_eq!(
-            eliminated, self.num_eliminated,
-            "eliminated-variable count out of sync"
-        );
-        assert!(
-            self.recon.active_records() >= eliminated,
-            "fewer reconstruction records than eliminated variables"
-        );
-        for v in 0..self.num_vars() {
-            if self.eliminated[v] {
-                assert_eq!(
-                    self.assigns[v],
-                    LBool::Undef,
-                    "eliminated variable {v} is assigned"
-                );
-                assert!(!self.frozen[v], "frozen variable {v} was eliminated");
             }
         }
     }

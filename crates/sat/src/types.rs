@@ -7,6 +7,10 @@ use std::fmt;
 pub struct Var(pub(crate) u32);
 
 impl Var {
+    /// The largest variable index: a [`Lit`] packs `2 * index + sign`
+    /// into a `u32`.
+    pub(crate) const MAX_INDEX: usize = (u32::MAX >> 1) as usize;
+
     /// The variable's 0-based index.
     #[inline]
     pub fn index(self) -> usize {
@@ -14,9 +18,14 @@ impl Var {
     }
 
     /// Builds a variable from a 0-based index.
+    ///
+    /// # Panics
+    /// Panics if `i` exceeds `2^31 - 1`: its literals would alias a
+    /// smaller variable's.
     #[inline]
     pub fn from_index(i: usize) -> Var {
-        Var(u32::try_from(i).expect("variable index overflow"))
+        assert!(i <= Var::MAX_INDEX, "variable index overflow");
+        Var(i as u32)
     }
 }
 

@@ -3,8 +3,8 @@
 use fec_drat::Checker;
 use fec_portfolio::{Pool, PortfolioConfig, PortfolioStats};
 use fec_sat::{
-    Budget, DratTextLogger, Lit, MemoryProofLogger, SimplifyConfig, SolveResult, Solver,
-    SolverStats, TeeProofLogger,
+    Budget, DratTextLogger, Lit, MemoryProofLogger, SolveResult, Solver, SolverStats,
+    TeeProofLogger,
 };
 
 /// Which solve engine answers [`SmtSolver`] queries.
@@ -234,25 +234,6 @@ impl SmtSolver {
         }
     }
 
-    /// Enables (or disables) the SAT core's SatELite-style
-    /// pre-/inprocessing pipeline for this solver's queries.
-    ///
-    /// In single mode the incremental core simplifies in place
-    /// (activation literals of open scopes are frozen, see
-    /// [`SmtSolver::push`]); in portfolio mode the flag is forwarded to
-    /// the worker configuration, where the pipeline is *diversified*
-    /// per worker (`fec_portfolio::diversify_simplify`).
-    pub fn set_simplify(&mut self, on: bool) {
-        if let Some(p) = self.portfolio.as_mut() {
-            p.config.simplify = on;
-        }
-        self.sat.set_simplify(if on {
-            SimplifyConfig::on()
-        } else {
-            SimplifyConfig::off()
-        });
-    }
-
     /// `true` when this solver certifies its answers.
     pub fn is_certifying(&self) -> bool {
         self.cert.is_some() || self.portfolio.as_ref().is_some_and(|p| p.config.certify)
@@ -293,7 +274,7 @@ impl SmtSolver {
         self.sat.add_clause(lits);
     }
 
-    /// Total clauses added so far (before SAT-core simplification).
+    /// Total clauses added so far.
     pub fn clauses_added(&self) -> u64 {
         self.clauses_added
     }
@@ -450,13 +431,6 @@ impl SmtSolver {
     /// Opens a new scope.
     pub fn push(&mut self) {
         let g = self.fresh_lit();
-        // the frozen-variable contract with the SAT core's simplifier:
-        // activation literals are assumed by every future solve call,
-        // so bounded variable elimination must never remove them —
-        // solve-time assumption freezing covers queries, this covers
-        // the gaps *between* queries (preprocess runs, inprocessing of
-        // an earlier solve that had not seen this guard yet)
-        self.sat.freeze_var(g.var());
         self.guards.push(g);
     }
 
@@ -583,37 +557,6 @@ impl SmtSolver {
             SolveResult::Unsat => SmtResult::Unsat,
             SolveResult::Unknown => SmtResult::Unknown,
         }
-    }
-
-    /// Runs one on-demand inprocessing pass over the solver state,
-    /// with the activation literals of all open scopes frozen. The
-    /// CEGIS driver calls this *between* iterations, where the 87%
-    /// clause-reduction of the simplifier pipeline amortizes across
-    /// every following query instead of being rebuilt per query.
-    ///
-    /// In portfolio mode the pass is dispatched to the warm workers
-    /// (fire-and-forget: it overlaps with the caller's own work and
-    /// the next query waits for it); returns `false` if the pool has
-    /// not started yet — there is no warm state to simplify. In single
-    /// mode the incremental core simplifies in place.
-    pub fn inprocess(&mut self) -> bool {
-        let _sp = fec_trace::span!(
-            fec_trace::Level::Trace,
-            "smt.inprocess",
-            "scopes" => self.guards.len(),
-        );
-        let frozen = self.guards.clone();
-        if let Some(p) = self.portfolio.as_mut() {
-            let Some(pool) = p.pool.as_mut() else {
-                return false;
-            };
-            if !p.pending.is_empty() {
-                pool.load(self.sat.num_vars(), std::mem::take(&mut p.pending));
-            }
-            pool.inprocess(frozen);
-            return true;
-        }
-        self.sat.preprocess(&frozen)
     }
 
     /// Model value of a literal after a `Sat` answer. Unconstrained
@@ -817,35 +760,6 @@ mod tests {
     }
 
     #[test]
-    fn inprocess_between_queries() {
-        // single mode: the incremental core simplifies in place with
-        // open-scope guards frozen, and verdicts are unchanged
-        let mut s = SmtSolver::new();
-        s.set_simplify(true);
-        let xs: Vec<Lit> = (0..6).map(|_| s.fresh_lit()).collect();
-        for w in xs.windows(2) {
-            s.add_clause(&[!w[0], w[1]]);
-        }
-        s.push();
-        s.add_clause(&[xs[0]]);
-        assert_eq!(s.solve(&[]), SmtResult::Sat);
-        assert!(s.inprocess(), "in-place pass runs");
-        assert_eq!(s.solve(&[!xs[5]]), SmtResult::Unsat);
-        s.pop();
-        assert_eq!(s.solve(&[!xs[5]]), SmtResult::Sat);
-
-        // portfolio mode: dispatched to the warm pool once it exists
-        let backend = SolveBackend::Portfolio(PortfolioConfig::with_jobs(2));
-        let mut s = SmtSolver::with_backend(backend);
-        let x = s.fresh_lit();
-        s.add_clause(&[x]);
-        assert!(!s.inprocess(), "no pool to simplify before the first query");
-        assert_eq!(s.solve(&[]), SmtResult::Sat);
-        assert!(s.inprocess(), "warm workers take the pass");
-        assert_eq!(s.solve(&[!x]), SmtResult::Unsat);
-    }
-
-    #[test]
     fn single_backend_is_plain_solver() {
         let mut s = SmtSolver::with_backend(SolveBackend::Single);
         assert!(s.last_portfolio().is_none());
@@ -874,5 +788,55 @@ mod tests {
         assert_eq!(stats.models_validated, 2);
         assert_eq!(stats.unsat_certified, 2);
         assert_eq!(SmtSolver::new().certificate_stats(), None);
+    }
+
+    /// A scripted incremental session: a totalizer bound over an
+    /// implication chain, then nested scopes whose every push and pop
+    /// flips a verdict.
+    fn scripted_session(s: &mut SmtSolver) -> Vec<SmtResult> {
+        let xs: Vec<Lit> = (0..8).map(|_| s.fresh_lit()).collect();
+        let count = crate::UnaryInt::from_register(
+            s.counting_register(&xs, crate::CardEncoding::Totalizer),
+        );
+        count.assert_le(s, 5);
+        for w in xs.windows(2) {
+            s.add_clause(&[!w[0], w[1]]); // x_i → x_{i+1}
+        }
+        let mut verdicts = vec![s.solve(&[])];
+        // scope 1: x4 forces x4..x7, four true, within the bound
+        s.push();
+        s.add_clause(&[xs[4]]);
+        verdicts.push(s.solve(&[]));
+        // x2 would force six
+        verdicts.push(s.solve(&[xs[2]]));
+        // nested scope 2: a bound of three contradicts scope 1
+        s.push();
+        count.assert_le(s, 3);
+        verdicts.push(s.solve(&[]));
+        s.pop();
+        verdicts.push(s.solve(&[]));
+        s.pop();
+        // root: scope 1's x4 is gone
+        verdicts.push(s.solve(&[!xs[4]]));
+        verdicts
+    }
+
+    #[test]
+    fn scripted_session_agrees_across_backends() {
+        use SmtResult::{Sat, Unsat};
+        let expected = [Sat, Sat, Unsat, Unsat, Sat, Sat];
+        let portfolio = || SolveBackend::Portfolio(PortfolioConfig::with_jobs(3));
+        assert_eq!(scripted_session(&mut SmtSolver::new()), expected);
+        let mut port = SmtSolver::with_backend(portfolio());
+        assert_eq!(scripted_session(&mut port), expected);
+        for mut s in [
+            SmtSolver::new_certifying(),
+            SmtSolver::new_certifying_with_backend(portfolio()),
+        ] {
+            assert_eq!(scripted_session(&mut s), expected);
+            let stats = s.certificate_stats().unwrap();
+            assert_eq!(stats.models_validated, 4);
+            assert_eq!(stats.unsat_certified, 2);
+        }
     }
 }

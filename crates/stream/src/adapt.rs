@@ -38,8 +38,6 @@ pub struct AdaptConfig {
     pub timeout: Duration,
     /// Portfolio workers per solver query.
     pub jobs: usize,
-    /// Run the pre-/inprocessing pipeline in synthesis solvers.
-    pub simplify: bool,
 }
 
 impl Default for AdaptConfig {
@@ -49,7 +47,6 @@ impl Default for AdaptConfig {
             gen_size: 16,
             timeout: Duration::from_secs(20),
             jobs: 1,
-            simplify: false,
         }
     }
 }
@@ -93,7 +90,6 @@ pub fn synthesize_adapted(
     let synth_cfg = SynthesisConfig {
         timeout: cfg.timeout,
         jobs: cfg.jobs,
-        simplify: cfg.simplify,
         ..Default::default()
     };
     let result = synthesize_weighted(&problem, &synth_cfg)?;
