@@ -1,18 +1,22 @@
 //! Robustness trial harnesses: the machinery behind Fig. 4 and Table 2.
 //!
-//! Both trial loops run on the certified minimized kernels from
-//! `fec-circ` whenever the codeword fits one `u64`: the generator is
-//! minimized once per trial, each worker clones the compiled kernel,
-//! and the hot loop is pure `u64` arithmetic with no allocation. Wider
-//! codewords take the scalar `BitVec` matrix–vector workers, which are
-//! also the reference the kernel workers are tested against: both
-//! consume the RNG identically (the BSC's geometric gap sampler draws
-//! the same sequence for `BitVec` and `u64` words), so they produce
-//! bit-identical reports under the same seed.
+//! Both trial loops run on one certified minimized `CircuitKernel`
+//! from `fec-circ` whenever the codeword fits one `u64`; the width
+//! alone picks the worker. A §4.3 composite runs as its combined
+//! `CompositeCode::generator()`. The generator is minimized once per
+//! trial, each worker clones the compiled kernel, and the hot loop is
+//! pure `u64` arithmetic with no allocation: a word is
+//! `data | checks << k`, and its syndrome is checked by re-encoding the
+//! received data bits. Wider codewords take the scalar `BitVec`
+//! matrix–vector workers, which are also the reference the kernel
+//! workers are tested against: both consume the RNG identically (the
+//! BSC's geometric gap sampler draws the same sequence for `BitVec` and
+//! `u64` words), so they produce bit-identical reports under the same
+//! seed.
 
 use crate::bsc::Bsc;
 use crate::floatbits::random_numeric_f32;
-use fec_circ::{CircuitKernel, CompositeKernel};
+use fec_circ::CircuitKernel;
 use fec_gf2::BitVec;
 use fec_hamming::robustness::p_at_least_m_flips;
 use fec_hamming::{CompositeCode, Generator};
@@ -265,8 +269,8 @@ impl Float32Report {
 /// Runs the §4.3 experiment: `trials` random *numeric* float32 words,
 /// encoded with `code`, BSC at rate `p`; counts undetected errors,
 /// their numeric magnitude, and non-numeric corruptions. Codewords up
-/// to 64 bits run on the per-segment minimized kernels, wider ones on
-/// the matrix worker.
+/// to 64 bits run on the minimized kernel of `code.generator()`, wider
+/// ones on the matrix worker.
 pub fn float32_trial(
     code: &CompositeCode,
     p: f64,
@@ -276,9 +280,9 @@ pub fn float32_trial(
 ) -> Float32Report {
     assert_eq!(code.data_len(), 32, "float32 trial needs a 32-bit code");
     let reports = if code.codeword_len() <= 64 {
-        let kernel = CompositeKernel::new(code);
+        let kernel = CircuitKernel::minimized(&code.generator());
         split_trials(trials, seed, FLOAT32_SALT, threads, |n, s| {
-            float32_worker_kernel(code, kernel.clone(), p, n, s)
+            float32_worker_kernel(kernel.clone(), p, n, s)
         })
     } else {
         split_trials(trials, seed, FLOAT32_SALT, threads, |n, s| {
@@ -330,27 +334,29 @@ fn float32_worker(code: &CompositeCode, p: f64, trials: u64, seed: u64) -> Float
 }
 
 fn float32_worker_kernel(
-    code: &CompositeCode,
-    mut kernel: CompositeKernel,
+    mut kernel: CircuitKernel,
     p: f64,
     trials: u64,
     seed: u64,
 ) -> Float32Report {
     let bsc = Bsc::new(p);
     let mut rng = SmallRng::seed_from_u64(seed);
-    let n = code.codeword_len();
+    let k = kernel.data_len();
+    let n = k + kernel.check_len();
+    let check_mask = mask64(kernel.check_len());
     let mut report = Float32Report {
         trials,
         ..Default::default()
     };
     for _ in 0..trials {
         let bits = random_numeric_f32(&mut rng);
-        let mut word = kernel.encode(bits as u64);
+        let mut word = u64::from(bits) | (kernel.encode_checks(u64::from(bits)) << k);
         let flips = bsc.transmit_u64(&mut rng, &mut word, n);
         if flips == 0 {
             continue;
         }
-        if !kernel.is_valid(word) {
+        // syndrome: re-encode the received data bits, compare checks
+        if kernel.encode_checks(word & mask64(k)) != (word >> k) & check_mask {
             continue; // detected
         }
         report.undetected += 1;

@@ -14,14 +14,16 @@
 //! The intended construction path is [`CircuitKernel::minimized`],
 //! which runs the certified CSE minimizer and therefore inherits its
 //! guarantee: the compiled op list is provably equivalent to the
-//! generator matrix. [`CompositeKernel`] lifts the same idea to
-//! [`CompositeCode`] ensembles (one sub-kernel per segment plus a
-//! gather map), covering the §4.3 weighted codes the stream pipeline
-//! swaps in mid-flight.
+//! generator matrix. Every linear systematic code is one generator, so
+//! one kernel type covers them all: a §4.3 `CompositeCode` ensemble
+//! compiles through its combined `CompositeCode::generator()`, wider
+//! than 64 bits or not, and takes the same scalar and 64-lane paths.
+//! Minimizing costs far more than encoding a word, so callers compile
+//! once and clone the kernel for scratch.
 
 use crate::minimize::minimize;
 use fec_codegen::{Circuit, Node, Output};
-use fec_hamming::{CompositeCode, Generator};
+use fec_hamming::Generator;
 
 /// Output slot marker for a constant-zero binding.
 const ZERO: u32 = u32::MAX;
@@ -225,115 +227,19 @@ fn transpose64(a: &mut [u64; 64]) {
     }
 }
 
-/// One composite segment compiled: a gather map from composite data
-/// bits to sub-word bits, the sub-encoder, and where its checks land
-/// in the codeword.
-#[derive(Clone, Debug)]
-struct SegmentKernel {
-    gather: Vec<u32>,
-    kernel: CircuitKernel,
-    check_offset: u32,
-    check_mask: u64,
-}
-
-/// A [`CompositeCode`] compiled to per-segment minimized kernels.
-///
-/// Codeword layout matches `CompositeCode::encode`: data bits `0..k`
-/// verbatim, then each segment's check bits in segment order. Both
-/// ends must fit one `u64` (`codeword_len ≤ 64`), which covers every
-/// §4.3 ensemble this workbench synthesizes.
-#[derive(Clone, Debug)]
-pub struct CompositeKernel {
-    data_len: usize,
-    codeword_len: usize,
-    segs: Vec<SegmentKernel>,
-}
-
-impl CompositeKernel {
-    /// Compiles every segment of `code` via the certified minimizer.
-    ///
-    /// # Panics
-    /// Panics if `code.codeword_len() > 64`.
-    pub fn new(code: &CompositeCode) -> CompositeKernel {
-        assert!(
-            code.codeword_len() <= 64,
-            "CompositeKernel packs the codeword into a u64"
-        );
-        let mut segs = Vec::with_capacity(code.segments().len());
-        let mut offset = code.data_len();
-        for seg in code.segments() {
-            let r = seg.generator.check_len();
-            segs.push(SegmentKernel {
-                gather: seg.bits.iter().map(|&b| b as u32).collect(),
-                kernel: CircuitKernel::minimized(&seg.generator),
-                check_offset: offset as u32,
-                check_mask: mask64(r),
-            });
-            offset += r;
-        }
-        CompositeKernel {
-            data_len: code.data_len(),
-            codeword_len: offset,
-            segs,
-        }
-    }
-
-    /// Composite data length `k`.
-    pub fn data_len(&self) -> usize {
-        self.data_len
-    }
-
-    /// Full codeword length `n`.
-    pub fn codeword_len(&self) -> usize {
-        self.codeword_len
-    }
-
-    /// Encodes `data` (bit `i` = data bit `i`) into the full codeword
-    /// word: data verbatim, per-segment checks at their offsets.
-    pub fn encode(&mut self, data: u64) -> u64 {
-        debug_assert_eq!(data & !mask64(self.data_len), 0, "encode: stray high bits");
-        let mut word = data;
-        for seg in &mut self.segs {
-            let mut sub = 0u64;
-            for (si, &b) in seg.gather.iter().enumerate() {
-                sub |= ((data >> b) & 1) << si;
-            }
-            word |= seg.kernel.encode_checks(sub) << seg.check_offset;
-        }
-        word
-    }
-
-    /// `true` when every segment's received checks match a re-encode
-    /// of the received data bits (all syndromes zero).
-    pub fn is_valid(&mut self, word: u64) -> bool {
-        for seg in &mut self.segs {
-            let mut sub = 0u64;
-            for (si, &b) in seg.gather.iter().enumerate() {
-                sub |= ((word >> b) & 1) << si;
-            }
-            let expect = seg.kernel.encode_checks(sub);
-            let got = (word >> seg.check_offset) & seg.check_mask;
-            if expect != got {
-                return false;
-            }
-        }
-        true
-    }
-}
-
-fn mask64(bits: usize) -> u64 {
-    if bits >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << bits) - 1
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fec_gf2::BitVec;
-    use fec_hamming::standards;
+    use fec_hamming::{standards, CompositeCode};
+
+    fn mask64(bits: usize) -> u64 {
+        if bits >= 64 {
+            u64::MAX
+        } else {
+            (1u64 << bits) - 1
+        }
+    }
 
     fn encode_ref(g: &Generator, data: u64) -> u64 {
         let word = g.encode(&BitVec::from_u128(data as u128, g.data_len()));
@@ -399,6 +305,12 @@ mod tests {
             let g = Generator::from_coeff_str(&rows.join("\n")).expect("pinned code");
             out.push((CircuitKernel::minimized(&g), 1));
         }
+        // a §4.3 composite over 96 bits: two Hamming segments, bits
+        // alternating between them, as one combined generator
+        let map: Vec<usize> = (0..96).map(|j| j % 2).collect();
+        let segment = || standards::shortened_hamming(48, 7).expect("k = 48");
+        let composite = CompositeCode::from_map(vec![segment(), segment()], &map).expect("map");
+        out.push((CircuitKernel::minimized(&composite.generator()), 2));
         out
     }
 
@@ -439,7 +351,8 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
 
         /// One 64-lane pass equals per-word `encode_checks_wide` on the
-        /// 802.3df kernel and the seven pinned k = 4 codes.
+        /// 802.3df kernel, the seven pinned k = 4 codes and a 96-bit
+        /// composite.
         #[test]
         fn prop_lanes_match_per_word_encodes(
             words in proptest::collection::vec(proptest::prelude::any::<u64>(), 128)
@@ -491,49 +404,6 @@ mod tests {
         let k = CircuitKernel::minimized(&g);
         let sparse = Circuit::from_generator(&g).xor_count();
         assert!(k.xor_count() < sparse, "{} !< {sparse}", k.xor_count());
-    }
-
-    #[test]
-    fn composite_kernel_matches_composite_code() {
-        let code = CompositeCode::contiguous_msb_first(vec![
-            standards::shortened_hamming(8, 4).unwrap(),
-            standards::parity_code(8),
-        ])
-        .unwrap();
-        let mut k = CompositeKernel::new(&code);
-        assert_eq!(k.data_len(), 16);
-        assert_eq!(k.codeword_len(), code.codeword_len());
-        for d in [0u64, 0xFFFF, 0xA5C3, 0x1234, 0x8001] {
-            let bits = BitVec::from_u128(d as u128, 16);
-            let want = code.encode(&bits).to_u128() as u64;
-            let got = k.encode(d);
-            assert_eq!(got, want, "data {d:#x}");
-            assert!(k.is_valid(got));
-            // any single flip must be caught by these md ≥ 2 segments
-            for b in 0..code.codeword_len() {
-                assert!(!k.is_valid(got ^ (1 << b)), "flip {b} undetected");
-            }
-        }
-    }
-
-    #[test]
-    fn composite_kernel_respects_from_map_interleaving() {
-        // alternate bits between two segments, as weighted synthesis does
-        let map: Vec<usize> = (0..16).map(|j| j % 2).collect();
-        let code = CompositeCode::from_map(
-            vec![
-                standards::shortened_hamming(8, 4).unwrap(),
-                standards::parity_code(8),
-            ],
-            &map,
-        )
-        .unwrap();
-        let mut k = CompositeKernel::new(&code);
-        for d in [0x00FFu64, 0xF0F0, 0x5555, 0xBEEF & 0xFFFF] {
-            let bits = BitVec::from_u128(d as u128, 16);
-            let want = code.encode(&bits).to_u128() as u64;
-            assert_eq!(k.encode(d), want, "data {d:#x}");
-        }
     }
 
     #[test]

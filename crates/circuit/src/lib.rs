@@ -30,9 +30,11 @@
 //!   the generator circuit, its emitted C and Rust, the minimized
 //!   circuit, and its emitted C and Rust — shared by
 //!   `fecsynth lint-kernel` and the `codegen_tv` sweep;
-//! - [`CircuitKernel`] / [`CompositeKernel`]: circuits compiled into
-//!   flat, allocation-free runtime evaluators — the encode path the
-//!   Monte-Carlo sweeps and the `fec-stream` datapath actually execute.
+//! - [`CircuitKernel`]: a circuit compiled into a flat, allocation-free
+//!   runtime evaluator with scalar and 64-lane entry points — the
+//!   encode path the Monte-Carlo sweeps and the `fec-stream` datapath
+//!   actually execute. It is the only kernel type: a §4.3
+//!   `CompositeCode` runs as its combined `CompositeCode::generator()`.
 //!
 //! Diagnostics carry a [`LintClass`] so failures are machine-checkable
 //! (the CLI's `lint-kernel` exit codes and the mutation test-suite key
@@ -49,7 +51,7 @@ mod parse;
 pub use analyze::validate_circuit;
 pub use fec_codegen::{Circuit, Gate, Node, Output};
 pub use interp::{validate_source, Lang};
-pub use kernel::{CircuitKernel, CompositeKernel};
+pub use kernel::CircuitKernel;
 pub use minimize::{minimize, Minimized};
 
 use fec_codegen::{emit_c, emit_rust};

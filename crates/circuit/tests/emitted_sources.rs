@@ -8,7 +8,7 @@
 use fec_circ::{minimize, validate_forms, validate_source, Circuit, CircuitKernel, Lang};
 use fec_codegen::{emit_c, emit_rust};
 use fec_gf2::BitVec;
-use fec_hamming::{standards, Generator};
+use fec_hamming::{standards, CompositeCode, Generator};
 
 /// The check bits `Generator::encode` produces for a one-word data value.
 fn encode_ref(g: &Generator, data: u64) -> u64 {
@@ -86,12 +86,25 @@ fn emitted_c_with_benchmark_main_is_proved_equivalent() {
     }
 }
 
+/// The paper's §4.3 float32 ensemble `G_5^8 G_1^8 G_1^16` as one
+/// combined generator: 32 data bits, 7 check columns.
+fn float32_ensemble() -> Generator {
+    CompositeCode::contiguous_msb_first(vec![
+        standards::shortened_hamming(8, 5).unwrap(),
+        standards::parity_code(8),
+        standards::parity_code(16),
+    ])
+    .unwrap()
+    .generator()
+}
+
 #[test]
 fn validate_forms_proves_six_forms_at_every_width() {
     for g in [
         standards::hamming_7_4(),
         standards::shortened_hamming(57, 7).unwrap(),
         standards::ieee_8023df_128_120(),
+        float32_ensemble(),
     ] {
         let (m, forms) = validate_forms(&g);
         let names: Vec<&str> = forms.iter().map(|(f, _)| *f).collect();

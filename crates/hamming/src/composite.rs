@@ -8,7 +8,7 @@
 //! protects. The segments partition `0..data_len`.
 
 use crate::{CheckOutcome, Generator};
-use fec_gf2::BitVec;
+use fec_gf2::{BitMatrix, BitVec};
 use std::fmt;
 
 /// One generator together with the (data-word) bit indices it protects.
@@ -117,6 +117,28 @@ impl CompositeCode {
     /// The segments.
     pub fn segments(&self) -> &[Segment] {
         &self.segments
+    }
+
+    /// The composite as one systematic generator: segment `s`'s
+    /// coefficient row `i` sits on data bit `bits[i]`, in `s`'s check
+    /// columns, and the columns follow segment order. Its codewords are
+    /// exactly those [`CompositeCode::encode`] emits, so one encoder
+    /// circuit covers the whole ensemble.
+    pub fn generator(&self) -> Generator {
+        let mut coeff = BitMatrix::zeros(self.data_len, self.check_len());
+        let mut first_col = 0;
+        for seg in &self.segments {
+            let p = seg.generator.coefficients();
+            for (i, &b) in seg.bits.iter().enumerate() {
+                for c in 0..p.cols() {
+                    if p.get(i, c) {
+                        coeff.set(b, first_col + c, true);
+                    }
+                }
+            }
+            first_col += p.cols();
+        }
+        Generator::from_coefficients(coeff)
     }
 
     /// Encodes a composite data word: the data bits verbatim, followed
@@ -381,6 +403,96 @@ mod tests {
         match c.correct(&bad) {
             None => {}
             Some(w) => assert!(c.is_valid(&w)),
+        }
+    }
+
+    /// splitmix64: the property's own stream, drawn from one seed.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A random `from_map` partition of `k` bits over `segs` segments,
+    /// each protected by a random coefficient matrix of 1–6 columns.
+    fn random_composite(state: &mut u64, segs: usize, k: usize) -> CompositeCode {
+        let mut map: Vec<usize> = (0..k)
+            .map(|_| (next(state) % segs as u64) as usize)
+            .collect();
+        for (s, m) in map.iter_mut().take(segs).enumerate() {
+            *m = s; // no empty segment
+        }
+        let generators = (0..segs)
+            .map(|s| {
+                let rows = map.iter().filter(|&&m| m == s).count();
+                let cols = 1 + (next(state) % 6) as usize;
+                let mut p = BitMatrix::zeros(rows, cols);
+                for r in 0..rows {
+                    for c in 0..cols {
+                        p.set(r, c, next(state) & 1 == 1);
+                    }
+                }
+                Generator::from_coefficients(p)
+            })
+            .collect();
+        CompositeCode::from_map(generators, &map).unwrap()
+    }
+
+    fn random_word(state: &mut u64, len: usize) -> BitVec {
+        let v = u128::from(next(state)) | u128::from(next(state)) << 64;
+        BitVec::from_u128(v, len)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        /// `generator()` is the composite as one code: it encodes every
+        /// data word to the same codeword, and its syndrome agrees with
+        /// the per-segment check on codewords, on every single flip of
+        /// one, and on random words. Beside a random `from_map`
+        /// partition, each case runs the paper's `G_5^8 G_1^8 G_1^16`,
+        /// a contiguous and an interleaved Hamming + parity pair; their
+        /// segments all have md ≥ 2, so every single flip is caught.
+        #[test]
+        fn prop_generator_is_the_composite(
+            seed in proptest::prelude::any::<u64>(),
+            segs in 2usize..4,
+            k in 3usize..97,
+        ) {
+            let mut state = seed;
+            let pair = || vec![
+                standards::shortened_hamming(8, 4).unwrap(),
+                standards::parity_code(8),
+            ];
+            let alternate: Vec<usize> = (0..16).map(|j| j % 2).collect();
+            for (code, md2) in [
+                (random_composite(&mut state, segs, k), false),
+                (float32_ensemble(), true),
+                (CompositeCode::contiguous_msb_first(pair()).unwrap(), true),
+                (CompositeCode::from_map(pair(), &alternate).unwrap(), true),
+            ] {
+                let g = code.generator();
+                proptest::prop_assert_eq!(g.data_len(), code.data_len());
+                proptest::prop_assert_eq!(g.codeword_len(), code.codeword_len());
+                for _ in 0..4 {
+                    let data = random_word(&mut state, code.data_len());
+                    let word = code.encode(&data);
+                    proptest::prop_assert_eq!(&g.encode(&data), &word, "{}", code);
+                    proptest::prop_assert!(g.is_valid(&word));
+                    for b in 0..word.len() {
+                        let mut bad = word.clone();
+                        bad.flip(b);
+                        proptest::prop_assert_eq!(
+                            g.is_valid(&bad), code.is_valid(&bad), "{} flip {}", code, b
+                        );
+                        proptest::prop_assert!(!(md2 && g.is_valid(&bad)), "{} flip {}", code, b);
+                    }
+                    let noise = random_word(&mut state, code.codeword_len());
+                    proptest::prop_assert_eq!(g.is_valid(&noise), code.is_valid(&noise));
+                }
+            }
         }
     }
 

@@ -189,10 +189,13 @@ mod tests {
         assert_eq!(adapted.depth, 1, "bursty channel concentrates erasures");
         assert!((2..=cfg.gen_size).contains(&adapted.repair));
         assert!(adapted.repair >= 3, "measured bursts must raise the budget");
-        // the synthesized ensemble must actually be usable as a kernel
-        let mut k = fec_circ::CompositeKernel::new(&adapted.code);
-        let w = k.encode(0xBEEF);
-        assert!(k.is_valid(w));
-        assert!(!k.is_valid(w ^ 1));
+        // the synthesized ensemble must run as one minimized kernel: a
+        // word is `data | checks << 16`, valid when its data re-encodes
+        // to its checks
+        let mut k = fec_circ::CircuitKernel::minimized(&adapted.code.generator());
+        let w = 0xBEEF | k.encode_checks(0xBEEF) << 16;
+        let mut valid = |w: u64| k.encode_checks(w & 0xFFFF) == w >> 16;
+        assert!(valid(w));
+        assert!(!valid(w ^ 1));
     }
 }

@@ -16,9 +16,9 @@
 //! - [`packet::Packetizer`] chops a byte stream into `k`-bit words;
 //! - [`fountain`] adds XOR-parity repair words per generation and
 //!   recovers erasures by GF(2) elimination;
-//! - the inner code ([`pipeline::InnerCode`]) encodes every frame
-//!   through the PR-6 certified minimized kernels (`fec-circ`), never
-//!   the naive matrix multiply;
+//! - the inner code ([`pipeline::InnerCode`]) is compiled once into a
+//!   certified minimized kernel (`fec-circ`) that encodes every frame,
+//!   §4.3 composites included, never the naive matrix multiply;
 //! - `fec-channel`'s [`GilbertElliott`](fec_channel::burst::GilbertElliott)
 //!   corrupts the interleaved stream with state carried across blocks;
 //! - [`estimate::BurstProfile`] reconstructs exact error vectors for

@@ -31,12 +31,13 @@ use crate::estimate::BurstProfile;
 use crate::fountain::{encode_repair_words, mask64, ones, recover_words, repair_mask, xor_into};
 use crate::packet::Packetizer;
 use fec_channel::burst::{BlockInterleaver, GeState, GilbertElliott};
-use fec_circ::{CircuitKernel, CompositeKernel};
-use fec_hamming::{standards, CompositeCode, Generator};
+use fec_circ::CircuitKernel;
+use fec_hamming::{standards, Generator};
 use fec_synth::cegis::SynthError;
 use fec_trace::Level;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::{Arc, OnceLock};
 
 /// Domain-separated sub-seed derivation (splitmix64 finalizer), so the
 /// channel, the repair masks, and payload generation never share a
@@ -54,92 +55,67 @@ pub fn deterministic_payload(len: usize, seed: u64) -> Vec<u8> {
     (0..len).map(|_| (rng.next_u64() & 0xFF) as u8).collect()
 }
 
-/// The inner (per-frame) code: one synthesized generator or a §4.3
-/// composite ensemble. Encode/decode always run on the certified
-/// minimized kernels, never the naive matrix multiply.
+/// The inner (per-frame) code, compiled once: the certified minimized
+/// kernel of one systematic generator. A §4.3 composite ensemble enters
+/// as its combined `CompositeCode::generator()`, so every inner code
+/// runs the same 64-lane encoder, never the naive matrix multiply.
+/// Clones share the compiled kernel; a run clones it only for scratch.
 #[derive(Clone, Debug)]
-pub enum InnerCode {
-    Single(Generator),
-    Composite(CompositeCode),
+pub struct InnerCode {
+    kernel: Arc<CircuitKernel>,
 }
 
 impl InnerCode {
-    pub fn data_len(&self) -> usize {
-        match self {
-            InnerCode::Single(g) => g.data_len(),
-            InnerCode::Composite(c) => c.data_len(),
+    /// Compiles `g`'s encoder through the certified minimizer.
+    ///
+    /// # Panics
+    /// Panics if `g.check_len() > 64` (inherited from the minimizer).
+    pub fn new(g: &Generator) -> InnerCode {
+        #[cfg(test)]
+        tests::COMPILES.with(|c| c.set(c.get() + 1));
+        InnerCode {
+            kernel: Arc::new(CircuitKernel::minimized(g)),
         }
+    }
+
+    /// The 802.3df (128,120) code, compiled once per process.
+    pub fn ieee_8023df() -> InnerCode {
+        static CODE: OnceLock<InnerCode> = OnceLock::new();
+        CODE.get_or_init(|| InnerCode::new(&standards::ieee_8023df_128_120()))
+            .clone()
+    }
+
+    pub fn data_len(&self) -> usize {
+        self.kernel.data_len()
     }
 
     pub fn codeword_len(&self) -> usize {
-        match self {
-            InnerCode::Single(g) => g.codeword_len(),
-            InnerCode::Composite(c) => c.codeword_len(),
-        }
+        self.kernel.data_len() + self.kernel.check_len()
     }
+}
 
-    fn kernel(&self) -> InnerKernel {
-        match self {
-            InnerCode::Single(g) => InnerKernel::Single {
-                kernel: CircuitKernel::minimized(g),
-                k: g.data_len(),
-                n: g.codeword_len(),
-            },
-            InnerCode::Composite(c) => InnerKernel::Composite(CompositeKernel::new(c)),
+/// Fills in the check bits of frames whose check bits are zero. Frames
+/// are flat: `stride` `u64`s each, data in bits `0..k`, check bits from
+/// `k`.
+fn encode_frames(kernel: &mut CircuitKernel, frames: &mut [u64], stride: usize) {
+    let k = kernel.data_len();
+    let mut checks = [0u64; 64];
+    for batch in frames.chunks_mut(64 * stride) {
+        kernel.encode_checks_lanes(batch, stride, &mut checks);
+        for (frame, &c) in batch.chunks_mut(stride).zip(&checks) {
+            xor_bits(frame, k, c);
         }
     }
 }
 
-/// The compiled inner code, applied to flat frame buffers: `stride`
-/// `u64`s per frame, data in bits `0..k`, check bits in `k..n`.
-enum InnerKernel {
-    Single {
-        kernel: CircuitKernel,
-        k: usize,
-        n: usize,
-    },
-    /// Codewords of at most 64 bits: one `u64` per frame.
-    Composite(CompositeKernel),
-}
-
-impl InnerKernel {
-    /// Fills in the check bits of frames whose check bits are zero.
-    fn encode(&mut self, frames: &mut [u64], stride: usize) {
-        match self {
-            InnerKernel::Single { kernel, k, .. } => {
-                let mut checks = [0u64; 64];
-                for batch in frames.chunks_mut(64 * stride) {
-                    kernel.encode_checks_lanes(batch, stride, &mut checks);
-                    for (frame, &c) in batch.chunks_mut(stride).zip(&checks) {
-                        xor_bits(frame, *k, c);
-                    }
-                }
-            }
-            InnerKernel::Composite(kernel) => {
-                debug_assert_eq!(stride, 1);
-                for w in frames {
-                    *w = kernel.encode(*w);
-                }
-            }
-        }
-    }
-
-    /// Appends each frame's syndrome verdict (`true` = valid) to `ok`.
-    fn check(&mut self, frames: &[u64], stride: usize, ok: &mut Vec<bool>) {
-        match self {
-            InnerKernel::Single { kernel, k, n } => {
-                let mut checks = [0u64; 64];
-                for batch in frames.chunks(64 * stride) {
-                    kernel.encode_checks_lanes(batch, stride, &mut checks);
-                    for (frame, &c) in batch.chunks(stride).zip(&checks) {
-                        ok.push(c == get_bits(frame, *k, *n - *k));
-                    }
-                }
-            }
-            InnerKernel::Composite(kernel) => {
-                debug_assert_eq!(stride, 1);
-                ok.extend(frames.iter().map(|&w| kernel.is_valid(w)));
-            }
+/// Appends each frame's syndrome verdict (`true` = valid) to `ok`.
+fn check_frames(kernel: &mut CircuitKernel, frames: &[u64], stride: usize, ok: &mut Vec<bool>) {
+    let (k, r) = (kernel.data_len(), kernel.check_len());
+    let mut checks = [0u64; 64];
+    for batch in frames.chunks(64 * stride) {
+        kernel.encode_checks_lanes(batch, stride, &mut checks);
+        for (frame, &c) in batch.chunks(stride).zip(&checks) {
+            ok.push(c == get_bits(frame, k, r));
         }
     }
 }
@@ -186,10 +162,11 @@ pub struct StreamConfig {
 
 impl StreamConfig {
     /// The static baseline: the 802.3df (128,120) code, a classic
-    /// depth-4 interleave, and a thin fixed repair budget.
+    /// depth-4 interleave, and a thin fixed repair budget. Every such
+    /// config shares the one compiled 802.3df kernel.
     pub fn static_8023df(seed: u64) -> StreamConfig {
         StreamConfig {
-            inner: InnerCode::Single(standards::ieee_8023df_128_120()),
+            inner: InnerCode::ieee_8023df(),
             depth: 4,
             gen_size: 16,
             repair: 2,
@@ -198,10 +175,11 @@ impl StreamConfig {
         }
     }
 
-    /// This config re-parameterized with a synthesized adapted code.
+    /// This config re-parameterized with a synthesized adapted code,
+    /// compiled once as its combined generator.
     pub fn with_adapted(&self, adapted: &AdaptedCode, gen_size: usize) -> StreamConfig {
         StreamConfig {
-            inner: InnerCode::Composite(adapted.code.clone()),
+            inner: InnerCode::new(&adapted.code.generator()),
             depth: adapted.depth,
             gen_size,
             repair: adapted.repair,
@@ -314,7 +292,7 @@ pub fn run_stream(bytes: &[u8], cfg: &StreamConfig) -> StreamOutcome {
     // --- sender: repair words, inner encode (minimized kernel) -----
     let (mut kernel, mut cw) = {
         let _s = fec_trace::span!(Level::Info, "stream.encode");
-        let mut kernel = cfg.inner.kernel();
+        let mut kernel = CircuitKernel::clone(&cfg.inner.kernel);
         let mut cw = vec![0u64; frames * cs];
         for g in 0..n_gens {
             let (chunk, first) = (chunk_len(g), first_frame(g));
@@ -325,7 +303,7 @@ pub fn run_stream(bytes: &[u8], cfg: &StreamConfig) -> StreamOutcome {
             let (words, rest) = cw[first * cs..].split_at_mut(chunk * cs);
             encode_repair_words(words, cs, mask_seed, g as u64, &mut rest[..repair * cs]);
         }
-        kernel.encode(&mut cw, cs);
+        encode_frames(&mut kernel, &mut cw, cs);
         (kernel, cw)
     };
 
@@ -358,7 +336,7 @@ pub fn run_stream(bytes: &[u8], cfg: &StreamConfig) -> StreamOutcome {
     let (mut recovered, mut latency_sum, mut latency_max) = (0u64, 0u64, 0u64);
     {
         let _s = fec_trace::span!(Level::Info, "stream.decode");
-        kernel.check(&cw, cs, &mut ok);
+        check_frames(&mut kernel, &cw, cs, &mut ok);
         // A frame's first `s` words hold its data bits, with check bits
         // above `k` in the last one. Recovery reads repair frames in
         // place: GF(2) sums keep bits apart, so only the bits above
@@ -448,7 +426,7 @@ pub fn run_stream(bytes: &[u8], cfg: &StreamConfig) -> StreamOutcome {
                 );
             }
         }
-        kernel.encode(&mut errors, cs);
+        encode_frames(&mut kernel, &mut errors, cs);
         for (e, &f) in errors.chunks_mut(cs).zip(&rebuilt) {
             xor_into(e, &cw[f * cs..(f + 1) * cs]);
         }
@@ -598,4 +576,51 @@ pub fn run_adaptive(
         static_replay,
         adapted_replay,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::Cell;
+    use std::time::Duration;
+
+    thread_local! {
+        /// `InnerCode::new` calls made on this thread.
+        pub(super) static COMPILES: Cell<usize> = const { Cell::new(0) };
+    }
+
+    fn compiles() -> usize {
+        COMPILES.with(Cell::get)
+    }
+
+    #[test]
+    fn each_inner_code_compiles_once() {
+        let a = StreamConfig::static_8023df(1);
+        let b = StreamConfig::static_8023df(2);
+        assert!(Arc::ptr_eq(&a.inner.kernel, &b.inner.kernel));
+        assert!(Arc::ptr_eq(&a.inner.kernel, &a.clone().inner.kernel));
+
+        // the probe and the static replay run on `a`'s kernel; only
+        // the adapted code compiles
+        let payload = deterministic_payload(16384, 1);
+        let acfg = AdaptConfig {
+            timeout: Duration::from_secs(1),
+            ..AdaptConfig::default()
+        };
+        let before = compiles();
+        let out = run_adaptive(&payload, &a, &acfg).expect("synthesis");
+        assert_eq!(compiles() - before, 1);
+
+        let before = compiles();
+        let adapted = a.with_adapted(&out.adapted, acfg.gen_size);
+        assert_eq!(compiles() - before, 1);
+        assert!(Arc::ptr_eq(
+            &adapted.inner.kernel,
+            &adapted.clone().inner.kernel
+        ));
+        assert_eq!(
+            adapted.inner.codeword_len(),
+            out.adapted.code.codeword_len()
+        );
+    }
 }

@@ -7,7 +7,10 @@
 //! the affected words rather than silently corrupting them.
 
 use fec_channel::burst::GilbertElliott;
-use fec_stream::{deterministic_payload, run_adaptive, run_stream, AdaptConfig, StreamConfig};
+use fec_hamming::{standards, CompositeCode};
+use fec_stream::{
+    deterministic_payload, run_adaptive, run_stream, AdaptConfig, InnerCode, StreamConfig,
+};
 
 /// A loss rate the configured pipeline (802.3df + depth-4 interleave +
 /// 8 repair words per 16-word generation) is provisioned to beat.
@@ -103,6 +106,47 @@ fn overload_reports_losses_and_never_corrupts() {
             }
         }
     }
+}
+
+/// Two Hamming segments interleaved over 96 data bits: a 110-bit
+/// composite codeword, two `u64`s per frame.
+fn wide_composite(seed: u64) -> StreamConfig {
+    let map: Vec<usize> = (0..96).map(|j| j % 2).collect();
+    let segment = || standards::shortened_hamming(48, 7).expect("k = 48");
+    let code = CompositeCode::from_map(vec![segment(), segment()], &map).expect("map");
+    StreamConfig {
+        inner: InnerCode::new(&code.generator()),
+        ..StreamConfig::static_8023df(seed)
+    }
+}
+
+#[test]
+fn composites_wider_than_64_bits_stream() {
+    let payload = deterministic_payload(16384, 5);
+    let clean = StreamConfig {
+        channel: GilbertElliott {
+            p_gb: 0.0,
+            p_bg: 1.0,
+            ber_good: 0.0,
+            ber_bad: 0.0,
+        },
+        ..wide_composite(5)
+    };
+    let out = run_stream(&payload, &clean);
+    assert_eq!(out.bytes, payload);
+    assert!(out.lost_words.is_empty());
+    assert_eq!(out.stats.erased_frames, 0);
+    assert_eq!(out.stats.channel_bits, out.stats.frames * 110);
+
+    let cfg = wide_composite(5);
+    let a = run_stream(&payload, &cfg);
+    let b = run_stream(&payload, &cfg);
+    assert!(
+        a.stats.erased_frames > 0,
+        "the bursty channel erases frames"
+    );
+    assert_eq!(a.stats, b.stats);
+    assert_eq!(a.bytes, b.bytes);
 }
 
 #[test]

@@ -51,15 +51,15 @@ fn composite() -> InnerCode {
         &map,
     )
     .expect("composite map");
-    InnerCode::Composite(code)
+    InnerCode::new(&code.generator())
 }
 
 fn inner(code: &str) -> InnerCode {
     match code {
-        "8023df" => InnerCode::Single(standards::ieee_8023df_128_120()),
+        "8023df" => InnerCode::ieee_8023df(),
         "composite" => composite(),
-        "h74" => InnerCode::Single(standards::hamming_7_4()),
-        "wide200" => InnerCode::Single(standards::shortened_hamming(200, 9).expect("k = 200")),
+        "h74" => InnerCode::new(&standards::hamming_7_4()),
+        "wide200" => InnerCode::new(&standards::shortened_hamming(200, 9).expect("k = 200")),
         other => panic!("unknown code {other}"),
     }
 }
