@@ -69,7 +69,6 @@ fn main() {
                 },
             ],
             bit_error_rate: 0.1,
-            initial_bound: 1000.0,
         },
         &config,
     )

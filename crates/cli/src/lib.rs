@@ -60,7 +60,10 @@ USAGE:
     --timeout=SECS  (synth, stream --adapt) wall-clock budget for the whole
                     synthesis run; when it cuts an optimization short,
                     synth prints the best code found and
-                    \"optimum: not proven (timeout)\"
+                    \"optimum: not proven (timeout)\"; for stream --adapt
+                    it bounds all of the §4.3 re-synthesis (the bit map and
+                    every generator's CEGIS run), whose answer is always
+                    the proven optimum
     --minimize      (emit) run the cancellation-aware CSE minimizer and
                     emit the certified circuit instead of the sparse
                     generator circuit; the output is accepted only if
@@ -1468,6 +1471,8 @@ mod tests {
         assert!(n > 0);
         assert!(text.contains("stream.adapt"), "{text}");
         assert!(text.contains("stream.report"), "{text}");
+        // every count vector the §4.3 map visits is on the trace
+        assert!(text.contains("synth.split"), "{text}");
         let _ = std::fs::remove_file(&metrics);
         let _ = std::fs::remove_file(&jsonl);
     }

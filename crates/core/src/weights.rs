@@ -13,27 +13,33 @@
 //! minimum distance are fixed by the specification and its data length
 //! is the number of bits mapped to it.
 //!
-//! Implementation: the objective couples the map to the generator
-//! matrices *only* through `(len_d, len_c, md)`, so the search
-//! decomposes exactly:
+//! Implementation: an exact enumeration. The objective depends on the
+//! map only through each generator's bit count: with `t_i` bits on
+//! generator `i`, each of them costs `f_i(t_i) = chooseTimesPow(t_i +
+//! len_c_i, md_i, p)`. For a fixed count vector `t`, the rearrangement
+//! inequality gives the optimal map with one sort: the heaviest bits go
+//! to the generator with the smallest `f_i(t_i)`. Weight ties go to the
+//! higher bit position, generator ties to the lower index.
 //!
-//! 1. **Map synthesis** (SMT): selector booleans `m[j]` plus a counting
-//!    register for `len_d(G0)`; for every possible split `t`, a guarded
-//!    pseudo-boolean bound encodes `len_d(G0) = t → sum_w ≤ B`. The
-//!    bound `B` descends from `initial_bound` (the paper starts at
-//!    1000) until UNSAT or timeout.
-//! 2. **Matrix synthesis** (CEGIS): with the data lengths now concrete,
-//!    the standard Algorithm 1 loop synthesizes each generator. If a
-//!    split turns out infeasible, it is blocked in the map solver and
-//!    step 1 resumes — CEGIS at the decomposition level.
+//! A count vector gives every generator at least one bit, so there are
+//! `C(len_w − 1, len_G − 1)` of them: 15 for the paper's 16 bits on two
+//! generators. They are visited in ascending `sum_w`. The standard
+//! Algorithm 1 loop synthesizes each generator's matrix, once per
+//! distinct `(t_i, len_c_i, md_i)`, and its static-bounds gate refutes
+//! most infeasible shapes before any solver is built. The first vector
+//! whose generators all synthesize is the proven optimum, since every
+//! cheaper vector has a generator that admits no code: every `Ok` is
+//! optimal. This is CEGIS at the decomposition level.
 //!
-//! Like the paper's evaluation, this supports `len_G = 2`; the map
-//! solver rejects larger ensembles.
+//! One deadline, [`SynthesisConfig::timeout`], covers the whole run:
+//! each matrix sub-run gets only the time that is left.
 
 use crate::cegis::{GenShape, ProblemShape, SynthError, SynthesisConfig, Synthesizer};
+use crate::obs;
 use fec_hamming::robustness::choose_times_pow;
 use fec_hamming::Generator;
-use fec_smt::{Budget, Lit, SmtResult, SmtSolver, UnaryInt};
+use fec_trace::Level;
+use std::collections::hash_map::{Entry, HashMap};
 use std::time::{Duration, Instant};
 
 /// Fixed attributes of one generator in a weighted ensemble.
@@ -51,31 +57,26 @@ pub struct WeightedProblem {
     /// Per-bit criticality weights; `len_w = weights.len()`.
     /// Index 0 is data bit 0 (LSB), matching `CompositeCode::from_map`.
     pub weights: Vec<f64>,
-    /// The ensemble (exactly two generators, as in the paper's §4.3).
+    /// The ensemble; every generator receives at least one bit.
     pub gens: Vec<WeightedGenSpec>,
     /// Channel bit-error probability `p`.
     pub bit_error_rate: f64,
-    /// Starting bound for the `minimal(sum_w)` descent (paper: 1000).
-    pub initial_bound: f64,
 }
 
-/// A successful weighted synthesis.
+/// A successful weighted synthesis: always the proven optimum.
 #[derive(Clone, Debug)]
 pub struct WeightedResult {
     /// The synthesized generators, in spec order.
     pub generators: Vec<Generator>,
     /// `map[j]` = generator index protecting data bit `j`.
     pub map: Vec<usize>,
-    /// Achieved objective value.
+    /// The minimum of the objective.
     pub sum_w: f64,
-    /// Total solver iterations (map proposals + CEGIS iterations).
+    /// Total CEGIS iterations of the matrix sub-runs that found a code.
     pub iterations: u64,
     /// Wall-clock time.
     pub elapsed: Duration,
 }
-
-/// Fixed-point scale for real weights inside the PB encoding.
-const SCALE: f64 = 1e6;
 
 /// Synthesizes a weighted ensemble (map + matrices) minimizing `sum_w`.
 pub fn synthesize_weighted(
@@ -83,85 +84,51 @@ pub fn synthesize_weighted(
     config: &SynthesisConfig,
 ) -> Result<WeightedResult, SynthError> {
     let start = Instant::now();
+    let deadline = start + config.timeout;
     let lw = problem.weights.len();
-    if problem.gens.len() != 2 {
-        return Err(SynthError::Unsupported(
-            "weighted synthesis supports exactly 2 generators (as evaluated in the paper)".into(),
-        ));
+    if problem.gens.is_empty() {
+        return Err(SynthError::Inconsistent("no generators".into()));
     }
     if lw == 0 {
         return Err(SynthError::Inconsistent("no weights".into()));
     }
-    let deadline = start + config.timeout;
 
-    // f[i][t] = chooseTimesPow(t + c_i, md_i) for t bits mapped to i
-    let f = |i: usize, t: usize| -> f64 {
-        let spec = &problem.gens[i];
-        choose_times_pow(
-            t + spec.check_len,
-            spec.min_distance,
-            problem.bit_error_rate,
-        )
-    };
+    // bits heaviest first; the stable sort keeps weight ties in
+    // descending position
+    let mut by_weight: Vec<usize> = (0..lw).rev().collect();
+    by_weight.sort_by(|&a, &b| problem.weights[b].total_cmp(&problem.weights[a]));
+    let mut candidates: Vec<_> = count_vectors(lw, problem.gens.len())
+        .into_iter()
+        .map(|counts| {
+            let (map, sum_w) = best_map(problem, &by_weight, &counts);
+            (counts, map, sum_w)
+        })
+        .collect();
+    candidates.sort_by(|a, b| a.2.total_cmp(&b.2));
 
     let mut iterations = 0u64;
-    // splits proven infeasible by matrix synthesis (decomposition-level
-    // counterexamples: no code with the required (k, c, md) exists)
-    let mut blocked_splits: Vec<usize> = Vec::new();
-
-    'outer: loop {
-        if Instant::now() >= deadline {
-            return Err(SynthError::Timeout);
-        }
-        let Some((map, sum_w)) = solve_map(
-            problem,
-            config,
-            &blocked_splits,
-            deadline,
-            &mut iterations,
-            &f,
-        ) else {
-            return Err(SynthError::NoSolution);
-        };
-
-        // --- matrix synthesis for the concrete split ---------------------
-        let t = map.iter().filter(|&&g| g == 0).count();
-        let mut generators = Vec::with_capacity(2);
-        for (i, spec) in problem.gens.iter().enumerate() {
-            let data_len = if i == 0 { t } else { lw - t };
-            if data_len == 0 {
-                // empty generators are not representable; treat as an
-                // infeasible split
-                blocked_splits.push(t);
-                continue 'outer;
-            }
-            let shape = ProblemShape {
-                gens: vec![GenShape {
-                    data_len,
-                    min_distance: spec.min_distance,
-                    check_lo: spec.check_len,
-                    check_hi: spec.check_len,
-                    ones_lo: None,
-                    ones_hi: None,
-                    pinned_cells: Vec::new(),
-                }],
-                objective: None,
+    // `None`: no generator with that (t, len_c, md) exists
+    let mut matrices: HashMap<(usize, usize, usize), Option<Generator>> = HashMap::new();
+    'vectors: for (counts, map, sum_w) in candidates {
+        let mut generators = Vec::with_capacity(counts.len());
+        for (i, (&t, spec)) in counts.iter().zip(&problem.gens).enumerate() {
+            let matrix = match matrices.entry((t, spec.check_len, spec.min_distance)) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => e.insert(synthesize_matrix(
+                    t,
+                    spec,
+                    config,
+                    deadline,
+                    &mut iterations,
+                )?),
             };
-            match Synthesizer::new(*config).run_shape(&shape) {
-                Ok(r) => {
-                    iterations += r.iterations;
-                    generators.push(r.generators.into_iter().next().expect("one generator"));
-                }
-                Err(SynthError::NoSolution) => {
-                    // this split admits no generator matrix: block it and
-                    // re-run map synthesis
-                    blocked_splits.push(t);
-                    continue 'outer;
-                }
-                Err(e) => return Err(e),
-            }
+            let Some(g) = matrix else {
+                trace_split(config, &counts, sum_w, &format!("infeasible G{i}"));
+                continue 'vectors;
+            };
+            generators.push(g.clone());
         }
-
+        trace_split(config, &counts, sum_w, "chosen");
         return Ok(WeightedResult {
             generators,
             map,
@@ -170,106 +137,117 @@ pub fn synthesize_weighted(
             elapsed: start.elapsed(),
         });
     }
+    Err(SynthError::NoSolution)
 }
 
-/// Phase 1: the map solver with bound descent. Returns the best map
-/// found (and its objective value), or `None` if no split meets the
-/// initial bound.
-fn solve_map(
-    problem: &WeightedProblem,
+/// Every count vector: `g` counts, each at least 1, summing to `lw`,
+/// in lexicographic order.
+fn count_vectors(lw: usize, g: usize) -> Vec<Vec<usize>> {
+    if g == 1 {
+        return vec![vec![lw]];
+    }
+    (1..=lw.saturating_sub(g - 1))
+        .flat_map(|t| {
+            count_vectors(lw - t, g - 1)
+                .into_iter()
+                .map(move |rest| [vec![t], rest].concat())
+        })
+        .collect()
+}
+
+/// The optimal map for one count vector, and its `sum_w`: the bits of
+/// `by_weight` (heaviest first) are dealt to the generators cheapest
+/// per bit first, ties to the lower index.
+fn best_map(problem: &WeightedProblem, by_weight: &[usize], counts: &[usize]) -> (Vec<usize>, f64) {
+    let cost: Vec<f64> = problem
+        .gens
+        .iter()
+        .zip(counts)
+        .map(|(spec, &t)| {
+            choose_times_pow(
+                t + spec.check_len,
+                spec.min_distance,
+                problem.bit_error_rate,
+            )
+        })
+        .collect();
+    let mut cheapest: Vec<usize> = (0..counts.len()).collect();
+    cheapest.sort_by(|&a, &b| cost[a].total_cmp(&cost[b]));
+    let mut map = vec![0; by_weight.len()];
+    let mut bits = by_weight.iter();
+    for &i in &cheapest {
+        for &j in bits.by_ref().take(counts[i]) {
+            map[j] = i;
+        }
+    }
+    let sum_w = problem
+        .weights
+        .iter()
+        .zip(&map)
+        .map(|(w, &i)| w * cost[i])
+        .sum();
+    (map, sum_w)
+}
+
+/// One generator's matrix over `t` data bits, or `None` when no such
+/// code exists. The sub-run gets the time left before `deadline`.
+fn synthesize_matrix(
+    t: usize,
+    spec: &WeightedGenSpec,
     config: &SynthesisConfig,
-    blocked_splits: &[usize],
     deadline: Instant,
     iterations: &mut u64,
-    f: &impl Fn(usize, usize) -> f64,
-) -> Option<(Vec<usize>, f64)> {
-    let lw = problem.weights.len();
-    let mut s = SmtSolver::new();
-    // m[j] ⇔ bit j maps to generator 0
-    let m: Vec<Lit> = (0..lw).map(|_| s.fresh_lit()).collect();
-    let reg = s.counting_register(&m, config.card_encoding);
-    let t0 = UnaryInt::from_register(reg);
-    for &t in blocked_splits {
-        let eq = t0.eq_const(&mut s, t);
-        s.add_clause(&[!eq]);
+) -> Result<Option<Generator>, SynthError> {
+    let remaining = deadline.saturating_duration_since(Instant::now());
+    if remaining.is_zero() {
+        return Err(SynthError::Timeout);
     }
-
-    let mut best: Option<(Vec<usize>, f64)> = None;
-    let mut bound = problem.initial_bound;
-
-    loop {
-        if Instant::now() >= deadline {
-            break;
+    let shape = ProblemShape {
+        gens: vec![GenShape {
+            data_len: t,
+            min_distance: spec.min_distance,
+            check_lo: spec.check_len,
+            check_hi: spec.check_len,
+            ones_lo: None,
+            ones_hi: None,
+            pinned_cells: Vec::new(),
+        }],
+        objective: None,
+    };
+    let sub = SynthesisConfig {
+        timeout: remaining,
+        ..*config
+    };
+    match Synthesizer::new(sub).run_shape(&shape) {
+        Ok(r) => {
+            *iterations += r.iterations;
+            Ok(r.generators.into_iter().next())
         }
-        s.push();
-        // assert sum_w ≤ bound via one guarded PB per split t
-        for t in 0..=lw {
-            let guard = t0.eq_const(&mut s, t);
-            let f0 = f(0, t);
-            let f1 = f(1, lw - t);
-            let base: f64 = problem.weights.iter().map(|w| w * f1).sum();
-            // Σ_j m_j · w_j (f0 - f1) ≤ bound - base, with sign handling
-            let mut lits = Vec::with_capacity(lw);
-            let mut coeffs = Vec::with_capacity(lw);
-            let mut rhs = (bound - base) * SCALE;
-            for (j, &w) in problem.weights.iter().enumerate() {
-                let delta = (w * (f0 - f1) * SCALE).round() as i64;
-                match delta.cmp(&0) {
-                    std::cmp::Ordering::Greater => {
-                        lits.push(m[j]);
-                        coeffs.push(delta as u64);
-                    }
-                    std::cmp::Ordering::Less => {
-                        // m·δ = δ + (¬m)·(-δ)
-                        rhs -= delta as f64;
-                        lits.push(!m[j]);
-                        coeffs.push((-delta) as u64);
-                    }
-                    std::cmp::Ordering::Equal => {}
-                }
-            }
-            if rhs < 0.0 {
-                s.add_clause(&[!guard]); // this split can never meet the bound
-            } else {
-                let ok = s.weighted_le_reified(&lits, &coeffs, rhs as u64);
-                s.add_clause(&[!guard, ok]);
-            }
-        }
-
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            s.pop();
-            break;
-        }
-        *iterations += 1;
-        let status = s.solve_with_budget(&[], Budget::with_timeout(remaining));
-        if status != SmtResult::Sat {
-            s.pop();
-            break;
-        }
-        let map: Vec<usize> = m.iter().map(|&l| usize::from(!s.model_lit(l))).collect();
-        let t = map.iter().filter(|&&g| g == 0).count();
-        let achieved: f64 = problem
-            .weights
-            .iter()
-            .zip(&map)
-            .map(|(&w, &gi)| w * f(gi, if gi == 0 { t } else { lw - t }))
-            .sum();
-        s.pop();
-        best = Some((map, achieved));
-        // tighten strictly below the achieved value (one scaled unit)
-        bound = achieved - 1.0 / SCALE;
-        if bound < 0.0 {
-            break;
-        }
+        Err(SynthError::NoSolution) => Ok(None),
+        Err(e) => Err(e),
     }
-    best
+}
+
+/// One `synth.split` event per visited count vector.
+fn trace_split(config: &SynthesisConfig, counts: &[usize], sum_w: f64, outcome: &str) {
+    let counts: Vec<String> = counts.iter().map(usize::to_string).collect();
+    obs::event(
+        config.trace,
+        Level::Info,
+        "synth.split",
+        &[
+            ("counts", counts.join("/").into()),
+            ("sum_w", sum_w.into()),
+            ("outcome", outcome.into()),
+        ],
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fec_hamming::distance;
+    use proptest::prelude::*;
 
     /// The paper's §4.3 weights for the upper 16 bits of a float32,
     /// listed MSB-first in the paper; our `weights[j]` indexes data bit
@@ -287,6 +265,58 @@ mod tests {
             timeout: Duration::from_secs(60),
             ..Default::default()
         }
+    }
+
+    fn spec(check_len: usize, min_distance: usize) -> WeightedGenSpec {
+        WeightedGenSpec {
+            check_len,
+            min_distance,
+        }
+    }
+
+    /// `sum_w` of an arbitrary map, straight from constraint (6).
+    fn objective(problem: &WeightedProblem, map: &[usize]) -> f64 {
+        problem
+            .weights
+            .iter()
+            .zip(map)
+            .map(|(w, &i)| {
+                let t = map.iter().filter(|&&m| m == i).count();
+                let g = &problem.gens[i];
+                w * choose_times_pow(t + g.check_len, g.min_distance, problem.bit_error_rate)
+            })
+            .sum()
+    }
+
+    /// Brute force over all `len_G^len_w` maps: the least `sum_w` among
+    /// those that leave no generator empty and whose every
+    /// `(t, len_c, md)` admits a code by the closed-form rule (md 2
+    /// needs a check bit, md 3 the Hamming bound `t + len_c + 1 ≤
+    /// 2^len_c`).
+    fn oracle(problem: &WeightedProblem) -> Option<f64> {
+        let (lw, g) = (problem.weights.len(), problem.gens.len());
+        let exists = |t: usize, s: &WeightedGenSpec| match s.min_distance {
+            2 => s.check_len >= 1,
+            3 => t + s.check_len < 1 << s.check_len,
+            md => unreachable!("no closed form for md {md}"),
+        };
+        (0..g.pow(lw as u32))
+            .map(|code| {
+                let digits = (0..lw).scan(code, |c, _| {
+                    let i = *c % g;
+                    *c /= g;
+                    Some(i)
+                });
+                digits.collect::<Vec<usize>>()
+            })
+            .filter(|map| {
+                problem.gens.iter().enumerate().all(|(i, s)| {
+                    let t = map.iter().filter(|&&m| m == i).count();
+                    t > 0 && exists(t, s)
+                })
+            })
+            .map(|map| objective(problem, &map))
+            .min_by(f64::total_cmp)
     }
 
     #[test]
@@ -309,7 +339,6 @@ mod tests {
                 },
             ],
             bit_error_rate: 0.1,
-            initial_bound: 1000.0,
         };
         let r = synthesize_weighted(&problem, &quick()).unwrap();
         let expect_map: Vec<usize> = (0..16).map(|j| usize::from(j < 9)).collect();
@@ -342,7 +371,6 @@ mod tests {
                 },
             ],
             bit_error_rate: 0.1,
-            initial_bound: 100.0,
         };
         let r = synthesize_weighted(&problem, &quick()).unwrap();
         assert_eq!(r.map.len(), 8);
@@ -352,42 +380,106 @@ mod tests {
     }
 
     #[test]
-    fn rejects_wrong_ensemble_size() {
-        let problem = WeightedProblem {
+    fn one_generator_takes_every_bit_and_none_is_inconsistent() {
+        let mut problem = WeightedProblem {
             weights: vec![1.0; 4],
-            gens: vec![WeightedGenSpec {
-                check_len: 1,
-                min_distance: 2,
-            }],
+            gens: vec![spec(1, 2)],
             bit_error_rate: 0.1,
-            initial_bound: 10.0,
         };
+        let r = synthesize_weighted(&problem, &quick()).unwrap();
+        assert_eq!(r.map, vec![0; 4]);
+        assert_eq!(r.generators[0].data_len(), 4);
+        problem.gens.clear();
         assert!(matches!(
             synthesize_weighted(&problem, &quick()),
-            Err(SynthError::Unsupported(_))
+            Err(SynthError::Inconsistent(_))
         ));
     }
 
     #[test]
-    fn impossible_bound_fails_cleanly() {
+    fn a_shape_without_any_code_fails_cleanly() {
+        // one check bit never reaches distance 3, whatever G0's count
         let problem = WeightedProblem {
             weights: vec![1.0; 4],
-            gens: vec![
-                WeightedGenSpec {
-                    check_len: 2,
-                    min_distance: 2,
-                },
-                WeightedGenSpec {
-                    check_len: 1,
-                    min_distance: 2,
-                },
-            ],
+            gens: vec![spec(1, 3), spec(1, 2)],
             bit_error_rate: 0.1,
-            initial_bound: 0.0, // nothing is ≤ 0
         };
         assert!(matches!(
             synthesize_weighted(&problem, &quick()),
             Err(SynthError::NoSolution)
         ));
+    }
+
+    #[test]
+    fn optimum_above_the_papers_starting_bound_is_found() {
+        // §4.3 starts its `minimal(sum_w)` descent at 1000; this
+        // optimum lies above it
+        let problem = WeightedProblem {
+            weights: vec![100.0; 16],
+            gens: vec![spec(5, 3), spec(1, 2)],
+            bit_error_rate: 0.15,
+        };
+        let r = synthesize_weighted(&problem, &quick()).unwrap();
+        assert!((r.sum_w - 1420.2).abs() < 1e-6, "sum_w = {}", r.sum_w);
+        assert_eq!(r.generators[0].data_len(), 8);
+        assert_eq!(r.generators[1].data_len(), 8);
+        // at 8/8 the parity code is cheaper per bit, and weight ties go
+        // to the higher positions: bits 15..8 → G1
+        let expect_map: Vec<usize> = (0..16).map(|j| usize::from(j >= 8)).collect();
+        assert_eq!(r.map, expect_map);
+    }
+
+    #[test]
+    fn the_budget_bounds_a_cegis_sub_run() {
+        // CEGIS cannot settle (len_d 11, len_c 8, md 5) within the
+        // budget, and the static bounds do not refute it
+        let budget = Duration::from_millis(300);
+        let problem = WeightedProblem {
+            weights: vec![1.0; 11],
+            gens: vec![spec(8, 5)],
+            bit_error_rate: 0.01,
+        };
+        let config = SynthesisConfig {
+            timeout: budget,
+            ..Default::default()
+        };
+        let started = Instant::now();
+        let r = synthesize_weighted(&problem, &config);
+        let took = started.elapsed();
+        assert!(matches!(r, Err(SynthError::Timeout)), "{r:?}");
+        assert!(took < budget + Duration::from_millis(700), "{took:?}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(60))]
+        #[test]
+        fn exact_map_matches_brute_force(
+            (g, lw) in prop_oneof![(Just(2usize), 1usize..=10), (Just(3usize), 1usize..=7)],
+            weights in proptest::collection::vec(1u32..=100, 10),
+            specs in proptest::collection::vec((1usize..=4, 2usize..=3), 3),
+            per_mille in 10u32..=210,
+        ) {
+            let problem = WeightedProblem {
+                weights: weights[..lw].iter().map(|&w| f64::from(w)).collect(),
+                gens: specs[..g].iter().map(|&(c, md)| spec(c, md)).collect(),
+                bit_error_rate: f64::from(per_mille) / 1000.0,
+            };
+            let result = synthesize_weighted(&problem, &quick());
+            match (oracle(&problem), result) {
+                (None, Err(SynthError::NoSolution)) => {}
+                (Some(best), Ok(r)) => {
+                    prop_assert!((r.sum_w - best).abs() <= 1e-9 * best, "{} vs {best}", r.sum_w);
+                    let achieved = objective(&problem, &r.map);
+                    prop_assert!((achieved - best).abs() <= 1e-9 * best, "{achieved} vs {best}");
+                    for (i, (gen, s)) in r.generators.iter().zip(&problem.gens).enumerate() {
+                        let t = r.map.iter().filter(|&&m| m == i).count();
+                        prop_assert_eq!(gen.data_len(), t);
+                        prop_assert_eq!(gen.check_len(), s.check_len);
+                        prop_assert!(distance::min_distance_exhaustive(gen) >= s.min_distance);
+                    }
+                }
+                (best, r) => panic!("{problem:?}: oracle {best:?}, synthesis {r:?}"),
+            }
+        }
     }
 }

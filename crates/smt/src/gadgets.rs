@@ -85,16 +85,6 @@ impl SmtSolver {
         }
     }
 
-    /// A literal equal to `if c { t } else { e }`.
-    pub fn ite(&mut self, c: Lit, t: Lit, e: Lit) -> Lit {
-        let o = self.fresh_lit();
-        self.add_clause(&[!c, !t, o]);
-        self.add_clause(&[!c, t, !o]);
-        self.add_clause(&[c, !e, o]);
-        self.add_clause(&[c, e, !o]);
-        o
-    }
-
     /// A literal equal to `a ↔ b`.
     pub fn iff(&mut self, a: Lit, b: Lit) -> Lit {
         !self.xor2(a, b)
@@ -159,14 +149,6 @@ mod tests {
     #[test]
     fn xor2_truth_table() {
         check_gadget(|s, [a, b]| s.xor2(a, b), |[a, b]| a ^ b);
-    }
-
-    #[test]
-    fn ite_truth_table() {
-        check_gadget(
-            |s, [c, t, e]| s.ite(c, t, e),
-            |[c, t, e]| if c { t } else { e },
-        );
     }
 
     #[test]

@@ -62,19 +62,6 @@ impl UnaryInt {
         }
     }
 
-    /// Literal meaning `self ≤ k`.
-    pub fn le_const(&self, s: &mut SmtSolver, k: usize) -> Lit {
-        let ge = self.ge_const(s, k + 1);
-        !ge
-    }
-
-    /// Literal meaning `self = k`.
-    pub fn eq_const(&self, s: &mut SmtSolver, k: usize) -> Lit {
-        let ge = self.ge_const(s, k);
-        let le = self.le_const(s, k);
-        s.and2(ge, le)
-    }
-
     /// Asserts `self ≤ k` in the current scope.
     pub fn assert_le(&self, s: &mut SmtSolver, k: usize) {
         if k < self.bits.len() {
@@ -139,16 +126,6 @@ mod tests {
         assert!((3..=5).contains(&v), "value {v} outside [3,5]");
         x.assert_le(&mut s, 2);
         assert_eq!(s.solve(&[]), SmtResult::Unsat);
-    }
-
-    #[test]
-    fn eq_const_literal() {
-        let mut s = SmtSolver::new();
-        let x = UnaryInt::new(&mut s, 6);
-        let is4 = x.eq_const(&mut s, 4);
-        s.add_clause(&[is4]);
-        assert_eq!(s.solve(&[]), SmtResult::Sat);
-        assert_eq!(x.model_value(&s), 4);
     }
 
     #[test]

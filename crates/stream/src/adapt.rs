@@ -34,7 +34,8 @@ pub struct AdaptConfig {
     pub word_len: usize,
     /// Fountain generation size the adapted phase will run with.
     pub gen_size: usize,
-    /// Solver budget for the weighted synthesis.
+    /// Wall-clock budget for the whole weighted synthesis: the map
+    /// enumeration and every matrix sub-run share one deadline.
     pub timeout: Duration,
     /// Portfolio workers per solver query.
     pub jobs: usize,
@@ -86,7 +87,7 @@ pub fn synthesize_adapted(
             min_distance: 2,
         },
     ];
-    let problem = profile.to_weighted_problem(cfg.word_len, gens, 1000.0);
+    let problem = profile.to_weighted_problem(cfg.word_len, gens);
     let synth_cfg = SynthesisConfig {
         timeout: cfg.timeout,
         jobs: cfg.jobs,

@@ -273,7 +273,6 @@ impl BurstProfile {
         &self,
         word_len: usize,
         gens: Vec<WeightedGenSpec>,
-        initial_bound: f64,
     ) -> WeightedProblem {
         let mut folded = vec![0u64; word_len];
         for (i, &n) in self.position_errors.iter().enumerate() {
@@ -292,7 +291,6 @@ impl BurstProfile {
             weights,
             gens,
             bit_error_rate: self.design_ber(),
-            initial_bound,
         }
     }
 }
@@ -403,7 +401,7 @@ mod tests {
                 min_distance: 2,
             },
         ];
-        let w = p.to_weighted_problem(8, gens.clone(), 1000.0);
+        let w = p.to_weighted_problem(8, gens.clone());
         assert_eq!(w.weights.len(), 8);
         assert_eq!(w.weights[3], 100.0);
         for j in [0, 1, 2, 4, 5, 6, 7] {
@@ -412,7 +410,7 @@ mod tests {
         assert!((w.bit_error_rate - 0.125).abs() < 1e-9);
 
         // nothing observed → uniform weights, floored BER
-        let empty = BurstProfile::new().to_weighted_problem(8, gens, 1000.0);
+        let empty = BurstProfile::new().to_weighted_problem(8, gens);
         assert!(empty.weights.iter().all(|&x| x == 100.0));
         assert!(empty.bit_error_rate <= 1e-6);
     }

@@ -7,10 +7,12 @@
 //! the affected words rather than silently corrupting them.
 
 use fec_channel::burst::GilbertElliott;
+use fec_hamming::robustness::choose_times_pow;
 use fec_hamming::{standards, CompositeCode};
 use fec_stream::{
     deterministic_payload, run_adaptive, run_stream, AdaptConfig, InnerCode, StreamConfig,
 };
+use fec_synth::weights::WeightedGenSpec;
 
 /// A loss rate the configured pipeline (802.3df + depth-4 interleave +
 /// 8 repair words per 16-word generation) is provisioned to beat.
@@ -184,4 +186,39 @@ fn adapted_code_beats_static_on_the_bursty_channel() {
     // …and the synthesized replacement must be a real composite code.
     assert_eq!(a.adapted.code.data_len(), 16);
     assert!(a.adapted.code.codeword_len() <= 64);
+    // Its sum_w is the optimum of the measured §4.3 problem: a brute
+    // force over all 2^16 maps (bit j on G0 iff bit j of `m` is set)
+    // finds the same value.
+    let gens = vec![
+        WeightedGenSpec {
+            check_len: 5,
+            min_distance: 3,
+        },
+        WeightedGenSpec {
+            check_len: 1,
+            min_distance: 2,
+        },
+    ];
+    let problem = a.probe.profile.to_weighted_problem(16, gens);
+    let cost = |i: usize, t: usize| {
+        let g = &problem.gens[i];
+        choose_times_pow(t + g.check_len, g.min_distance, problem.bit_error_rate)
+    };
+    let best = (1u32..(1 << 16) - 1)
+        .map(|m| {
+            let t0 = m.count_ones() as usize;
+            let (f0, f1) = (cost(0, t0), cost(1, 16 - t0));
+            let on_g0 = |j: usize| m >> j & 1 == 1;
+            (0..16)
+                .map(|j| problem.weights[j] * if on_g0(j) { f0 } else { f1 })
+                .sum::<f64>()
+        })
+        .min_by(f64::total_cmp)
+        .unwrap();
+    let sum_w = a.adapted.sum_w;
+    assert!(
+        (sum_w - best).abs() <= 1e-9 * best,
+        "sum_w {sum_w} vs brute force {best}"
+    );
+    assert!((best - 0.5146).abs() < 5e-5, "brute force {best}");
 }

@@ -42,7 +42,6 @@ fn main() {
             },
         ],
         bit_error_rate: 0.1,
-        initial_bound: 1000.0,
     };
     let synthesized =
         synthesize_weighted(&problem, &SynthesisConfig::default()).expect("weighted synthesis");

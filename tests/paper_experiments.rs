@@ -165,7 +165,6 @@ fn sec43_weighted_synthesis() {
             },
         ],
         bit_error_rate: 0.1,
-        initial_bound: 1000.0,
     };
     let r = synthesize_weighted(&problem, &config()).unwrap();
     // the strong code takes a contiguous top segment of the bits
