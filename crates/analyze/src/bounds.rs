@@ -452,6 +452,26 @@ mod tests {
     }
 
     #[test]
+    fn bench_grid_verdict_counts() {
+        // `analyze_bench`'s grid: k ∈ {4, 8}, r ∈ 1..=6, d ∈ 2..=6
+        let (mut infeasible, mut trivial, mut open) = (0, 0, 0);
+        for k in [4, 8] {
+            for r in 1..=6 {
+                for d in 2..=6 {
+                    match analyze_point(k + r, k, d) {
+                        PointVerdict::Infeasible(_) => infeasible += 1,
+                        PointVerdict::TriviallyFeasible => trivial += 1,
+                        PointVerdict::NeedsSearch { .. } => open += 1,
+                    }
+                }
+            }
+        }
+        assert_eq!((infeasible, trivial, open), (35, 20, 5));
+        // the bench's gate: at least half the grid decided statically
+        assert!(2 * (infeasible + trivial) >= infeasible + trivial + open);
+    }
+
+    #[test]
     fn repetition_and_degenerate_points() {
         assert!(refute(5, 1, 5).is_none());
         assert_eq!(refute(5, 1, 6).expect("d > n").bound, "length");

@@ -4,6 +4,7 @@
 //! and the synthesizer agree, by construction, on what a spec means.
 
 use crate::spec::{CmpOp, Expr, GenFn, Prop};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A static spec error found before any solver runs.
@@ -97,7 +98,7 @@ impl ProblemShape {
         };
 
         let mut len_g: Option<usize> = None;
-        #[derive(Default, Clone)]
+        #[derive(Default)]
         struct Partial {
             data_len: Option<usize>,
             md: Option<usize>,
@@ -107,12 +108,9 @@ impl ProblemShape {
             ones_hi: Option<usize>,
             cells: Vec<(usize, usize, bool)>,
         }
-        let mut partials: Vec<Partial> = Vec::new();
-        let ensure = |partials: &mut Vec<Partial>, i: usize| {
-            while partials.len() <= i {
-                partials.push(Partial::default());
-            }
-        };
+        // keyed by generator index: a spec's indices (and len_G) are
+        // input, so nothing here is sized by one
+        let mut partials: BTreeMap<usize, Partial> = BTreeMap::new();
         let mut objective: Option<Objective> = None;
 
         for conj in prop.conjuncts() {
@@ -178,8 +176,7 @@ impl ProblemShape {
                         },
                         Expr::GenFn(func, g) => {
                             let i = fold_idx(g).ok_or_else(|| unsupported(conj))?;
-                            ensure(&mut partials, i);
-                            let p = &mut partials[i];
+                            let p = partials.entry(i).or_default();
                             match (func, op) {
                                 (GenFn::LenD, CmpOp::Eq) => {
                                     if p.data_len.replace(v).is_some_and(|o| o != v) {
@@ -236,8 +233,7 @@ impl ProblemShape {
                             let i = fold_idx(gen).ok_or_else(|| unsupported(conj))?;
                             let r = fold_idx(row).ok_or_else(|| unsupported(conj))?;
                             let c = fold_idx(col).ok_or_else(|| unsupported(conj))?;
-                            ensure(&mut partials, i);
-                            partials[i].cells.push((r, c, v == 1));
+                            partials.entry(i).or_default().cells.push((r, c, v == 1));
                         }
                         _ => return Err(unsupported(conj)),
                     }
@@ -246,16 +242,21 @@ impl ProblemShape {
             }
         }
 
-        let n = len_g.unwrap_or(partials.len().max(1));
-        if partials.len() > n {
-            return Err(SpecError::Inconsistent(format!(
-                "constraints mention G{} but len_G = {n}",
-                partials.len() - 1
-            )));
-        }
-        let mut gens = Vec::with_capacity(n);
+        let last = partials.keys().next_back().copied();
+        let n = match (len_g, last) {
+            (Some(n), Some(i)) if i >= n => {
+                return Err(SpecError::Inconsistent(format!(
+                    "constraints mention G{i} but len_G = {n}"
+                )))
+            }
+            (Some(n), _) => n,
+            (None, last) => last.map_or(1, |i| i.saturating_add(1)),
+        };
+        // every generator needs its len_d, so the loop stops at the
+        // first unmentioned index: it runs at most once per partial
+        let mut gens = Vec::new();
         for i in 0..n {
-            let p = partials.get(i).cloned().unwrap_or_default();
+            let p = partials.remove(&i).unwrap_or_default();
             let data_len = p.data_len.ok_or_else(|| {
                 SpecError::Unsupported(format!("len_d(G{i}) must be fixed by the property"))
             })?;
@@ -360,6 +361,24 @@ mod tests {
             assert!(
                 ProblemShape::from_prop(&p, MAX_CHECK).is_err(),
                 "should reject {src:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn huge_generator_counts_fail_before_allocating() {
+        // each would otherwise size a vector by an index or by len_G
+        for (src, missing) in [
+            ("len_d(G10000000) = 4", "len_d(G0)"),
+            ("len_d(G9999999999999) = 4", "len_d(G0)"),
+            ("len_G = 100000000000 && len_d(G0) = 4", "len_d(G1)"),
+        ] {
+            let p = parse_property(src).unwrap();
+            let err = ProblemShape::from_prop(&p, MAX_CHECK).unwrap_err();
+            assert_eq!(
+                err,
+                SpecError::Unsupported(format!("{missing} must be fixed by the property")),
+                "{src}"
             );
         }
     }

@@ -214,7 +214,11 @@ pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
                     }
                 });
             }
-            other => return Err(err(i, &format!("unexpected character {other:?}"))),
+            _ => {
+                // every byte before `i` was ASCII, so `i` starts a char
+                let other = input[i..].chars().next().unwrap_or(c);
+                return Err(err(i, &format!("unexpected character {other:?}")));
+            }
         }
     }
     Ok(out)
@@ -284,5 +288,12 @@ mod tests {
         assert!(lex("Gx").is_err());
         assert!(lex("#").is_err());
         assert!(lex("&").is_err());
+    }
+
+    #[test]
+    fn reports_a_non_ascii_character_whole() {
+        let e = lex("md(G0) = é").unwrap_err();
+        assert_eq!(e.position, 9);
+        assert_eq!(e.message, "unexpected character 'é'");
     }
 }

@@ -48,10 +48,19 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// How deep a property may nest (parentheses, `!`, unary `-`, `=>`
+/// chains): far beyond any real spec, and shallow enough that the
+/// recursive descent cannot overflow a thread's stack.
+const MAX_DEPTH: usize = 200;
+
 /// Parses a property string into its AST.
 pub fn parse_property(input: &str) -> Result<Prop, ParseError> {
     let tokens = lex(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let prop = p.prop()?;
     if p.pos != p.tokens.len() {
         return Err(ParseError {
@@ -64,9 +73,28 @@ pub fn parse_property(input: &str) -> Result<Prop, ParseError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    depth: usize,
 }
 
 impl Parser {
+    /// Runs `f` one nesting level deeper, or fails past [`MAX_DEPTH`].
+    /// Every recursive cycle of the grammar goes through one of these
+    /// calls.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(ParseError {
+                message: format!("nesting deeper than {MAX_DEPTH} levels"),
+            });
+        }
+        self.depth += 1;
+        let r = f(self);
+        self.depth -= 1;
+        r
+    }
+
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos)
     }
@@ -92,7 +120,7 @@ impl Parser {
         let lhs = self.or_prop()?;
         if self.peek() == Some(&Token::Arrow) {
             self.bump();
-            let rhs = self.prop()?; // right-associative
+            let rhs = self.nested(Self::prop)?; // right-associative
             Ok(Prop::Implies(Box::new(lhs), Box::new(rhs)))
         } else {
             Ok(lhs)
@@ -122,7 +150,7 @@ impl Parser {
     fn not_prop(&mut self) -> Result<Prop, ParseError> {
         if self.peek() == Some(&Token::Bang) {
             self.bump();
-            let p = self.not_prop()?;
+            let p = self.nested(Self::not_prop)?;
             return Ok(Prop::Not(Box::new(p)));
         }
         self.atom_prop()
@@ -155,7 +183,7 @@ impl Parser {
                 // followed by a comparison; try prop first by lookahead
                 let save = self.pos;
                 self.bump();
-                if let Ok(p) = self.prop() {
+                if let Ok(p) = self.nested(Self::prop) {
                     if self.peek() == Some(&Token::RParen) {
                         self.bump();
                         // if a comparison operator follows, this was an
@@ -226,10 +254,10 @@ impl Parser {
     }
 
     fn term(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.factor()?;
+        let mut lhs = self.nested(Self::factor)?;
         while self.peek() == Some(&Token::Star) {
             self.bump();
-            let rhs = self.factor()?;
+            let rhs = self.nested(Self::factor)?;
             lhs = Expr::Mul(Box::new(lhs), Box::new(rhs));
         }
         Ok(lhs)
@@ -238,7 +266,7 @@ impl Parser {
     fn factor(&mut self) -> Result<Expr, ParseError> {
         if self.peek() == Some(&Token::Minus) {
             self.bump();
-            let e = self.factor()?;
+            let e = self.nested(Self::factor)?;
             return Ok(Expr::Neg(Box::new(e)));
         }
         self.primary()
@@ -400,6 +428,23 @@ mod tests {
     fn parses_weights_and_sums() {
         let p = parse_property("w(0) * 2 < sum_w && len_w = 16").unwrap();
         assert_eq!(p.conjuncts().len(), 2);
+    }
+
+    #[test]
+    fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+        let n = 100_000;
+        for src in [
+            format!("{}md(G0) = 3{}", "(".repeat(n), ")".repeat(n)),
+            format!("{}md(G0) = 3", "!".repeat(n)),
+            format!("md(G0) = {}3", "-".repeat(n)),
+            format!("{}true", "true => ".repeat(n)),
+        ] {
+            let e = parse_property(&src).unwrap_err();
+            assert!(e.message.contains("nesting deeper than"), "{e}");
+        }
+        // the limit itself still parses
+        let src = format!("{}true{}", "(".repeat(MAX_DEPTH), ")".repeat(MAX_DEPTH));
+        assert_eq!(parse_property(&src), Ok(Prop::True));
     }
 
     #[test]

@@ -17,10 +17,7 @@
 //! that spawns a fresh portfolio (and re-ships the whole circuit) per
 //! weight. Gate: warm ≥ 1.0× at jobs = 2.
 //!
-//! Results land in `BENCH_cegis_incremental.json` at the workspace
-//! root with the shared `bench_meta` header, so `fecsynth
-//! bench-compare` schema-validates and trend-gates them against the
-//! committed baseline.
+//! A missed gate fails an assert, so the bench exits nonzero.
 //!
 //! ```text
 //! cargo bench -p fec-bench --bench cegis_incremental
@@ -33,8 +30,6 @@ use fec_synth::encode::CexMode;
 use fec_synth::reference;
 use fec_synth::spec::parse_property;
 use fec_synth::verify::{sat_min_distance_incremental_with, sat_min_distance_with, VerifyOptions};
-use std::fmt::Write as _;
-use std::path::Path;
 use std::time::{Duration, Instant};
 
 const REPS: usize = 3;
@@ -42,7 +37,7 @@ const REPS: usize = 3;
 /// slower than the incremental core, so the bench records a capped
 /// lower bound instead of waiting minutes per rep.
 const SCRATCH_TIMEOUT: Duration = Duration::from_secs(20);
-/// The gates this bench enforces (mirrored in the emitted JSON).
+/// The gates this bench enforces.
 const CEGIS_GATE: f64 = 2.0;
 const WARM_GATE: f64 = 1.0;
 
@@ -132,7 +127,6 @@ fn main() {
     println!("incremental CEGIS bench, {REPS} reps, {cores} core(s)");
 
     // Part 1: Table 1 min_dist = 7/8 optimization rows, paper mode.
-    let mut rows = Vec::new();
     for min_dist in [7usize, 8] {
         let row = table1_row(min_dist);
         println!(
@@ -155,13 +149,11 @@ fn main() {
             row.min_dist,
             row.speedup
         );
-        rows.push(row);
     }
 
     // Part 2: warm pool vs cold spawn-per-weight on the flagship query.
     let g = standards::ieee_8023df_128_120();
     let expect = 3;
-    let mut sessions = Vec::new();
     for jobs in [1usize, 2] {
         let opts = VerifyOptions {
             budget: Budget::unlimited(),
@@ -178,51 +170,5 @@ fn main() {
                 "warm pool at jobs=2 is {speedup:.2}x (gate {WARM_GATE}x)"
             );
         }
-        sessions.push((jobs, cold, warm, speedup));
     }
-
-    let mut json = String::new();
-    writeln!(json, "{{").unwrap();
-    json.push_str(&fec_bench::bench_meta(REPS as u64));
-    writeln!(json, "  \"cores\": {cores},").unwrap();
-    writeln!(json, "  \"reps\": {REPS},").unwrap();
-    writeln!(json, "  \"cegis_gate\": {CEGIS_GATE:.1},").unwrap();
-    writeln!(json, "  \"warm_pool_gate\": {WARM_GATE:.1},").unwrap();
-    writeln!(json, "  \"gate_cegis_met\": true,").unwrap();
-    writeln!(json, "  \"gate_warm_pool_met\": true,").unwrap();
-    writeln!(json, "  \"table1_rows\": [").unwrap();
-    for (i, r) in rows.iter().enumerate() {
-        writeln!(
-            json,
-            "    {{\"min_dist\": {}, \"check_len\": {}, \"incremental_secs\": {:.6}, \
-             \"incremental_iters\": {}, \"scratch_secs\": {:.6}, \"scratch_completed\": {}, \
-             \"speedup\": {:.3}}}{}",
-            r.min_dist,
-            r.check_len,
-            r.incr_secs,
-            r.incr_iters,
-            r.scratch_secs,
-            r.scratch_completed,
-            r.speedup,
-            if i + 1 < rows.len() { "," } else { "" }
-        )
-        .unwrap();
-    }
-    writeln!(json, "  ],").unwrap();
-    writeln!(json, "  \"flagship_sessions\": [").unwrap();
-    for (i, (jobs, cold, warm, speedup)) in sessions.iter().enumerate() {
-        writeln!(
-            json,
-            "    {{\"jobs\": {jobs}, \"cold_secs\": {cold:.6}, \"warm_secs\": {warm:.6}, \
-             \"speedup\": {speedup:.3}}}{}",
-            if i + 1 < sessions.len() { "," } else { "" }
-        )
-        .unwrap();
-    }
-    writeln!(json, "  ]").unwrap();
-    writeln!(json, "}}").unwrap();
-
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_cegis_incremental.json");
-    std::fs::write(&path, &json).expect("write BENCH_cegis_incremental.json");
-    println!("wrote {}", path.display());
 }

@@ -1,7 +1,6 @@
 //! Observability overhead budget: tracing must be free when disabled.
 //!
-//! Two measurements, written to `BENCH_trace_overhead.json` at the
-//! workspace root:
+//! Two measurements, printed to stdout:
 //!
 //! 1. **Disabled bound** (the gate): every instrumentation site hides
 //!    behind one relaxed `AtomicU8` load (`fec_trace::enabled`). We
@@ -11,8 +10,8 @@
 //!    overhead as `guard_cost × visits / runtime`. The bench **fails**
 //!    if that bound reaches 2%.
 //! 2. **Enabled cost** (context only): the same workload A/B-ed with a
-//!    full-level collector draining into in-memory sinks, so the JSON
-//!    records what turning tracing on actually costs. Not gated — it
+//!    full-level collector draining into in-memory sinks, to show
+//!    what turning tracing on actually costs. Not gated — it
 //!    legitimately pays for formatting and sink I/O.
 //!
 //! ```text
@@ -24,9 +23,7 @@ use fec_smt::Budget;
 use fec_synth::verify::{verify_min_distance_at_least_with, VerifyOptions, VerifyOutcome};
 use fec_trace::test_support::SharedBuf;
 use fec_trace::{Level, TraceConfig};
-use std::fmt::Write as _;
 use std::hint::black_box;
-use std::path::Path;
 use std::time::Instant;
 
 const REPS: usize = 3;
@@ -104,28 +101,6 @@ fn main() {
         "  workload (tracing on, in-memory JSONL sink): {enabled_secs:.3} s ({enabled_pct:+.2}% vs off, {} bytes emitted)",
         jsonl.len()
     );
-
-    let mut json = String::new();
-    writeln!(json, "{{").unwrap();
-    json.push_str(&fec_bench::bench_meta(REPS as u64));
-    writeln!(
-        json,
-        "  \"workload\": \"802.3df (128,120) md >= 3 (UNSAT query)\","
-    )
-    .unwrap();
-    writeln!(json, "  \"reps\": {REPS},").unwrap();
-    writeln!(json, "  \"guard_cost_ns\": {guard_ns:.4},").unwrap();
-    writeln!(json, "  \"est_guard_visits\": {visits},").unwrap();
-    writeln!(json, "  \"disabled_secs\": {disabled_secs:.6},").unwrap();
-    writeln!(json, "  \"disabled_overhead_pct\": {disabled_pct:.6},").unwrap();
-    writeln!(json, "  \"enabled_secs\": {enabled_secs:.6},").unwrap();
-    writeln!(json, "  \"enabled_overhead_pct\": {enabled_pct:.4},").unwrap();
-    writeln!(json, "  \"budget_pct\": {BUDGET_PCT},").unwrap();
-    writeln!(json, "  \"pass\": {}", disabled_pct < BUDGET_PCT).unwrap();
-    writeln!(json, "}}").unwrap();
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_trace_overhead.json");
-    std::fs::write(&path, &json).expect("write BENCH_trace_overhead.json");
-    println!("wrote {}", path.display());
 
     assert!(
         disabled_pct < BUDGET_PCT,

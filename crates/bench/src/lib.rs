@@ -10,60 +10,7 @@
 
 #![forbid(unsafe_code)]
 
-use fec_cli::BENCH_SCHEMA_VERSION;
-use std::path::{Path, PathBuf};
 use std::time::Duration;
-
-/// The workspace root (where BENCH_*.json files live), resolved from
-/// this crate's manifest.
-pub fn workspace_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
-/// First line of a command's stdout, if it runs successfully.
-fn cmd_line(cmd: &str, args: &[&str]) -> Option<String> {
-    let out = std::process::Command::new(cmd).args(args).output().ok()?;
-    if !out.status.success() {
-        return None;
-    }
-    let text = String::from_utf8(out.stdout).ok()?;
-    let line = text.lines().next()?.trim().to_string();
-    (!line.is_empty()).then_some(line)
-}
-
-/// Strips anything that would need JSON escaping (the values are
-/// command output; commit hashes and rustc banners are plain ASCII).
-fn json_safe(s: String) -> String {
-    s.chars()
-        .filter(|c| !c.is_control() && *c != '"' && *c != '\\')
-        .collect()
-}
-
-/// The shared `bench_meta` header every BENCH_*.json emitter splices
-/// in right after its opening brace: schema version, git commit, core
-/// count, repetition count, and rustc version — what bench-compare and
-/// the trajectory tooling need to interpret a snapshot. Rendered as
-/// `  "bench_meta": {...},` with a trailing newline.
-pub fn bench_meta(reps: u64) -> String {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let root = workspace_root();
-    let commit = cmd_line(
-        "git",
-        &[
-            "-C",
-            &root.to_string_lossy(),
-            "rev-parse",
-            "--short",
-            "HEAD",
-        ],
-    )
-    .map_or_else(|| "unknown".into(), json_safe);
-    let rustc = cmd_line("rustc", &["--version"]).map_or_else(|| "unknown".into(), json_safe);
-    format!(
-        "  \"bench_meta\": {{\"schema\": {BENCH_SCHEMA_VERSION}, \"git_commit\": \"{commit}\", \
-         \"cores\": {cores}, \"reps\": {reps}, \"rustc\": \"{rustc}\"}},\n"
-    )
-}
 
 /// Prints the structured `error: kind=usage` line and exits 2.
 pub fn usage_exit(msg: &str) -> ! {
@@ -152,19 +99,6 @@ pub fn print_header(cells: &[&str], widths: &[usize]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_meta_emits_and_validates() {
-        let json = format!("{{\n{}  \"x\": 1\n}}", bench_meta(3));
-        let v = fec_trace::parse_json(&json).expect("bench_meta fragment is valid JSON");
-        fec_cli::validate_bench_meta(&v).expect("fresh header passes its own schema");
-        // a divergent schema version must be rejected
-        let old = json.replace("\"schema\": 1", "\"schema\": 0");
-        let v = fec_trace::parse_json(&old).unwrap();
-        assert!(fec_cli::validate_bench_meta(&v).is_err());
-        // reps is threaded through
-        assert!(json.contains("\"reps\": 3"), "{json}");
-    }
 
     #[test]
     fn arg_parsing_defaults() {

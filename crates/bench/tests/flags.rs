@@ -32,6 +32,11 @@ fn removed_flags_are_usage_errors() {
         &["--simplify"],
         "unknown flag --simplify",
     );
+    assert_usage_error(
+        env!("CARGO_BIN_EXE_analyze_bench"),
+        &["--validate"],
+        "unknown flag --validate",
+    );
 }
 
 #[test]
@@ -55,7 +60,6 @@ fn every_binary_rejects_unknown_flags() {
         env!("CARGO_BIN_EXE_fig6"),
         env!("CARGO_BIN_EXE_pairsum"),
         env!("CARGO_BIN_EXE_soft_decoding"),
-        env!("CARGO_BIN_EXE_stream_bench"),
         env!("CARGO_BIN_EXE_table1"),
         env!("CARGO_BIN_EXE_table2"),
         env!("CARGO_BIN_EXE_verify_8023df"),

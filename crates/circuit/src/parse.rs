@@ -334,9 +334,15 @@ fn parse_literal(lit: &str) -> Result<u64, String> {
     u64::from_str_radix(digits, radix).map_err(|_| format!("bad integer literal `{lit}`"))
 }
 
+/// How deep an expression may nest (parentheses, `~`, `!`): far beyond
+/// anything the emitters write, and shallow enough that the recursive
+/// descent cannot overflow a thread's stack.
+const MAX_DEPTH: usize = 200;
+
 struct Parser<'a> {
     toks: &'a [Tok],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -376,7 +382,11 @@ impl<'a> Parser<'a> {
 }
 
 fn parse_stmts(toks: &[Tok], lang: Lang) -> Result<Vec<Stmt>, String> {
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     let mut stmts = Vec::new();
     while let Some(tok) = p.peek() {
         match tok {
@@ -486,14 +496,22 @@ fn parse_expr(p: &mut Parser, min_bp: u8) -> Result<Expr, String> {
     Ok(lhs)
 }
 
+/// Every recursive cycle of the grammar passes through here, so this
+/// is where nesting is counted.
 fn parse_unary(p: &mut Parser) -> Result<Expr, String> {
-    match p.peek_punct() {
+    if p.depth == MAX_DEPTH {
+        return Err(format!("expression nested deeper than {MAX_DEPTH} levels"));
+    }
+    p.depth += 1;
+    let e = match p.peek_punct() {
         Some("~") | Some("!") => {
             p.bump();
-            Ok(Expr::Not(Box::new(parse_unary(p)?)))
+            parse_unary(p).map(|e| Expr::Not(Box::new(e)))
         }
         _ => parse_primary(p),
-    }
+    };
+    p.depth -= 1;
+    e
 }
 
 fn parse_primary(p: &mut Parser) -> Result<Expr, String> {
@@ -597,6 +615,19 @@ mod tests {
             panic!("shape");
         };
         assert!(matches!(**lhs, Expr::Bin(BinOp::Add, ..)));
+    }
+
+    #[test]
+    fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+        let n = 100_000;
+        for expr in [
+            format!("{}d{}", "(".repeat(n), ")".repeat(n)),
+            format!("{}d", "~".repeat(n)),
+        ] {
+            let src = format!("uint64_t encode_checks(uint64_t d) {{\n    return {expr};\n}}");
+            let e = parse_encode_checks(&src, Lang::C).unwrap_err();
+            assert!(e.contains("nested deeper than"), "{e}");
+        }
     }
 
     #[test]

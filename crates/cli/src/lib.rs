@@ -12,10 +12,7 @@
 
 #![forbid(unsafe_code)]
 
-mod bench_compare;
 mod report;
-
-pub use bench_compare::{validate_bench_meta, BENCH_SCHEMA_VERSION};
 
 use fec_gf2::BitVec;
 use fec_hamming::{distance, Generator};
@@ -47,7 +44,6 @@ USAGE:
                     [TRACE]
     fecsynth trace-validate <file.jsonl>
     fecsynth report <trace.jsonl> [--json]
-    fecsynth bench-compare <baseline-dir> <current-dir> [--json]
 
     --check-proofs  certify every solver answer: learned clauses are
                     re-checked as a DRAT proof by the independent
@@ -123,11 +119,6 @@ phases (synth, verify, proof-check, portfolio, other) from
 span self-times, plus progress/stall and instrument summaries; --json
 emits the same breakdown machine-readably.
 
-bench-compare validates every BENCH_*.json in <current-dir> against the
-shared bench_meta schema and diffs metrics against <baseline-dir> with
-per-metric-class regression thresholds (timings 50%, quality ratios
-10%, booleans must not regress); exit 1 on any regression.
-
 Any other --flag, and a --timeout or --jobs that is not a positive
 integer, is a usage error.
 
@@ -167,7 +158,6 @@ const FLAGS: &[(&str, &[&str])] = &[
     ),
     ("trace-validate", &[]),
     ("report", &["json"]),
-    ("bench-compare", &["json"]),
 ];
 
 /// The TRACE family, accepted by every subcommand.
@@ -216,7 +206,6 @@ pub fn run(args: &[String]) -> (i32, String, String) {
         Some("stream") => cmd_stream(args, &mut out, &mut err),
         Some("trace-validate") => cmd_trace_validate(args, &mut out, &mut err),
         Some("report") => report::cmd_report(args, &mut out, &mut err),
-        Some("bench-compare") => bench_compare::cmd_bench_compare(args, &mut out, &mut err),
         Some("--help") | Some("-h") | None => {
             out.push_str(USAGE);
             0
@@ -902,10 +891,13 @@ mod tests {
         let (code, out, _) = run(&[]);
         assert_eq!(code, 0);
         assert!(out.contains("USAGE"));
-        let (code, _, err) = run(&argv(&["bogus"]));
-        assert_eq!(code, 2);
-        assert!(err.contains("error: kind=usage"), "{err}");
-        assert!(err.contains("unknown command"));
+        // `bench-compare` was removed with the BENCH_*.json snapshots
+        for args in [&["bogus"][..], &["bench-compare", "a", "b"]] {
+            let (code, _, err) = run(&argv(args));
+            assert_eq!(code, 2, "{args:?}");
+            assert!(err.contains("error: kind=usage"), "{err}");
+            assert!(err.contains("unknown command"), "{err}");
+        }
     }
 
     #[test]
@@ -989,6 +981,23 @@ mod tests {
         let (code, _, err) = run(&argv(&["analyze"]));
         assert_eq!(code, 2);
         assert!(err.contains("error: kind=usage"), "{err}");
+        // a non-ASCII character is reported whole
+        let (code, _, err) = run(&argv(&["analyze", "é"]));
+        assert_eq!(code, 2);
+        assert!(err.contains("unexpected character 'é'"), "{err}");
+        // huge generator indices and counts size nothing: the first
+        // generator without a fixed len_d is the error
+        let huge_len_g = "len_G = 100000000000 && len_d(G0) = 4";
+        for (cmd, prop, missing) in [
+            ("analyze", "len_d(G10000000) = 4", "len_d(G0)"),
+            ("analyze", huge_len_g, "len_d(G1)"),
+            ("synth", huge_len_g, "len_d(G1)"),
+        ] {
+            let (code, _, err) = run(&argv(&[cmd, prop]));
+            assert_eq!(code, 2, "{cmd} {prop}: {err}");
+            assert!(err.contains("error: kind=unsupported"), "{err}");
+            assert!(err.contains(&format!("{missing} must be fixed")), "{err}");
+        }
     }
 
     #[test]
@@ -1579,6 +1588,14 @@ mod tests {
         let (code, _, err) = run(&argv(&["trace-validate", path.to_str().unwrap()]));
         assert_eq!(code, 1);
         assert!(err.contains("error: kind=schema"), "{err}");
+        // a line nested too deep to parse is malformed, not a crash
+        std::fs::write(&path, "[".repeat(200_000)).unwrap();
+        for cmd in ["trace-validate", "report"] {
+            let (code, _, err) = run(&argv(&[cmd, path.to_str().unwrap()]));
+            assert_eq!(code, 1, "{cmd}");
+            assert!(err.contains("error: kind=schema"), "{cmd}: {err}");
+            assert!(err.contains("nesting deeper than"), "{cmd}: {err}");
+        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -75,7 +75,7 @@ impl Circuit {
     }
 
     /// Number of XOR gates — the cost measure the minimizer drives
-    /// down and BENCH_circuit.json reports.
+    /// down and `codegen_tv` reports.
     pub fn xor_count(&self) -> usize {
         self.gates.len()
     }

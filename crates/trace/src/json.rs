@@ -59,12 +59,18 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// How deep arrays and objects may nest: far beyond anything the
+/// emitters write, and shallow enough that the recursive descent cannot
+/// overflow a thread's stack.
+const MAX_DEPTH: usize = 200;
+
 /// Parses one complete JSON value; trailing whitespace is allowed,
 /// trailing content is an error.
 pub fn parse_json(text: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -78,9 +84,24 @@ pub fn parse_json(text: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
+    /// Runs `f` one nesting level deeper, or fails past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let r = f(self);
+        self.depth -= 1;
+        r
+    }
+
     fn err(&self, message: &str) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -122,8 +143,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -318,6 +339,16 @@ mod tests {
         for bad in ["", "{", "[1,", "\"abc", "{\"a\" 1}", "12 34", "nul"] {
             assert!(parse_json(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"a\": "] {
+            let e = parse_json(&open.repeat(100_000)).unwrap_err();
+            assert!(e.message.contains("nesting deeper than"), "{e}");
+        }
+        let limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_json(&limit).is_ok());
     }
 
     #[test]
