@@ -92,39 +92,108 @@ impl PointVerdict {
     }
 }
 
-/// Saturating binomial coefficient. Saturation is sound everywhere it
-/// is used: the sums are compared `≤` against powers of two, and a
-/// saturated (huge) sum only ever *strengthens* a refutation check,
-/// never manufactures one where the exact value would pass.
-fn binomial(n: usize, k: usize) -> u128 {
-    if k > n {
-        return 0;
-    }
-    let k = k.min(n - k);
-    let mut acc: u128 = 1;
-    for i in 0..k {
-        acc = acc.saturating_mul((n - i) as u128);
-        acc /= (i + 1) as u128;
-    }
-    acc
+/// The volume `Σ_{i=0}^{t} C(n, i)` of a radius-`t` Hamming ball in
+/// `{0,1}^n`: exact while it fits in a `u128`, otherwise its base-2
+/// logarithm, correct to within [`log2_slack`]`(n)`.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Volume {
+    Exact(u128),
+    Log2(f64),
 }
 
-/// `2^e`, saturating.
-fn pow2(e: usize) -> u128 {
-    if e >= 127 {
-        u128::MAX
-    } else {
-        1u128 << e
+fn ball(n: usize, t: usize) -> Volume {
+    let t = t.min(n);
+    let (mut term, mut sum) = (1u128, 1u128); // C(n, 0)
+    for i in 0..t {
+        // C(n, i+1) = C(n, i) · (n − i) / (i + 1); dividing by the gcd
+        // first keeps every product within the result, so an overflow
+        // means the result itself exceeds u128
+        let g = gcd(term, (i + 1) as u128);
+        let next = (term / g)
+            .checked_mul((n - i) as u128 / ((i + 1) as u128 / g))
+            .and_then(|next| Some((next, sum.checked_add(next)?)));
+        match next {
+            Some((next, total)) => (term, sum) = (next, total),
+            None => return Volume::Log2(log2_ball(n, t)),
+        }
     }
+    Volume::Exact(sum)
 }
 
-/// Volume of the radius-`t` Hamming ball in `{0,1}^n`, saturating.
-fn ball(n: usize, t: usize) -> u128 {
-    let mut sum: u128 = 0;
-    for i in 0..=t {
-        sum = sum.saturating_add(binomial(n, i));
+/// `2^e`, or `None` past `u128`.
+fn pow2(e: usize) -> Option<u128> {
+    u32::try_from(e).ok().and_then(|e| 1u128.checked_shl(e))
+}
+
+fn gcd(mut a: u128, mut b: u128) -> u128 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
+/// `log2 Σ_{i=0}^{t} C(n, i)`, summed term by term in the log domain.
+fn log2_ball(n: usize, t: usize) -> f64 {
+    let (mut term, mut sum) = (0.0f64, 0.0f64); // log2 C(n, 0)
+    for i in 0..t {
+        term += ((n - i) as f64).log2() - ((i + 1) as f64).log2();
+        // log2(2^sum + 2^term)
+        let (hi, lo) = if sum >= term {
+            (sum, term)
+        } else {
+            (term, sum)
+        };
+        sum = hi + (lo - hi).exp2().ln_1p() / std::f64::consts::LN_2;
     }
     sum
+}
+
+/// A bound, in bits, on the rounding error [`log2_ball`] accumulates
+/// over its at most `n` steps: each rounds running values of up to `n`
+/// bits at f64 precision (≈ 2.2e-16·n) and adds two logarithms good to
+/// ≈ 1.4e-14. The bound exceeds that total by more than 20×.
+fn log2_slack(n: usize) -> f64 {
+    let n = n as f64;
+    1e-9 + 1e-14 * n * n
+}
+
+impl Volume {
+    /// `true` only when the volume is certainly below `2^e`.
+    fn certainly_below_pow2(self, n: usize, e: usize) -> bool {
+        match self {
+            Volume::Exact(v) => pow2(e).is_none_or(|p| v < p),
+            Volume::Log2(l) => l < e as f64 - log2_slack(n),
+        }
+    }
+
+    /// `true` only when the volume is certainly above `2^e`.
+    fn certainly_above_pow2(self, n: usize, e: usize) -> bool {
+        match self {
+            Volume::Exact(v) => pow2(e).is_some_and(|p| v > p),
+            Volume::Log2(l) => l > e as f64 + log2_slack(n),
+        }
+    }
+}
+
+/// `2^e` as a number when it fits in a `u128`, else as a power.
+fn pow2_text(e: usize) -> String {
+    pow2(e).map_or_else(|| format!("2^{e}"), |p| p.to_string())
+}
+
+/// The largest `d` in `1..=hi` for which `ok(d)` holds, by bisection.
+/// `ok(1)` must hold, and the search trusts `ok` to stay false above
+/// its last `true`: every bound here is monotone in `d`.
+fn largest(hi: usize, ok: impl Fn(usize) -> bool) -> usize {
+    let (mut lo, mut hi) = (1, hi.max(1));
+    while lo < hi {
+        let mid = lo + (hi - lo).div_ceil(2);
+        if ok(mid) {
+            lo = mid;
+        } else {
+            hi = mid - 1;
+        }
+    }
+    lo
 }
 
 /// Direct (non-recursive) refutation of `[n, k, d]`, or `None` if
@@ -166,13 +235,17 @@ fn refute_direct(n: usize, k: usize, d: usize) -> Option<BoundCertificate> {
     // Sphere-packing (Hamming): Σ_{i=0}^{t} C(n, i) ≤ 2^{n−k}
     let t = (d - 1) / 2;
     let vol = ball(n, t);
-    let cosets = pow2(n - k);
-    if vol > cosets {
+    if vol.certainly_above_pow2(n, n - k) {
+        let vol = match vol {
+            Volume::Exact(v) => format!("= {v}"),
+            Volume::Log2(l) => format!("~ 2^{l:.3}"),
+        };
+        let cosets = pow2_text(n - k);
         return cert(
             "sphere-packing",
             format!(
                 "2^k radius-{t} balls cannot pack {{0,1}}^{n}: \
-                 sum(C({n}, i), i = 0..{t}) = {vol} > 2^({n} - {k}) = {cosets}"
+                 sum(C({n}, i), i = 0..{t}) {vol} > 2^({n} - {k}) = {cosets}"
             ),
         );
     }
@@ -181,8 +254,8 @@ fn refute_direct(n: usize, k: usize, d: usize) -> Option<BoundCertificate> {
     let (pn, pd) = if d % 2 == 1 { (n + 1, d + 1) } else { (n, d) };
     if 2 * pd > pn {
         let cap = 2 * (pd / (2 * pd - pn)) as u128;
-        let m = pow2(k);
-        if m > cap {
+        if pow2(k).is_none_or(|m| m > cap) {
+            let m = pow2_text(k);
             return cert(
                 "plotkin",
                 format!(
@@ -274,10 +347,10 @@ pub fn distance_upper_bound(n: usize, k: usize) -> usize {
     if k == 0 || n == 0 {
         return 0;
     }
-    (1..=n)
-        .rev()
-        .find(|&d| refute(n, k, d).is_none())
-        .unwrap_or(1)
+    // sound even if the battery were not monotone: the bisection only
+    // settles on `d` after refuting `d + 1` (or `d = n`), and no code
+    // reaches a distance above one that none reaches
+    largest(n, |d| refute(n, k, d).is_none())
 }
 
 /// Gilbert–Varshamov: `true` when a binary linear `[n, k, d]` code is
@@ -297,7 +370,7 @@ pub fn gv_guarantees(n: usize, k: usize, d: usize) -> bool {
     if k == n {
         return d == 1;
     }
-    ball(n - 1, d - 2) < pow2(n - k)
+    ball(n - 1, d - 2).certainly_below_pow2(n - 1, n - k)
 }
 
 /// Largest `d` the Gilbert–Varshamov bound guarantees achievable at
@@ -306,7 +379,7 @@ pub fn distance_lower_bound(n: usize, k: usize) -> usize {
     if k == 0 || k > n {
         return 0;
     }
-    (1..=n).rev().find(|&d| gv_guarantees(n, k, d)).unwrap_or(1)
+    largest(n, |d| gv_guarantees(n, k, d))
 }
 
 /// Static verdict for the requirement "an `[n, k]` code with distance
@@ -340,11 +413,42 @@ mod tests {
 
     #[test]
     fn binomials_and_balls() {
-        assert_eq!(binomial(7, 3), 35);
-        assert_eq!(binomial(7, 0), 1);
-        assert_eq!(binomial(3, 7), 0);
-        assert_eq!(ball(7, 1), 8);
-        assert_eq!(binomial(128, 4), 10_668_000);
+        assert_eq!(ball(7, 0), Volume::Exact(1));
+        assert_eq!(ball(7, 1), Volume::Exact(8));
+        assert_eq!(ball(7, 3), Volume::Exact(1 + 7 + 21 + 35));
+        assert_eq!(ball(3, 7), Volume::Exact(8));
+        // C(128, 4) = 10,668,000
+        assert_eq!(
+            ball(128, 4),
+            Volume::Exact(1 + 128 + 8_128 + 341_376 + 10_668_000)
+        );
+        // 2^129 − 1 = Σ_{i<129} C(129, i) is past u128: log domain
+        match ball(129, 128) {
+            Volume::Log2(l) => assert!((l - 129.0).abs() < 1e-9, "{l}"),
+            v => panic!("{v:?} fits in u128"),
+        }
+    }
+
+    #[test]
+    fn gv_is_exact_past_saturation() {
+        // exact d_lo at k = 4, computed offline with big integers. The
+        // saturating binomials of old under-counted the ball past
+        // n ≈ 120 and claimed [130, 4, 60]: Σ_{i≤58} C(129, i) ≥ 2^126
+        for (n, d_lo) in [
+            (124, 56),
+            (128, 58),
+            (130, 59),
+            (134, 61),
+            (200, 92),
+            (404, 191),
+        ] {
+            assert_eq!(distance_lower_bound(n, 4), d_lo, "[{n}, 4]");
+        }
+        assert!(!gv_guarantees(130, 4, 60));
+        assert_eq!(
+            analyze_point(130, 4, 60),
+            PointVerdict::NeedsSearch { d_lo: 59, d_hi: 68 }
+        );
     }
 
     #[test]

@@ -167,6 +167,25 @@ mod tests {
     }
 
     #[test]
+    fn long_codes_analyze_in_under_a_second() {
+        // n = 30,004: the d searches bisect, and balls past u128 are
+        // summed in the log domain instead of as saturated binomials
+        let start = std::time::Instant::now();
+        let a = run("len_d(G0) = 4 && len_c(G0) = 30000 && md(G0) = 16000");
+        let elapsed = start.elapsed();
+        match a.gens[0].verdict {
+            PointVerdict::NeedsSearch { d_lo, d_hi } => {
+                assert!(d_lo < 16_000 && 16_000 <= d_hi, "[{d_lo}, {d_hi}]");
+            }
+            ref v => panic!("unexpected verdict {v:?}"),
+        }
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "took {elapsed:?}"
+        );
+    }
+
+    #[test]
     fn gap_point_needs_search() {
         // [10, 5, 4]: GV only guarantees d = 3, the bounds admit d = 4
         let a = run("len_d(G0) = 5 && len_c(G0) = 5 && md(G0) = 4");

@@ -25,6 +25,7 @@
 
 use fec_analyze::{analyze_point, PointVerdict};
 use fec_bench::{arg_flag, print_header, print_row, synth_timeout};
+use fec_cli::Arity::{Bare, Value};
 use fec_synth::cegis::{SynthError, SynthesisConfig, Synthesizer};
 use fec_synth::spec::parse_property;
 use std::time::Instant;
@@ -51,7 +52,7 @@ fn solve(k: usize, r: usize, d: usize, config: &SynthesisConfig) -> Solved {
 }
 
 fn main() {
-    fec_bench::check_flags(&["quick", "timeout"]);
+    fec_bench::check_flags(&[("quick", Bare), ("timeout", Value)]);
     let quick = arg_flag("quick");
     let (ks, r_hi, d_hi): (&[usize], usize, usize) =
         if quick { (&[4], 5, 5) } else { (&[4, 8], 6, 6) };

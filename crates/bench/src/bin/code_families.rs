@@ -13,6 +13,7 @@
 
 use fec_bench::{arg_u64, print_header, print_row};
 use fec_channel::bsc::Bsc;
+use fec_cli::Arity::Value;
 use fec_gf2::BitVec;
 use fec_hamming::{standards, CheckOutcome};
 use fec_ldpc::LdpcCode;
@@ -21,7 +22,7 @@ use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
 fn main() {
-    fec_bench::check_flags(&["trials"]);
+    fec_bench::check_flags(&[("trials", Value)]);
     let trials = arg_u64("trials", 3_000);
     let hamming = standards::shortened_hamming(57, 6).unwrap(); // (63,57), corrects 1 bit
     let field = GfTables::new(4).unwrap();

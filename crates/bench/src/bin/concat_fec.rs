@@ -22,6 +22,7 @@
 use fec_bench::{arg_u64, print_header, print_row};
 use fec_channel::bsc::Bsc;
 use fec_channel::burst::{GeState, GilbertElliott};
+use fec_cli::Arity::Value;
 use fec_gf2::BitVec;
 use fec_hamming::{standards, CheckOutcome, Generator};
 use fec_rs::{kp4, ReedSolomon};
@@ -133,7 +134,7 @@ impl Chain {
 }
 
 fn main() {
-    fec_bench::check_flags(&["frames"]);
+    fec_bench::check_flags(&[("frames", Value)]);
     let frames = arg_u64("frames", 300);
     let chain = Chain::new();
     let modes: [(&str, Mode); 4] = [

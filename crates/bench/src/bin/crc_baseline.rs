@@ -15,13 +15,19 @@
 
 use fec_bench::{arg_u64, print_header, print_row, synth_timeout};
 use fec_channel::experiment::robustness_trial;
+use fec_cli::Arity::{Bare, Value};
 use fec_hamming::crc::{best_crc_polynomial, crc_generator};
 use fec_hamming::distance::min_distance_exhaustive;
 use fec_synth::cegis::{SynthesisConfig, Synthesizer};
 use fec_synth::spec::parse_property;
 
 fn main() {
-    fec_bench::check_flags(&["quick", "seed", "timeout", "trials"]);
+    fec_bench::check_flags(&[
+        ("quick", Bare),
+        ("seed", Value),
+        ("timeout", Value),
+        ("trials", Value),
+    ]);
     let trials = arg_u64("trials", 1_000_000);
     let seed = arg_u64("seed", 0xC4C);
     let threads = std::thread::available_parallelism().map_or(4, |n| n.get());

@@ -7,9 +7,10 @@
 
 use fec_bench::{arg_u64, print_header, print_row};
 use fec_channel::floatbits::bit_error_profile;
+use fec_cli::Arity::Value;
 
 fn main() {
-    fec_bench::check_flags(&["samples"]);
+    fec_bench::check_flags(&[("samples", Value)]);
     let samples = arg_u64("samples", 1_000_000);
     eprintln!("Fig. 1: per-bit error magnitude ({samples} float samples per bit)");
     let profile = bit_error_profile(samples, 0xF161);

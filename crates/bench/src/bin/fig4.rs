@@ -16,12 +16,19 @@
 
 use fec_bench::{arg_u64, print_header, print_row, synth_timeout, thread_count, trial_count};
 use fec_channel::experiment::{robustness_trial, RobustnessReport};
+use fec_cli::Arity::{Bare, Value};
 use fec_hamming::distance;
 use fec_synth::cegis::{SynthesisConfig, Synthesizer};
 use fec_synth::spec::parse_property;
 
 fn main() {
-    fec_bench::check_flags(&["quick", "seed", "threads", "timeout", "trials"]);
+    fec_bench::check_flags(&[
+        ("quick", Bare),
+        ("seed", Value),
+        ("threads", Value),
+        ("timeout", Value),
+        ("trials", Value),
+    ]);
     let trials = trial_count();
     let threads = thread_count();
     let seed = arg_u64("seed", 0xF164);

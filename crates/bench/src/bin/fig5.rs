@@ -20,6 +20,7 @@
 
 use fec_bench::{arg_flag, arg_u64, print_header, print_row, synth_timeout};
 use fec_circ::{Circuit, CircuitKernel};
+use fec_cli::Arity::{Bare, Value};
 use fec_codegen::emit_c;
 use fec_hamming::Generator;
 use fec_synth::cegis::{SynthesisConfig, Synthesizer};
@@ -28,7 +29,14 @@ use std::path::Path;
 use std::time::Instant;
 
 fn main() {
-    fec_bench::check_flags(&["full", "points", "quick", "runs", "stride", "timeout"]);
+    fec_bench::check_flags(&[
+        ("full", Bare),
+        ("points", Value),
+        ("quick", Bare),
+        ("runs", Value),
+        ("stride", Value),
+        ("timeout", Value),
+    ]);
     let config = SynthesisConfig {
         timeout: synth_timeout(),
         ..Default::default()

@@ -17,13 +17,14 @@
 //! ```
 
 use fec_bench::{arg_u64, print_header, print_row, synth_timeout};
+use fec_cli::Arity::{Bare, Value};
 use fec_flate::{gzip_compress, gzip_decompress};
 use fec_hamming::Generator;
 use fec_synth::cegis::{SynthesisConfig, Synthesizer};
 use fec_synth::spec::parse_property;
 
 fn main() {
-    fec_bench::check_flags(&["points", "quick", "timeout"]);
+    fec_bench::check_flags(&[("points", Value), ("quick", Bare), ("timeout", Value)]);
     let config = SynthesisConfig {
         timeout: synth_timeout(),
         ..Default::default()

@@ -12,6 +12,7 @@
 
 use fec_bench::{arg_u64, print_header, print_row};
 use fec_channel::awgn::Awgn;
+use fec_cli::Arity::Value;
 use fec_gf2::BitVec;
 use fec_hamming::soft::{chase_decode, hard_decision};
 use fec_hamming::{standards, CheckOutcome};
@@ -19,7 +20,7 @@ use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
 fn main() {
-    fec_bench::check_flags(&["chase", "trials"]);
+    fec_bench::check_flags(&[("chase", Value), ("trials", Value)]);
     let trials = arg_u64("trials", 4_000);
     let t = arg_u64("chase", 4) as usize;
     let g = standards::ieee_8023df_128_120();

@@ -14,13 +14,14 @@
 
 use fec_analyze::bounds;
 use fec_bench::{arg_flag, print_header, print_row, synth_timeout};
+use fec_cli::Arity::{Bare, Value};
 use fec_hamming::distance;
 use fec_synth::cegis::{SynthError, SynthesisConfig, Synthesizer};
 use fec_synth::encode::CexMode;
 use fec_synth::spec::parse_property;
 
 fn main() {
-    fec_bench::check_flags(&["paper-mode", "quick", "timeout"]);
+    fec_bench::check_flags(&[("paper-mode", Bare), ("quick", Bare), ("timeout", Value)]);
     let mut config = SynthesisConfig {
         timeout: synth_timeout(),
         ..Default::default()

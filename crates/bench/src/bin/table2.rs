@@ -18,6 +18,7 @@
 use fec_bench::{arg_u64, print_header, print_row, synth_timeout, thread_count, trial_count};
 use fec_channel::experiment::float32_trial;
 use fec_channel::floatbits::PAPER_FLOAT32_UPPER_WEIGHTS_MSB_FIRST;
+use fec_cli::Arity::{Bare, Value};
 use fec_hamming::{CompositeCode, Generator};
 use fec_synth::cegis::{SynthesisConfig, Synthesizer};
 use fec_synth::spec::parse_property;
@@ -33,7 +34,13 @@ fn synth(config: &SynthesisConfig, prop: &str) -> Generator {
 }
 
 fn main() {
-    fec_bench::check_flags(&["quick", "seed", "threads", "timeout", "trials"]);
+    fec_bench::check_flags(&[
+        ("quick", Bare),
+        ("seed", Value),
+        ("threads", Value),
+        ("timeout", Value),
+        ("trials", Value),
+    ]);
     let trials = trial_count();
     let threads = thread_count();
     let seed = arg_u64("seed", 0x7AB1E2);

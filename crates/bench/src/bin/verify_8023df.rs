@@ -22,12 +22,13 @@
 //! `--trace-jsonl PATH` a raw JSONL event stream, and
 //! `--metrics-out PATH` the aggregated end-of-run report.
 
+use fec_cli::Arity::{Bare, Value};
 use fec_hamming::standards;
 use fec_smt::Budget;
 use fec_synth::verify::{verify_min_distance_exact_with, VerifyOptions, VerifyOutcome};
 
 fn main() {
-    fec_bench::check_flags(&["check-proofs", "jobs"]);
+    fec_bench::check_flags(&[("check-proofs", Bare), ("jobs", Value)]);
     let args: Vec<String> = std::env::args().skip(1).collect();
     // the fecsynth flag rules: a bad --jobs or an unwritable trace
     // path is a usage error (exit 2)

@@ -21,9 +21,10 @@ pub fn usage_exit(msg: &str) -> ! {
 }
 
 /// Exits 2 (see [`usage_exit`]) unless every `--name` on the command
-/// line is in `accepted` or in the CLI's TRACE family — the
-/// `fecsynth` flag rules. Each binary calls this first in `main`.
-pub fn check_flags(accepted: &[&str]) {
+/// line is in `accepted` or in the CLI's TRACE family, with the
+/// [`fec_cli::Arity`] listed there — the `fecsynth` flag rules. Each
+/// binary calls this first in `main`.
+pub fn check_flags(accepted: &[(&str, fec_cli::Arity)]) {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Err(e) = fec_cli::check_flags(&args, accepted) {
         usage_exit(&e);

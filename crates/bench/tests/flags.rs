@@ -1,6 +1,7 @@
 //! Every experiment binary applies the `fecsynth` flag rules before it
-//! does any work: an unknown flag, or a numeric flag whose value does
-//! not parse, exits 2 with an `error: kind=usage` line.
+//! does any work: an unknown flag, a value on a switch, a valued flag
+//! with no value, or a numeric flag whose value does not parse, exits 2
+//! with an `error: kind=usage` line.
 
 use std::process::Command;
 
@@ -44,6 +45,30 @@ fn malformed_numbers_are_usage_errors() {
     assert_usage_error(env!("CARGO_BIN_EXE_fig5"), &["--stride=abc"], "--stride");
     assert_usage_error(env!("CARGO_BIN_EXE_fig4"), &["--trials=1e6"], "--trials");
     assert_usage_error(env!("CARGO_BIN_EXE_table2"), &["--seed", "x"], "--seed");
+}
+
+#[test]
+fn flags_take_their_arity() {
+    assert_usage_error(
+        env!("CARGO_BIN_EXE_table1"),
+        &["--quick=1"],
+        "--quick takes no value",
+    );
+    assert_usage_error(
+        env!("CARGO_BIN_EXE_verify_8023df"),
+        &["--check-proofs=1"],
+        "--check-proofs takes no value",
+    );
+    assert_usage_error(
+        env!("CARGO_BIN_EXE_fig4"),
+        &["--quick", "--trials"],
+        "--trials needs a value",
+    );
+    assert_usage_error(
+        env!("CARGO_BIN_EXE_verify_8023df"),
+        &["--jobs", "--check-proofs"],
+        "--jobs needs a value",
+    );
 }
 
 #[test]

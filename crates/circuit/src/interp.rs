@@ -397,61 +397,75 @@ impl Ev<'_> {
                 );
                 None
             }
-            Expr::Bin(op, a, b) => {
-                let (wa, wb) = (self.eval(a), self.eval(b));
-                let (wa, wb) = (wa?, wb?);
-                match op {
-                    BinOp::Xor => Some(bit_xor(&wa, &wb)),
-                    BinOp::And => self.bit_and(&wa, &wb),
-                    BinOp::Or => self.bit_or(&wa, &wb),
-                    BinOp::Shl | BinOp::Shr => {
-                        let Some(s) = word_as_const(&wb) else {
-                            self.report.push(
-                                LintClass::NonLinearOp,
-                                Severity::Error,
-                                None,
-                                "shift by a non-constant amount".to_string(),
-                            );
-                            return None;
-                        };
-                        if s >= 64 {
-                            self.report.push(
-                                LintClass::ShiftRange,
-                                Severity::Error,
-                                None,
-                                format!(
-                                    "shift by {s} exceeds the 64-bit word (undefined behaviour)"
-                                ),
-                            );
-                            return None;
-                        }
-                        let s = s as usize;
-                        let zero = AffBit::konst(self.p, false);
-                        Some(match op {
-                            BinOp::Shl => (0..64)
-                                .map(|i| {
-                                    if i >= s {
-                                        wa[i - s].clone()
-                                    } else {
-                                        zero.clone()
-                                    }
-                                })
-                                .collect(),
-                            _ => (0..64)
-                                .map(|i| wa.get(i + s).cloned().unwrap_or_else(|| zero.clone()))
-                                .collect(),
-                        })
-                    }
-                    BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem => {
-                        self.report.push(
-                            LintClass::NonLinearOp,
-                            Severity::Error,
-                            None,
-                            format!("operator `{}` has no GF(2)-linear semantics (carries cross bit lanes)", op.symbol()),
-                        );
-                        None
-                    }
+            Expr::Chain(first, rest) => {
+                // both operands are evaluated before either can fail,
+                // so each reports its own lints
+                let mut acc = self.eval(first);
+                for (op, e) in rest {
+                    let w = self.eval(e);
+                    acc = match (acc, w) {
+                        (Some(wa), Some(wb)) => self.apply(*op, wa, wb),
+                        _ => None,
+                    };
                 }
+                acc
+            }
+        }
+    }
+
+    /// `wa op wb` over abstract words.
+    fn apply(&mut self, op: BinOp, wa: SymWord, wb: SymWord) -> Option<SymWord> {
+        match op {
+            BinOp::Xor => Some(bit_xor(&wa, &wb)),
+            BinOp::And => self.bit_and(&wa, &wb),
+            BinOp::Or => self.bit_or(&wa, &wb),
+            BinOp::Shl | BinOp::Shr => {
+                let Some(s) = word_as_const(&wb) else {
+                    self.report.push(
+                        LintClass::NonLinearOp,
+                        Severity::Error,
+                        None,
+                        "shift by a non-constant amount".to_string(),
+                    );
+                    return None;
+                };
+                if s >= 64 {
+                    self.report.push(
+                        LintClass::ShiftRange,
+                        Severity::Error,
+                        None,
+                        format!("shift by {s} exceeds the 64-bit word (undefined behaviour)"),
+                    );
+                    return None;
+                }
+                let s = s as usize;
+                let zero = AffBit::konst(self.p, false);
+                Some(match op {
+                    BinOp::Shl => (0..64)
+                        .map(|i| {
+                            if i >= s {
+                                wa[i - s].clone()
+                            } else {
+                                zero.clone()
+                            }
+                        })
+                        .collect(),
+                    _ => (0..64)
+                        .map(|i| wa.get(i + s).cloned().unwrap_or_else(|| zero.clone()))
+                        .collect(),
+                })
+            }
+            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem => {
+                self.report.push(
+                    LintClass::NonLinearOp,
+                    Severity::Error,
+                    None,
+                    format!(
+                        "operator `{}` has no GF(2)-linear semantics (carries cross bit lanes)",
+                        op.symbol()
+                    ),
+                );
+                None
             }
         }
     }
@@ -609,6 +623,20 @@ mod tests {
                    \x20   return c;\n}";
         let r = validate_source(src, Lang::C, &g);
         assert!(r.has_class(LintClass::UnboundOutput));
+    }
+
+    #[test]
+    fn flat_chain_of_100000_terms_returns_a_verdict() {
+        // one flat `^` chain, the shape a wide parity check takes: it
+        // parses to one chain node, so evaluating, counting and
+        // dropping it never recurse once per term
+        let g = Generator::from_coeff_str("1").expect("one data bit, one check bit");
+        let n = 100_001;
+        let chain = vec!["d"; n].join(" ^ ");
+        let src = format!("uint64_t encode_checks(uint64_t d) {{\n    return ({chain}) & 1;\n}}");
+        let r = validate_source(&src, Lang::C, &g);
+        assert!(r.is_valid(), "{:?}", r.diags);
+        assert_eq!(r.xor_count, n - 1);
     }
 
     #[test]

@@ -23,7 +23,12 @@ pub(crate) enum Expr {
     Index(String, usize),
     /// Unary `~` / `!`.
     Not(Box<Expr>),
-    Bin(BinOp, Box<Expr>, Box<Expr>),
+    /// A chain `e0 op1 e1 op2 e2 …` of binary operators, evaluated left
+    /// to right as `((e0 op1 e1) op2 e2) …`. The precedence climber
+    /// builds each chain in one loop, so a long flat chain such as
+    /// `d ^ d ^ … ^ d` is one node: no walker (and no `Drop`) descends
+    /// once per term.
+    Chain(Box<Expr>, Vec<(BinOp, Expr)>),
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -471,7 +476,8 @@ fn ident(p: &mut Parser) -> Result<String, String> {
 /// Precedence-climbing expression parser. Binding power mirrors C:
 /// `|` < `^` < `&` < shifts < `+ -` < `* / %` < unary < primary.
 fn parse_expr(p: &mut Parser, min_bp: u8) -> Result<Expr, String> {
-    let mut lhs = parse_unary(p)?;
+    let first = parse_unary(p)?;
+    let mut rest = Vec::new();
     loop {
         let (op, bp) = match p.peek_punct() {
             Some("|") => (BinOp::Or, 1),
@@ -490,10 +496,13 @@ fn parse_expr(p: &mut Parser, min_bp: u8) -> Result<Expr, String> {
             break;
         }
         p.bump();
-        let rhs = parse_expr(p, bp + 1)?;
-        lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
+        rest.push((op, parse_expr(p, bp + 1)?));
     }
-    Ok(lhs)
+    Ok(if rest.is_empty() {
+        first
+    } else {
+        Expr::Chain(Box::new(first), rest)
+    })
 }
 
 /// Every recursive cycle of the grammar passes through here, so this
@@ -545,7 +554,13 @@ pub(crate) fn count_xors(f: &Func) -> usize {
         match e {
             Expr::Num(_) | Expr::Var(_) | Expr::Index(..) => 0,
             Expr::Not(a) => walk(a),
-            Expr::Bin(op, a, b) => usize::from(*op == BinOp::Xor) + walk(a) + walk(b),
+            Expr::Chain(first, rest) => {
+                walk(first)
+                    + rest
+                        .iter()
+                        .map(|(op, e)| usize::from(*op == BinOp::Xor) + walk(e))
+                        .sum::<usize>()
+            }
         }
     }
     f.stmts
@@ -608,13 +623,14 @@ mod tests {
             "uint64_t encode_checks(uint64_t d) {\n    uint64_t c = (d + 1) & 1;\n    return c;\n}";
         let f = parse_encode_checks(src, Lang::C).unwrap();
         let Stmt::Decl {
-            init: Some(Expr::Bin(BinOp::And, lhs, _)),
+            init: Some(Expr::Chain(lhs, rest)),
             ..
         } = &f.stmts[0]
         else {
             panic!("shape");
         };
-        assert!(matches!(**lhs, Expr::Bin(BinOp::Add, ..)));
+        assert!(matches!(rest[..], [(BinOp::And, _)]));
+        assert!(matches!(&**lhs, Expr::Chain(_, r) if matches!(r[..], [(BinOp::Add, _)])));
     }
 
     #[test]

@@ -119,8 +119,9 @@ phases (synth, verify, proof-check, portfolio, other) from
 span self-times, plus progress/stall and instrument summaries; --json
 emits the same breakdown machine-readably.
 
-Any other --flag, and a --timeout or --jobs that is not a positive
-integer, is a usage error.
+Any other --flag, a value on a switch (--check-proofs=yes), a flag
+that takes a value but has none, and a --timeout or --jobs that is not
+a positive integer, is a usage error.
 
 EXIT CODES:
     0 success / property HOLDS        2 usage, parse, or unsupported input
@@ -140,34 +141,66 @@ EXAMPLES:
     fecsynth emit --coeff 101/110/111/011 --lang=c
 ";
 
+/// What may follow a flag on the command line.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Arity {
+    /// A switch: `--name`, never `--name=v`.
+    Bare,
+    /// `--name=v` or `--name v`; a missing value is a usage error.
+    Value,
+    /// `--name`, `--name=v` or `--name v`.
+    Optional,
+}
+
+use Arity::{Bare, Optional, Value};
+
 /// The flags each subcommand accepts besides the TRACE family; any
 /// other `--name` is a usage error.
-const FLAGS: &[(&str, &[&str])] = &[
-    ("analyze", &["max-check"]),
-    ("synth", &["timeout", "check-proofs", "jobs"]),
-    ("verify", &["coeff", "check-proofs", "jobs"]),
-    ("info", &["coeff"]),
-    ("emit", &["coeff", "lang", "minimize"]),
-    ("encode", &["coeff", "data"]),
-    ("lint-kernel", &["coeff", "lang", "file"]),
+const FLAGS: &[(&str, &[(&str, Arity)])] = &[
+    ("analyze", &[("max-check", Value)]),
+    (
+        "synth",
+        &[("timeout", Value), ("check-proofs", Bare), ("jobs", Value)],
+    ),
+    (
+        "verify",
+        &[("coeff", Value), ("check-proofs", Bare), ("jobs", Value)],
+    ),
+    ("info", &[("coeff", Value)]),
+    (
+        "emit",
+        &[("coeff", Value), ("lang", Value), ("minimize", Bare)],
+    ),
+    ("encode", &[("coeff", Value), ("data", Value)]),
+    (
+        "lint-kernel",
+        &[("coeff", Value), ("lang", Value), ("file", Value)],
+    ),
     (
         "stream",
         &[
-            "adapt", "seed", "bytes", "depth", "gen-size", "repair", "timeout", "jobs",
+            ("adapt", Bare),
+            ("seed", Value),
+            ("bytes", Value),
+            ("depth", Value),
+            ("gen-size", Value),
+            ("repair", Value),
+            ("timeout", Value),
+            ("jobs", Value),
         ],
     ),
     ("trace-validate", &[]),
-    ("report", &["json"]),
+    ("report", &[("json", Bare)]),
 ];
 
 /// The TRACE family, accepted by every subcommand.
-const TRACE_FLAGS: &[&str] = &[
-    "trace",
-    "trace-out",
-    "trace-jsonl",
-    "metrics-out",
-    "progress",
-    "stall-after",
+const TRACE_FLAGS: &[(&str, Arity)] = &[
+    ("trace", Optional),
+    ("trace-out", Value),
+    ("trace-jsonl", Value),
+    ("metrics-out", Value),
+    ("progress", Optional),
+    ("stall-after", Value),
 ];
 
 /// Upper ends of the numeric budgets: past them a `Duration` or a
@@ -244,15 +277,27 @@ fn synth_exit_code(e: &SynthError) -> i32 {
 }
 
 /// Rejects every `--name` in `args` that is neither in `accepted` nor
-/// in the TRACE family.
-pub fn check_flags(args: &[String], accepted: &[&str]) -> Result<(), String> {
-    for a in args {
+/// in the TRACE family, a value given to a [`Arity::Bare`] switch, and
+/// a [`Arity::Value`] flag with no value after it.
+pub fn check_flags(args: &[String], accepted: &[(&str, Arity)]) -> Result<(), String> {
+    for (i, a) in args.iter().enumerate() {
         let Some(flag) = a.strip_prefix("--") else {
             continue;
         };
-        let name = flag.split_once('=').map_or(flag, |(n, _)| n);
-        if !accepted.contains(&name) && !TRACE_FLAGS.contains(&name) {
+        let (name, inline_value) = match flag.split_once('=') {
+            Some((n, _)) => (n, true),
+            None => (flag, false),
+        };
+        let Some(&(_, arity)) = accepted.iter().chain(TRACE_FLAGS).find(|(n, _)| *n == name) else {
             return Err(format!("unknown flag --{name}"));
+        };
+        let next_is_value = args.get(i + 1).is_some_and(|v| !v.starts_with("--"));
+        match arity {
+            Bare if inline_value => return Err(format!("--{name} takes no value")),
+            Value if !inline_value && !next_is_value => {
+                return Err(format!("--{name} needs a value"))
+            }
+            _ => {}
         }
     }
     Ok(())
@@ -1119,6 +1164,49 @@ mod tests {
             assert_eq!(code, 2, "{args:?}: {out}{err}");
             assert!(err.contains("error: kind=usage"), "{args:?}: {err}");
             assert!(err.contains("unknown flag"), "{args:?}: {err}");
+        }
+        // a known flag with the wrong arity must not fall back to its
+        // default: a switch takes no value, a valued flag needs one
+        let coeff = ["--coeff", "101/110/111/011"];
+        for (args, mentions) in [
+            (
+                [
+                    &["verify", "md(G0) = 3"][..],
+                    &coeff,
+                    &["--check-proofs=yes"],
+                ]
+                .concat(),
+                "--check-proofs takes no value",
+            ),
+            (vec!["stream", "--adapt=1"], "--adapt takes no value"),
+            (
+                vec!["report", "x.jsonl", "--json=1"],
+                "--json takes no value",
+            ),
+            (
+                [&["verify", "md(G0) = 3"][..], &coeff, &["--jobs"]].concat(),
+                "--jobs needs a value",
+            ),
+            (
+                vec!["synth", "len_d(G0) = 4 && md(G0) = 3", "--timeout"],
+                "--timeout needs a value",
+            ),
+            (
+                vec![
+                    "synth",
+                    "len_d(G0) = 4 && md(G0) = 3",
+                    "--jobs",
+                    "--timeout=5",
+                ],
+                "--jobs needs a value",
+            ),
+            (vec!["info", "--coeff"], "--coeff needs a value"),
+            (vec!["info", "--trace-out"], "--trace-out needs a value"),
+        ] {
+            let (code, out, err) = run(&argv(&args));
+            assert_eq!(code, 2, "{args:?}: {out}{err}");
+            assert!(err.contains("error: kind=usage"), "{args:?}: {err}");
+            assert!(err.contains(mentions), "{args:?}: {err}");
         }
         // the TRACE family is accepted everywhere
         let (code, out, err) = run(&argv(&[

@@ -27,7 +27,7 @@ use fec_analyze::bounds;
 use fec_analyze::shape::SpecError;
 use fec_gf2::BitVec;
 use fec_hamming::Generator;
-use fec_smt::{Budget, CardEncoding, Lit, PortfolioConfig, SmtResult, SmtSolver, SolveBackend};
+use fec_smt::{Budget, Lit, PortfolioConfig, SmtResult, SmtSolver};
 use fec_trace::Level;
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -43,8 +43,6 @@ pub struct SynthesisConfig {
     pub timeout: Duration,
     /// Counterexample generalization mode (ablation axis).
     pub cex_mode: CexMode,
-    /// Cardinality encoding (ablation axis).
-    pub card_encoding: CardEncoding,
     /// Upper bound on check bits when the property gives none.
     pub default_max_check: usize,
     /// Keep counterexamples across optimization bounds (sound in both
@@ -56,11 +54,11 @@ pub struct SynthesisConfig {
     /// against the input clauses, and each verifier UNSAT (the step
     /// that declares a candidate correct) must come with a checkable
     /// certificate. A disagreement panics — see
-    /// [`fec_smt::SmtSolver::new_certifying`].
+    /// [`fec_smt::SmtSolver::with_config`].
     pub check_certificates: bool,
     /// Number of portfolio workers racing each solver query; `1` (the
-    /// default) keeps the fully incremental single solvers (the CLI's
-    /// `--jobs N`).
+    /// default) is one inline worker per solver, the plain incremental
+    /// solver (the CLI's `--jobs N`).
     pub jobs: usize,
     /// Per-run cap on trace emission from this synthesis: a record is
     /// emitted only if its level is within both this cap *and* the
@@ -84,7 +82,6 @@ impl Default for SynthesisConfig {
         SynthesisConfig {
             timeout: Duration::from_secs(120),
             cex_mode: CexMode::DataWord,
-            card_encoding: CardEncoding::Totalizer,
             default_max_check: 14,
             persist_counterexamples: true,
             check_certificates: false,
@@ -239,18 +236,12 @@ impl Synthesizer {
         Ok(shape)
     }
 
-    /// A solver honoring the configured certification and backend modes.
+    /// A solver honoring the configured certification and worker count.
     fn new_solver(&self) -> SmtSolver {
-        let backend = if self.config.jobs > 1 {
-            SolveBackend::Portfolio(PortfolioConfig::with_jobs(self.config.jobs))
-        } else {
-            SolveBackend::Single
-        };
-        if self.config.check_certificates {
-            SmtSolver::new_certifying_with_backend(backend)
-        } else {
-            SmtSolver::with_backend(backend)
-        }
+        SmtSolver::with_config(PortfolioConfig {
+            certify: self.config.check_certificates,
+            ..PortfolioConfig::with_jobs(self.config.jobs)
+        })
     }
 
     /// Runs synthesis for pre-extracted structural constraints.
@@ -391,7 +382,6 @@ impl Synthesizer {
     /// fixed `md ≥ 2`, plus the `maximal(md)` generator, whose distance
     /// stays an assumption.
     pub(crate) fn build(&self, shape: &ProblemShape) -> SynthState {
-        let enc = self.config.card_encoding;
         let mut syn = self.new_solver();
         let mut syms = Vec::with_capacity(shape.gens.len());
         for gs in &shape.gens {
@@ -403,10 +393,10 @@ impl Synthesizer {
             }
             let cells = sym.all_cells();
             if let Some(hi) = gs.ones_hi {
-                syn.at_most_k_with(&cells, hi, enc);
+                syn.at_most_k(&cells, hi);
             }
             if let Some(lo) = gs.ones_lo {
-                syn.at_least_k_with(&cells, lo, enc);
+                syn.at_least_k(&cells, lo);
             }
             syms.push(sym);
         }
@@ -418,7 +408,7 @@ impl Synthesizer {
                 (per_bound || gs.min_distance >= 2).then(|| {
                     let mut solver = self.new_solver();
                     let sym = SymbolicGenerator::new(&mut solver, gs.data_len, gs.check_hi);
-                    let (witness_lits, weight) = sym.assert_distance_violation(&mut solver, enc);
+                    let (witness_lits, weight) = sym.assert_distance_violation(&mut solver);
                     if !per_bound {
                         solver.constrain_register_at_most(&weight, gs.min_distance - 1);
                     }
@@ -433,7 +423,7 @@ impl Synthesizer {
             .collect();
         let ones = match shape.objective {
             Some(Objective::MinOnes(i) | Objective::MaxOnes(i)) => {
-                syn.counting_register(&syms[i].all_cells(), enc)
+                syn.counting_register(&syms[i].all_cells())
             }
             _ => Vec::new(),
         };
@@ -649,14 +639,13 @@ impl Synthesizer {
                             }
                             CexMode::DataWord => {
                                 let x = ver.witness();
-                                let enc = self.config.card_encoding;
                                 let sym = &state.syms[i];
                                 if persist {
-                                    state.syn.at_root(|s| {
-                                        sym.add_dataword_counterexample(s, &x, d, enc)
-                                    });
+                                    state
+                                        .syn
+                                        .at_root(|s| sym.add_dataword_counterexample(s, &x, d));
                                 } else {
-                                    sym.add_dataword_counterexample(&mut state.syn, &x, d, enc);
+                                    sym.add_dataword_counterexample(&mut state.syn, &x, d);
                                 }
                             }
                         }

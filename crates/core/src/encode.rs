@@ -14,7 +14,7 @@
 
 use fec_gf2::{BitMatrix, BitVec};
 use fec_hamming::Generator;
-use fec_smt::{CardEncoding, Lit, SmtSolver, UnaryInt};
+use fec_smt::{Lit, SmtSolver, UnaryInt};
 
 /// How CEGIS turns a failed candidate into new synthesizer constraints.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -142,13 +142,7 @@ impl SymbolicGenerator {
     /// The generalized counterexample: for the witness data word `x`
     /// (non-zero), asserts that the codeword of `x` has weight ≥ the
     /// required minimum distance `d`, over the symbolic cells.
-    pub fn add_dataword_counterexample(
-        &self,
-        s: &mut SmtSolver,
-        x: &BitVec,
-        d: usize,
-        enc: CardEncoding,
-    ) {
+    pub fn add_dataword_counterexample(&self, s: &mut SmtSolver, x: &BitVec, d: usize) {
         assert_eq!(x.len(), self.data_len, "counterexample length mismatch");
         let dweight = x.count_ones();
         assert!(dweight > 0, "counterexample must be a non-zero data word");
@@ -171,7 +165,7 @@ impl SymbolicGenerator {
                 s.xor_all(&sel)
             })
             .collect();
-        s.at_least_k_with(&parities, need, enc);
+        s.at_least_k(&parities, need);
     }
 
     /// Builds the verifier-side minimum-distance circuit: a symbolic
@@ -185,11 +179,7 @@ impl SymbolicGenerator {
     /// codeword has weight ≥ `j + 1`. The violation of distance `d` is
     /// `¬weight[d − 1]`: a unit clause for a fixed distance, or a
     /// solve-time assumption when `d` changes between queries.
-    pub fn assert_distance_violation(
-        &self,
-        s: &mut SmtSolver,
-        enc: CardEncoding,
-    ) -> (Vec<Lit>, Vec<Lit>) {
+    pub fn assert_distance_violation(&self, s: &mut SmtSolver) -> (Vec<Lit>, Vec<Lit>) {
         let xs: Vec<Lit> = (0..self.data_len).map(|_| s.fresh_lit()).collect();
         s.add_clause(&xs); // x ≠ 0
         let parities: Vec<Lit> = (0..self.max_check)
@@ -202,7 +192,7 @@ impl SymbolicGenerator {
             .collect();
         let mut all: Vec<Lit> = xs.clone();
         all.extend(parities);
-        let weight = s.counting_register(&all, enc);
+        let weight = s.counting_register(&all);
         (xs, weight)
     }
 }
@@ -258,7 +248,7 @@ mod tests {
         let mut s = SmtSolver::new();
         let sym = SymbolicGenerator::new(&mut s, 3, 3);
         let bad = Generator::from_coeff_str("110\n110\n011").unwrap();
-        let (xs, weight) = sym.assert_distance_violation(&mut s, CardEncoding::Totalizer);
+        let (xs, weight) = sym.assert_distance_violation(&mut s);
         s.add_clause(&[!weight[2]]);
         assert_eq!(s.solve(&sym.pin_assumptions(&bad)), SmtResult::Sat);
         // witness: read x, confirm concretely that its codeword weight < 3
@@ -277,7 +267,7 @@ mod tests {
         let mut s = SmtSolver::new();
         let sym = SymbolicGenerator::new(&mut s, 4, 3);
         let good = standards::hamming_7_4();
-        let (_, weight) = sym.assert_distance_violation(&mut s, CardEncoding::Totalizer);
+        let (_, weight) = sym.assert_distance_violation(&mut s);
         s.add_clause(&[!weight[2]]);
         assert_eq!(s.solve(&sym.pin_assumptions(&good)), SmtResult::Unsat);
     }
@@ -289,7 +279,7 @@ mod tests {
         // d = 3 and fails d = 4 on the same solver
         let mut s = SmtSolver::new();
         let sym = SymbolicGenerator::new(&mut s, 4, 3);
-        let (xs, weight) = sym.assert_distance_violation(&mut s, CardEncoding::Totalizer);
+        let (xs, weight) = sym.assert_distance_violation(&mut s);
         let g = standards::hamming_7_4();
         let query = |d: usize| [sym.pin_assumptions(&g), vec![!weight[d - 1]]].concat();
         assert_eq!(s.solve(&query(3)), SmtResult::Unsat);
@@ -307,7 +297,7 @@ mod tests {
         // counterexample: data word 100 must map to weight ≥ 3 codeword,
         // so row 0 of P needs weight ≥ 2
         let x = BitVec::from_bitstring("100").unwrap();
-        sym.add_dataword_counterexample(&mut s, &x, 3, CardEncoding::Totalizer);
+        sym.add_dataword_counterexample(&mut s, &x, 3);
         assert_eq!(s.solve(&[]), SmtResult::Sat);
         let g = sym.extract(&s);
         assert!(g.coefficients().row(0).count_ones() >= 2);
@@ -325,7 +315,7 @@ mod tests {
         sym_s.len_c().assert_eq(&mut syn, 3);
         let mut ver = SmtSolver::new();
         let sym_v = SymbolicGenerator::new(&mut ver, 3, 3);
-        let (xs, weight) = sym_v.assert_distance_violation(&mut ver, CardEncoding::Totalizer);
+        let (xs, weight) = sym_v.assert_distance_violation(&mut ver);
         ver.add_clause(&[!weight[2]]);
         let mut found = None;
         for _ in 0..200 {
@@ -336,7 +326,7 @@ mod tests {
                 break;
             }
             let x = BitVec::from_bools(&xs.iter().map(|&l| ver.model_lit(l)).collect::<Vec<_>>());
-            sym_s.add_dataword_counterexample(&mut syn, &x, 3, CardEncoding::Totalizer);
+            sym_s.add_dataword_counterexample(&mut syn, &x, 3);
         }
         let g = found.expect("no generator found in 200 iterations");
         assert_eq!(distance::min_distance_exhaustive(&g), 3);

@@ -81,7 +81,7 @@ fn cegis(
             match cex {
                 Cex::DataWord(x) => {
                     let d = fixed.gens[*i].min_distance;
-                    sym.add_dataword_counterexample(&mut state.syn, x, d, config.card_encoding);
+                    sym.add_dataword_counterexample(&mut state.syn, x, d);
                 }
                 Cex::Block(g) => {
                     let clause = sym.blocking_clause(&state.syn, g);

@@ -12,7 +12,7 @@ use crate::obs;
 use crate::spec::{EvalContext, Prop};
 use fec_gf2::BitVec;
 use fec_hamming::Generator;
-use fec_smt::{Budget, CardEncoding, Lit, PortfolioConfig, SmtResult, SmtSolver, SolveBackend};
+use fec_smt::{Budget, Lit, PortfolioConfig, SmtResult, SmtSolver};
 use fec_trace::Level;
 use std::time::{Duration, Instant};
 
@@ -45,7 +45,7 @@ pub struct VerifyStats {
     /// Unsat verdicts certified (refutation or failed-assumption RUP).
     pub unsat_certified: u64,
     /// One entry per portfolio query run with [`VerifyOptions::jobs`]
-    /// > 1; empty in single mode.
+    /// > 1; empty on one worker.
     pub portfolio: Vec<PortfolioRunSummary>,
 }
 
@@ -91,8 +91,8 @@ pub struct VerifyOptions {
     /// CLI's `--check-proofs` mode.
     pub check_certificates: bool,
     /// Number of portfolio workers racing each query; `1` (the
-    /// default) keeps the single incremental solver. This is the CLI's
-    /// `--jobs N` mode.
+    /// default) is one inline worker, the plain incremental solver.
+    /// This is the CLI's `--jobs N` mode.
     pub jobs: usize,
     /// Per-run trace cap: emission from this run is limited to
     /// `min(trace, global level)`. The default (`Level::Trace`) defers
@@ -115,16 +115,10 @@ impl Default for VerifyOptions {
 
 impl VerifyOptions {
     fn solver(&self) -> SmtSolver {
-        let backend = if self.jobs > 1 {
-            SolveBackend::Portfolio(PortfolioConfig::with_jobs(self.jobs))
-        } else {
-            SolveBackend::Single
-        };
-        if self.check_certificates {
-            SmtSolver::new_certifying_with_backend(backend)
-        } else {
-            SmtSolver::with_backend(backend)
-        }
+        SmtSolver::with_config(PortfolioConfig {
+            certify: self.check_certificates,
+            ..PortfolioConfig::with_jobs(self.jobs)
+        })
     }
 }
 
@@ -179,7 +173,7 @@ pub fn has_codeword_of_weight_at_most_with(
         let parity = s.xor_all(&selected);
         all.push(parity);
     }
-    s.at_most_k_with(&all, w, CardEncoding::Totalizer);
+    s.at_most_k(&all, w);
     let result = s.solve_with_budget(&[], opts.budget);
     let witness = (result == SmtResult::Sat)
         .then(|| BitVec::from_bools(&xs.iter().map(|&l| s.model_lit(l)).collect::<Vec<_>>()));
@@ -374,7 +368,7 @@ pub fn sat_min_distance_incremental_with(
         all.push(parity);
     }
     // reg[j] ⟺ at least j+1 codeword bits are true
-    let reg = s.counting_register(&all, CardEncoding::Totalizer);
+    let reg = s.counting_register(&all);
     let mut answer = None;
     let mut portfolio = Vec::new();
     for w in 1..=g.codeword_len() {

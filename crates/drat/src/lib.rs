@@ -607,108 +607,6 @@ fn normalize(lits: &[Lit]) -> Vec<Lit> {
     v
 }
 
-// ---- DRAT text ------------------------------------------------------
-
-/// A malformed line in a DRAT text file.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ParseError {
-    /// 1-based line number.
-    pub line: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-/// Parses the DRAT text dialect emitted by
-/// [`fec_sat::DratTextLogger`]: one clause per line in DIMACS literals
-/// terminated by `0`; `d` prefixes a deletion; `c i` prefixes an input
-/// clause (a non-standard comment standard tools skip); other `c` lines
-/// are comments.
-pub fn parse_drat(text: &str) -> Result<Vec<ProofStep>, ParseError> {
-    let mut steps = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
-        let line_no = i + 1;
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let (kind, body) = if let Some(rest) = line.strip_prefix("c i ") {
-            (2u8, rest)
-        } else if line == "c" || line.starts_with("c ") {
-            continue;
-        } else if let Some(rest) = line.strip_prefix("d ") {
-            (1, rest)
-        } else if line == "d" {
-            (1, "")
-        } else {
-            (0, line)
-        };
-        let lits = parse_clause_body(body, line_no)?;
-        steps.push(match kind {
-            2 => ProofStep::Input(lits),
-            1 => ProofStep::Delete(lits),
-            _ => ProofStep::Learn(lits),
-        });
-    }
-    Ok(steps)
-}
-
-fn parse_clause_body(body: &str, line: usize) -> Result<Vec<Lit>, ParseError> {
-    let mut lits = Vec::new();
-    let mut terminated = false;
-    for tok in body.split_ascii_whitespace() {
-        if terminated {
-            return Err(ParseError {
-                line,
-                message: format!("token {tok:?} after terminating 0"),
-            });
-        }
-        let n: i64 = tok.parse().map_err(|_| ParseError {
-            line,
-            message: format!("bad literal {tok:?}"),
-        })?;
-        if n == 0 {
-            terminated = true;
-        } else {
-            let v = Var::from_index((n.unsigned_abs() - 1) as usize);
-            lits.push(Lit::with_sign(v, n > 0));
-        }
-    }
-    if !terminated {
-        return Err(ParseError {
-            line,
-            message: "clause not terminated by 0".into(),
-        });
-    }
-    Ok(lits)
-}
-
-/// Renders steps in the same text dialect [`parse_drat`] reads.
-pub fn write_drat(steps: &[ProofStep]) -> String {
-    let mut out = String::new();
-    for s in steps {
-        let (prefix, lits) = match s {
-            ProofStep::Input(l) => ("c i ", l),
-            ProofStep::Learn(l) => ("", l),
-            ProofStep::Delete(l) => ("d ", l),
-        };
-        out.push_str(prefix);
-        for l in lits {
-            out.push_str(&l.to_string());
-            out.push(' ');
-        }
-        out.push_str("0\n");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -840,31 +738,5 @@ mod tests {
         // trailing explicit empty clause is redundant and not in the core
         assert_eq!(core.total_lemmas, 2);
         assert_eq!(core.core_lemmas, 1);
-    }
-
-    #[test]
-    fn drat_text_roundtrip() {
-        let steps = vec![
-            ProofStep::Input(clause(&[1, -2])),
-            ProofStep::Learn(clause(&[3])),
-            ProofStep::Delete(clause(&[1, -2])),
-            ProofStep::Learn(vec![]),
-        ];
-        let text = write_drat(&steps);
-        assert_eq!(text, "c i 1 -2 0\n3 0\nd 1 -2 0\n0\n");
-        assert_eq!(parse_drat(&text).unwrap(), steps);
-        // plain comments and blank lines are skipped
-        let with_noise = format!("c hello\n\n{text}");
-        assert_eq!(parse_drat(&with_noise).unwrap(), steps);
-    }
-
-    #[test]
-    fn parse_errors_are_located() {
-        let err = parse_drat("1 2\n").unwrap_err();
-        assert_eq!(err.line, 1);
-        let err = parse_drat("1 0\nx 0\n").unwrap_err();
-        assert_eq!(err.line, 2);
-        let err = parse_drat("1 0 2\n").unwrap_err();
-        assert_eq!(err.line, 1);
     }
 }

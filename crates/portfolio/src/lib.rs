@@ -11,16 +11,14 @@
 //! session of queries and receive only each query's clause delta. A
 //! one-shot solve is a one-query session,
 //! `Pool::new(&config).solve(num_vars, clauses, assumptions, budget)`.
-//! Three execution modes:
+//! Two execution modes:
 //!
-//! - `jobs == 1` — no threads, no rings; behaves exactly like a plain
-//!   `Solver` with the default config.
-//! - parallel (default for `jobs > 1`) — one resident OS thread per
-//!   worker, first-to-finish wins each query.
-//! - [`PortfolioConfig::deterministic`] — the same workers run
-//!   cooperatively on the calling thread in fixed round-robin conflict
-//!   slices with synchronous sharing epochs: same seed ⇒ same winner
-//!   and bit-for-bit identical statistics, for reproducible CI.
+//! - `jobs == 1` — one worker on the calling thread, no threads, no
+//!   rings: the plain `Solver` with the default config, fed each clause
+//!   as it is added. It is the engine behind every `fec-smt` query at
+//!   the default `--jobs 1`.
+//! - `jobs > 1` — one resident OS thread per worker, first-to-finish
+//!   wins each query.
 //!
 //! # Certification
 //!
@@ -72,12 +70,6 @@ use fec_sat::{PhaseInit, RestartPolicy, SolverConfig};
 pub struct PortfolioConfig {
     /// Number of workers. `1` means plain single-threaded solving.
     pub jobs: usize,
-    /// Run workers in fixed round-robin conflict slices on the calling
-    /// thread instead of racing threads: reproducible, but no parallel
-    /// speedup.
-    pub deterministic: bool,
-    /// Conflicts per worker slice in deterministic mode.
-    pub det_slice_conflicts: u64,
     /// Base seed; worker `i` derives its own seed from it.
     pub seed: u64,
     /// Log a DRAT stream in every worker and return each worker's new
@@ -89,8 +81,6 @@ impl Default for PortfolioConfig {
     fn default() -> Self {
         PortfolioConfig {
             jobs: 1,
-            deterministic: false,
-            det_slice_conflicts: 2000,
             seed: 0,
             certify: false,
         }
@@ -221,7 +211,6 @@ mod tests {
     fn default_config() {
         let c = PortfolioConfig::default();
         assert_eq!(c.jobs, 1);
-        assert!(!c.deterministic);
         assert!(!c.certify);
         assert_eq!(PortfolioConfig::with_jobs(0).jobs, 1);
         assert_eq!(PortfolioConfig::with_jobs(4).jobs, 4);

@@ -14,31 +14,35 @@
 //! workers' formulas grow monotonically and stay identical. A one-shot
 //! solve is simply a session of one query.
 //!
-//! Threading model: the coordinator (the thread driving the [`Pool`])
-//! publishes jobs through a [`Gate`] and the resident worker threads
-//! park between generations. `load` is *fire-and-forget* — the
-//! coordinator returns as soon as the job is published and overlaps
-//! its own work (e.g. the CEGIS synthesizer query) with the workers';
-//! `solve` waits for all acknowledgements and collects per-query
-//! reports. A worker whose job panics still acknowledges the
-//! generation, carrying the panic message, and then exits; the
-//! coordinator re-raises that message from its next call instead of
-//! waiting on a worker that will never acknowledge again.
+//! The pool has two modes:
+//!
+//! - **One worker** lives inline on the calling thread. Worker 0 runs
+//!   the stock configuration, so this *is* the plain solver: each
+//!   clause goes straight into it as it is added, each query is one
+//!   `solve_with_budget` call, and it emits no `portfolio.*` trace
+//!   records.
+//! - **N ≥ 2 workers** are resident threads. The coordinator (the
+//!   thread driving the [`Pool`]) publishes jobs through a [`Gate`] and
+//!   the workers park between generations. Clauses buffer on the
+//!   coordinator and ship in batches: a load is *fire-and-forget* — the
+//!   coordinator returns as soon as the job is published and overlaps
+//!   its own work (e.g. encoding, or the CEGIS synthesizer query) with
+//!   the workers'; `solve` ships the rest, races the workers, waits for
+//!   all acknowledgements and collects per-query reports. A worker
+//!   whose job panics still acknowledges the generation, carrying the
+//!   panic message, and then exits; the coordinator re-raises that
+//!   message from its next call instead of waiting on a worker that
+//!   will never acknowledge again.
 //!
 //! Certification: with [`PortfolioConfig::certify`] every worker keeps
 //! its `MemoryProofLogger` installed for the pool's lifetime and each
 //! `solve` report drains the buffered steps into a per-query *segment*
-//! (covering any loads since the previous solve plus this query's
-//! derivations). Concatenating worker `i`'s segments in query
+//! (covering every clause added since the previous solve plus this
+//! query's derivations). Concatenating worker `i`'s segments in query
 //! order reconstructs worker `i`'s complete stand-alone DRAT stream —
 //! for a one-query pool the winner's single segment already is — so a
 //! stitching checker upstream (see `fec-smt`) certifies warm answers
 //! exactly as it certifies cold ones.
-//!
-//! In deterministic mode (and for `jobs == 1`) the workers live inline
-//! on the calling thread and run in fixed round-robin conflict slices
-//! per query — same seed ⇒ bit-identical winners, statistics, and
-//! shipped-clause counts across runs, queries, and pool instances.
 
 use crate::gate::Gate;
 use crate::ring::{spsc, Consumer, Producer};
@@ -58,6 +62,10 @@ const SHARE_LBD_MAX: u32 = 6;
 /// two). Full rings drop clauses rather than block the exporter.
 const RING_CAPACITY: usize = 2048;
 
+/// Clauses added to a racing pool ship to its workers in batches of
+/// this size, overlapping encoding with worker-side clause ingestion.
+const PRELOAD_BATCH: usize = 4096;
+
 /// A clause in flight between workers: literals plus LBD at export time.
 type SharedClause = (Vec<Lit>, u32);
 
@@ -72,15 +80,18 @@ pub struct PortfolioStats {
     /// Index of the worker that produced the answer (`None` on
     /// `Unknown`).
     pub winner: Option<usize>,
-    /// Per-worker search statistics, indexed by worker id.
+    /// Per-worker search statistics of racing workers, indexed by
+    /// worker id; empty for the one inline worker, whose statistics
+    /// are `total`.
     pub workers: Vec<SolverStats>,
     /// Field-wise sum over all workers.
     pub total: SolverStats,
     /// Wall-clock time of the whole call.
     pub wall: Duration,
-    /// Clauses physically transferred into workers for this query,
-    /// summed over workers. Only the per-query delta ships, never the
-    /// whole formula — the regression tests assert exactly this.
+    /// Clauses transferred into workers with this query, summed over
+    /// workers. Only the per-query delta ships, never the whole
+    /// formula — the regression tests assert exactly this. Batches a
+    /// racing pool shipped ahead of the query are not counted.
     pub shipped_clauses: u64,
 }
 
@@ -128,6 +139,7 @@ struct WorkerReport {
     result: SolveResult,
     /// Delta since the worker's previous solve report.
     stats: SolverStats,
+    /// A racing winner's `Sat` model, indexed by variable.
     model: Option<Vec<Option<bool>>>,
     failed_assumptions: Vec<Lit>,
     /// Everything the worker logged since its previous solve report.
@@ -145,33 +157,24 @@ enum Ack {
     Panicked(String),
 }
 
-/// Result of one [`Pool::solve`] query.
+/// Result of one [`Pool::solve`] query. The model of a `Sat` answer
+/// stays in the pool: read it with [`Pool::value`].
 pub struct PoolOutcome {
     /// The verdict (`Unknown` only if no worker finished in budget).
     pub result: SolveResult,
-    /// On `Sat`: the winner's model, indexed by variable.
-    pub model: Option<Vec<Option<bool>>>,
     /// On `Unsat` under assumptions: the winner's failed-assumption
     /// subset.
     pub failed_assumptions: Vec<Lit>,
     /// Per-query statistics: `workers` and `total` are *deltas* since
     /// each worker's previous solve report (so they cover this query
     /// plus any loads in between), and `shipped_clauses`
-    /// counts only the delta physically transferred — the O(delta)
+    /// counts only the delta transferred with the query — the O(delta)
     /// guarantee the regression tests pin down.
     pub stats: PortfolioStats,
     /// With [`PortfolioConfig::certify`]: one DRAT segment per worker,
     /// containing everything that worker logged since its previous
-    /// solve report. Empty `Vec` per worker when not certifying.
+    /// solve report. Empty when not certifying.
     pub proof_segments: Vec<Vec<ProofStep>>,
-}
-
-impl PoolOutcome {
-    /// The winner's assignment of `v` (`None` when unassigned or when
-    /// the result was not `Sat`).
-    pub fn value(&self, v: Var) -> Option<bool> {
-        self.model.as_ref().and_then(|m| m[v.index()])
-    }
 }
 
 /// A resident warm portfolio: `jobs` diversified workers that persist
@@ -187,46 +190,60 @@ impl PoolOutcome {
 ///     vec![Lit::pos(v(0)), Lit::pos(v(1))],
 ///     vec![Lit::neg(v(0)), Lit::pos(v(1))],
 /// ];
-/// let out = pool.solve(2, clauses, Vec::new(), Budget::unlimited());
+/// let out = pool.solve(2, clauses, &[], Budget::unlimited());
 /// assert_eq!(out.result, SolveResult::Sat);
-/// assert_eq!(out.value(v(1)), Some(true));
+/// assert_eq!(pool.value(v(1)), Some(true));
 /// // the next query ships only its delta to the warm workers
-/// let out = pool.solve(2, vec![vec![Lit::neg(v(1))]], Vec::new(), Budget::unlimited());
+/// let out = pool.solve(2, vec![vec![Lit::neg(v(1))]], &[], Budget::unlimited());
 /// assert_eq!(out.result, SolveResult::Unsat);
 /// ```
 pub struct Pool {
     inner: PoolInner,
-    /// Queries answered so far (drives trace events).
-    queries: u64,
 }
 
 enum PoolInner {
-    /// `jobs == 1` or deterministic mode: workers live on the calling
-    /// thread, round-robin conflict slices per query.
-    Inline(InlinePool),
-    /// Racing mode: resident worker threads coordinated by a [`Gate`].
+    /// One worker on the calling thread: the plain solver.
+    Inline(Box<Worker>),
+    /// N ≥ 2 resident worker threads racing each query.
     Threaded(ThreadedPool),
 }
 
 impl Pool {
-    /// Builds the pool: workers are constructed (and, in racing mode,
-    /// their threads spawned and parked) immediately, with an empty
-    /// formula.
+    /// Builds the pool over an empty formula: one inline worker for
+    /// `jobs <= 1`, otherwise `jobs` worker threads, spawned and parked
+    /// immediately.
     pub fn new(config: &PortfolioConfig) -> Pool {
-        let n = config.jobs.max(1);
-        let inner = if n == 1 || config.deterministic {
-            PoolInner::Inline(InlinePool::new(n, config))
+        let inner = if config.jobs <= 1 {
+            PoolInner::Inline(Box::new(Worker::new(0, config, (Vec::new(), Vec::new()))))
         } else {
-            PoolInner::Threaded(ThreadedPool::new(n, config))
+            PoolInner::Threaded(ThreadedPool::new(config.jobs, config))
         };
-        Pool { inner, queries: 0 }
+        Pool { inner }
     }
 
     /// Number of resident workers.
     pub fn jobs(&self) -> usize {
         match &self.inner {
-            PoolInner::Inline(p) => p.workers.len(),
+            PoolInner::Inline(_) => 1,
             PoolInner::Threaded(p) => p.gate.workers(),
+        }
+    }
+
+    /// Adds one clause over the first `num_vars` variables. The inline
+    /// worker takes it at once; racing workers receive clauses in
+    /// fire-and-forget batches, and the rest with the next query.
+    pub fn add_clause(&mut self, num_vars: usize, lits: &[Lit]) {
+        match &mut self.inner {
+            PoolInner::Inline(w) => {
+                w.grow(num_vars);
+                w.solver.add_clause(lits);
+            }
+            PoolInner::Threaded(p) => {
+                p.pending.push(lits.to_vec());
+                if p.pending.len() >= PRELOAD_BATCH {
+                    p.flush(num_vars);
+                }
+            }
         }
     }
 
@@ -234,14 +251,17 @@ impl Pool {
     /// Fire-and-forget in racing mode: returns once published.
     pub fn load(&mut self, num_vars: usize, clauses: Vec<Vec<Lit>>) {
         match &mut self.inner {
-            PoolInner::Inline(p) => p.load(num_vars, &clauses),
+            PoolInner::Inline(w) => w.load(num_vars, &clauses),
             PoolInner::Threaded(p) => {
-                p.publish(Job::new(JobKind::Load, num_vars, clauses, Vec::new()))
+                p.pending.extend(clauses);
+                p.flush(num_vars);
             }
         }
     }
 
-    /// Ships the clause delta and races the warm workers on the query.
+    /// Ships the clause delta and answers the query under
+    /// `assumptions`: the inline worker solves it, racing workers race
+    /// for it.
     ///
     /// Panics with a worker's panic message if that worker panicked,
     /// in this query or in an earlier fire-and-forget job.
@@ -249,51 +269,49 @@ impl Pool {
         &mut self,
         num_vars: usize,
         clauses: Vec<Vec<Lit>>,
-        assumptions: Vec<Lit>,
+        assumptions: &[Lit],
         budget: Budget,
     ) -> PoolOutcome {
-        let start = Instant::now();
-        let n = self.jobs();
-        let shipped = (clauses.len() * n) as u64;
-        self.queries += 1;
-        let _sp = fec_trace::span!(
-            fec_trace::Level::Trace,
-            "portfolio.pool.solve",
-            "jobs" => n,
-            "query" => self.queries,
-            "delta_clauses" => clauses.len(),
-            "vars" => num_vars,
-        );
-        let (reports, winner) = match &mut self.inner {
-            PoolInner::Inline(p) => p.solve(num_vars, &clauses, &assumptions, budget),
-            PoolInner::Threaded(p) => p.solve(Job {
-                budget,
-                ..Job::new(JobKind::Solve, num_vars, clauses, assumptions)
-            }),
-        };
-        let out = assemble(reports, winner, shipped, start.elapsed());
-        if fec_trace::enabled(fec_trace::Level::Debug) {
-            fec_trace::counter!(
-                fec_trace::Level::Debug,
-                "portfolio.pool.shipped",
-                out.stats.shipped_clauses
-            );
-            fec_trace::event!(
-                fec_trace::Level::Debug,
-                "portfolio.pool.query",
-                "query" => self.queries,
-                "result" => match out.result {
-                    SolveResult::Sat => "sat",
-                    SolveResult::Unsat => "unsat",
-                    SolveResult::Unknown => "unknown",
-                },
-                "winner" => out.stats.winner.map_or(-1i64, |w| w as i64),
-                "conflicts" => out.stats.total.conflicts,
-                "shipped" => out.stats.shipped_clauses,
-                "wall_us" => out.stats.wall.as_micros() as u64,
-            );
+        match &mut self.inner {
+            PoolInner::Inline(w) => {
+                // no heap allocation per query unless certifying: on the
+                // ~10^5 tiny queries of a CEGIS run, a few short-lived
+                // allocations per query fragment the heap enough to
+                // raise peak RSS by ~6%
+                let start = Instant::now();
+                w.load(num_vars, &clauses);
+                let result = w.solver.solve_with_budget(assumptions, budget);
+                let won = result != SolveResult::Unknown;
+                let report = w.report(result, won);
+                PoolOutcome {
+                    result,
+                    failed_assumptions: report.failed_assumptions,
+                    stats: PortfolioStats {
+                        winner: won.then_some(0),
+                        workers: Vec::new(),
+                        total: report.stats,
+                        wall: start.elapsed(),
+                        shipped_clauses: clauses.len() as u64,
+                    },
+                    proof_segments: if w.logger.is_some() {
+                        vec![report.proof]
+                    } else {
+                        Vec::new()
+                    },
+                }
+            }
+            PoolInner::Threaded(p) => p.solve(num_vars, clauses, assumptions, budget),
         }
-        out
+    }
+
+    /// The value of `v` in the most recent `Sat` answer's model (the
+    /// winner's, when workers race). `None` before any `Sat` answer, or
+    /// if `v` did not exist then.
+    pub fn value(&self, v: Var) -> Option<bool> {
+        match &self.inner {
+            PoolInner::Inline(w) => w.solver.value(v),
+            PoolInner::Threaded(p) => p.model.get(v.index()).copied().flatten(),
+        }
     }
 }
 
@@ -303,6 +321,7 @@ impl Pool {
 fn assemble(
     reports: Vec<WorkerReport>,
     winner: Option<usize>,
+    certify: bool,
     shipped: u64,
     wall: Duration,
 ) -> PoolOutcome {
@@ -313,22 +332,21 @@ fn assemble(
         ..PortfolioStats::default()
     };
     let mut result = SolveResult::Unknown;
-    let mut model = None;
     let mut failed = Vec::new();
-    let mut segments = Vec::with_capacity(reports.len());
+    let mut segments = Vec::new();
     for (i, r) in reports.into_iter().enumerate() {
         stats.total.merge(&r.stats);
         stats.workers.push(r.stats);
-        segments.push(r.proof);
+        if certify {
+            segments.push(r.proof);
+        }
         if Some(i) == winner {
             result = r.result;
-            model = r.model;
             failed = r.failed_assumptions;
         }
     }
     PoolOutcome {
         result,
-        model,
         failed_assumptions: failed,
         stats,
         proof_segments: segments,
@@ -342,8 +360,7 @@ fn assemble(
 /// Build the full N·(N−1) SPSC ring mesh (one ring per ordered pair of
 /// distinct workers) and regroup the ends per worker. With `n` workers
 /// the returned vector has `n` entries; entry `i` holds worker `i`'s
-/// producers (feeding each peer) and consumers (fed by each peer). A
-/// lone worker gets empty ends.
+/// producers (feeding each peer) and consumers (fed by each peer).
 fn ring_mesh(n: usize) -> Vec<MeshEnds> {
     let mut producers: Vec<Vec<Producer<SharedClause>>> = (0..n).map(|_| Vec::new()).collect();
     let mut consumers: Vec<Vec<Consumer<SharedClause>>> = (0..n).map(|_| Vec::new()).collect();
@@ -409,11 +426,16 @@ impl Worker {
         }
     }
 
-    /// Grows the variable space and applies the clause delta.
-    fn load(&mut self, num_vars: usize, clauses: &[Vec<Lit>]) {
+    /// Grows the variable space to `num_vars`.
+    fn grow(&mut self, num_vars: usize) {
         while self.solver.num_vars() < num_vars {
             self.solver.new_var();
         }
+    }
+
+    /// Grows the variable space and applies the clause delta.
+    fn load(&mut self, num_vars: usize, clauses: &[Vec<Lit>]) {
+        self.grow(num_vars);
         for c in clauses {
             if !self.solver.add_clause(c) {
                 break; // formula refuted at level 0; solver answers Unsat from here
@@ -422,20 +444,18 @@ impl Worker {
     }
 
     /// This query's report: statistics and proof steps since the
-    /// previous report, plus — for the winner only — the model or the
+    /// previous report, plus — for the winner only — the
     /// failed-assumption subset.
-    fn report(&mut self, num_vars: usize, result: SolveResult, won: bool) -> WorkerReport {
-        let s = &self.solver;
-        let totals = s.stats();
+    fn report(&mut self, result: SolveResult, won: bool) -> WorkerReport {
+        let totals = self.solver.stats();
         let stats = totals.delta_since(&self.reported);
         self.reported = totals;
         WorkerReport {
             result,
             stats,
-            model: (won && result == SolveResult::Sat)
-                .then(|| (0..num_vars).map(|v| s.value(Var::from_index(v))).collect()),
+            model: None,
             failed_assumptions: if won && result == SolveResult::Unsat {
-                s.failed_assumptions().to_vec()
+                self.solver.failed_assumptions().to_vec()
             } else {
                 Vec::new()
             },
@@ -501,101 +521,6 @@ fn emit_worker_done(
 }
 
 // ---------------------------------------------------------------------
-// inline (deterministic / single-worker) pool
-// ---------------------------------------------------------------------
-
-struct InlinePool {
-    workers: Vec<Worker>,
-    slice: u64,
-}
-
-impl InlinePool {
-    fn new(n: usize, config: &PortfolioConfig) -> InlinePool {
-        InlinePool {
-            workers: ring_mesh(n)
-                .into_iter()
-                .enumerate()
-                .map(|(i, ends)| Worker::new(i, config, ends))
-                .collect(),
-            slice: config.det_slice_conflicts.max(1),
-        }
-    }
-
-    fn load(&mut self, num_vars: usize, clauses: &[Vec<Lit>]) {
-        for w in &mut self.workers {
-            w.load(num_vars, clauses);
-        }
-    }
-
-    fn solve(
-        &mut self,
-        num_vars: usize,
-        clauses: &[Vec<Lit>],
-        assumptions: &[Lit],
-        budget: Budget,
-    ) -> (Vec<WorkerReport>, Option<usize>) {
-        let start = Instant::now();
-        self.load(num_vars, clauses);
-        let n = self.workers.len();
-        let mut verdict: Option<(usize, SolveResult)> = None;
-        if n == 1 {
-            let r = self.workers[0]
-                .solver
-                .solve_with_budget(assumptions, budget);
-            if r != SolveResult::Unknown {
-                verdict = Some((0, r));
-            }
-        } else {
-            // fixed round-robin conflict slices with a fresh per-query
-            // conflict ledger; wall-clock only enters through the
-            // overall timeout, checked *between* epochs
-            let mut spent = vec![0u64; n];
-            'epochs: loop {
-                let mut any_alive = false;
-                for (i, w) in self.workers.iter_mut().enumerate() {
-                    let remaining = budget.max_conflicts.saturating_sub(spent[i]);
-                    if remaining == 0 {
-                        continue;
-                    }
-                    any_alive = true;
-                    let before = w.solver.stats().conflicts;
-                    let r = w.solver.solve_with_budget(
-                        assumptions,
-                        Budget {
-                            max_conflicts: remaining.min(self.slice),
-                            timeout: None,
-                        },
-                    );
-                    spent[i] += w.solver.stats().conflicts - before;
-                    if r != SolveResult::Unknown {
-                        verdict = Some((i, r));
-                        break 'epochs;
-                    }
-                }
-                if !any_alive {
-                    break; // every worker exhausted its conflict budget
-                }
-                if let Some(t) = budget.timeout {
-                    if start.elapsed() >= t {
-                        break;
-                    }
-                }
-            }
-        }
-        let reports = self
-            .workers
-            .iter_mut()
-            .enumerate()
-            .map(|(i, w)| match verdict {
-                Some((v, r)) if v == i => w.report(num_vars, r, true),
-                _ => w.report(num_vars, SolveResult::Unknown, false),
-            })
-            .collect();
-        (reports, verdict.map(|(w, _)| w))
-    }
-}
-
-// ---------------------------------------------------------------------
 // threaded (racing) pool
 // ---------------------------------------------------------------------
 
@@ -605,6 +530,14 @@ struct ThreadedPool {
     /// The first worker panic seen. Once set the pool is dead: the
     /// panicked worker has exited, so every later call re-raises this.
     panicked: Option<String>,
+    /// Clauses added since the last shipment: the next job's delta.
+    pending: Vec<Vec<Lit>>,
+    /// The winner's model of the most recent `Sat` answer.
+    model: Vec<Option<bool>>,
+    /// Whether the workers log DRAT streams.
+    certify: bool,
+    /// Queries answered so far (drives trace events).
+    queries: u64,
 }
 
 impl ThreadedPool {
@@ -623,7 +556,17 @@ impl ThreadedPool {
             gate,
             handles,
             panicked: None,
+            pending: Vec::new(),
+            model: Vec::new(),
+            certify: config.certify,
+            queries: 0,
         }
+    }
+
+    /// Ships the pending clauses as a fire-and-forget load.
+    fn flush(&mut self, num_vars: usize) {
+        let clauses = std::mem::take(&mut self.pending);
+        self.publish(Job::new(JobKind::Load, num_vars, clauses, Vec::new()));
     }
 
     /// Settles the previous generation (if any), then publishes `job`.
@@ -668,9 +611,32 @@ impl ThreadedPool {
         panic!("{}", self.panicked.as_deref().unwrap_or_default());
     }
 
-    fn solve(&mut self, job: Job) -> (Vec<WorkerReport>, Option<usize>) {
-        self.publish(job);
-        let reports = self
+    fn solve(
+        &mut self,
+        num_vars: usize,
+        clauses: Vec<Vec<Lit>>,
+        assumptions: &[Lit],
+        budget: Budget,
+    ) -> PoolOutcome {
+        let start = Instant::now();
+        let n = self.gate.workers();
+        let mut delta = std::mem::take(&mut self.pending);
+        delta.extend(clauses);
+        let shipped = (delta.len() * n) as u64;
+        self.queries += 1;
+        let _sp = fec_trace::span!(
+            fec_trace::Level::Trace,
+            "portfolio.pool.solve",
+            "jobs" => n,
+            "query" => self.queries,
+            "delta_clauses" => delta.len(),
+            "vars" => num_vars,
+        );
+        self.publish(Job {
+            budget,
+            ..Job::new(JobKind::Solve, num_vars, delta, assumptions.to_vec())
+        });
+        let mut reports: Vec<WorkerReport> = self
             .settle()
             .into_iter()
             .map(|a| match a {
@@ -678,7 +644,33 @@ impl ThreadedPool {
                 _ => unreachable!("every worker acks a solve generation with its report"),
             })
             .collect();
-        (reports, self.gate.winner())
+        let winner = self.gate.winner();
+        if let Some(model) = winner.and_then(|w| reports[w].model.take()) {
+            self.model = model;
+        }
+        let out = assemble(reports, winner, self.certify, shipped, start.elapsed());
+        if fec_trace::enabled(fec_trace::Level::Debug) {
+            fec_trace::counter!(
+                fec_trace::Level::Debug,
+                "portfolio.pool.shipped",
+                out.stats.shipped_clauses
+            );
+            fec_trace::event!(
+                fec_trace::Level::Debug,
+                "portfolio.pool.query",
+                "query" => self.queries,
+                "result" => match out.result {
+                    SolveResult::Sat => "sat",
+                    SolveResult::Unsat => "unsat",
+                    SolveResult::Unknown => "unknown",
+                },
+                "winner" => out.stats.winner.map_or(-1i64, |w| w as i64),
+                "conflicts" => out.stats.total.conflicts,
+                "shipped" => out.stats.shipped_clauses,
+                "wall_us" => out.stats.wall.as_micros() as u64,
+            );
+        }
+        out
     }
 }
 
@@ -754,7 +746,15 @@ fn run_job(i: usize, w: &mut Worker, gate: &Gate<Job, Ack>, job: &Job) -> Ack {
                     "conflicts" => w.solver.stats().conflicts,
                 );
             }
-            let rep = w.report(job.num_vars, result, won);
+            let mut rep = w.report(result, won);
+            if won && result == SolveResult::Sat {
+                let s = &w.solver;
+                rep.model = Some(
+                    (0..job.num_vars)
+                        .map(|v| s.value(Var::from_index(v)))
+                        .collect(),
+                );
+            }
             emit_worker_done(i, &rep.stats, result, won, started);
             Ack::Solved(rep)
         }
@@ -800,19 +800,14 @@ mod tests {
         let out = pool.solve(
             3,
             cnf(&[&[1, 2], &[-1, 2], &[-2, 3]]),
-            Vec::new(),
+            &[],
             Budget::unlimited(),
         );
         assert_eq!(out.result, SolveResult::Sat);
-        assert_eq!(out.value(Var::from_index(1)), Some(true));
+        assert_eq!(pool.value(Var::from_index(1)), Some(true));
         assert_eq!(out.stats.shipped_clauses, (3 * pool.jobs()) as u64);
         // query 2: only the delta ships; formula forced UNSAT
-        let out = pool.solve(
-            3,
-            cnf(&[&[-2], &[2, -3], &[3]]),
-            Vec::new(),
-            Budget::unlimited(),
-        );
+        let out = pool.solve(3, cnf(&[&[-2], &[2, -3], &[3]]), &[], Budget::unlimited());
         assert_eq!(out.result, SolveResult::Unsat);
         assert_eq!(out.stats.shipped_clauses, (3 * pool.jobs()) as u64);
         // per-query deltas: each query cost each worker at most one
@@ -833,16 +828,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_pool_deterministic() {
-        let cfg = PortfolioConfig {
-            deterministic: true,
-            det_slice_conflicts: 64,
-            ..PortfolioConfig::with_jobs(3)
-        };
-        workout(&cfg);
-    }
-
-    #[test]
     fn warm_assumption_session() {
         // the CEGIS verifier shape: one load, many assumption-only
         // solves — queries after the first ship zero clauses
@@ -850,7 +835,7 @@ mod tests {
         pool.load(4, cnf(&[&[1, 2, 3, 4], &[-1, -2], &[-3, -4]]));
         let mut shipped = 0;
         for i in 0..3 {
-            let out = pool.solve(4, Vec::new(), vec![lit(i + 1)], Budget::unlimited());
+            let out = pool.solve(4, Vec::new(), &[lit(i + 1)], Budget::unlimited());
             assert_eq!(out.result, SolveResult::Sat, "assuming {} is sat", i + 1);
             shipped += out.stats.shipped_clauses;
         }
@@ -858,11 +843,31 @@ mod tests {
         let out = pool.solve(
             4,
             cnf(&[&[-1], &[-2], &[-3], &[-4]]),
-            Vec::new(),
+            &[],
             Budget::unlimited(),
         );
         assert_eq!(out.result, SolveResult::Unsat);
         assert_eq!(out.stats.shipped_clauses, 8);
+    }
+
+    #[test]
+    fn added_clauses_stream_to_the_workers() {
+        // the inline worker takes each clause as it is added, so its
+        // query ships nothing; racing workers take full batches ahead
+        // of the query, which ships only the remainder
+        for jobs in [1, 2] {
+            let mut pool = Pool::new(&PortfolioConfig::with_jobs(jobs));
+            let n = PRELOAD_BATCH + 3;
+            for i in 0..n {
+                // x_i → x_{i+1}
+                pool.add_clause(n + 1, &[lit(-(i as i32 + 1)), lit(i as i32 + 2)]);
+            }
+            let out = pool.solve(n + 1, Vec::new(), &[lit(1)], Budget::unlimited());
+            assert_eq!(out.result, SolveResult::Sat);
+            assert_eq!(pool.value(Var::from_index(n)), Some(true));
+            let remainder = if jobs == 1 { 0 } else { 3 * jobs as u64 };
+            assert_eq!(out.stats.shipped_clauses, remainder, "jobs = {jobs}");
+        }
     }
 
     #[test]
@@ -872,15 +877,10 @@ mod tests {
             ..PortfolioConfig::with_jobs(2)
         };
         let mut pool = Pool::new(&cfg);
-        let q1 = pool.solve(
-            2,
-            cnf(&[&[1, 2], &[-1, 2]]),
-            Vec::new(),
-            Budget::unlimited(),
-        );
+        let q1 = pool.solve(2, cnf(&[&[1, 2], &[-1, 2]]), &[], Budget::unlimited());
         assert_eq!(q1.result, SolveResult::Sat);
         assert_eq!(q1.proof_segments.len(), 2);
-        let q2 = pool.solve(2, cnf(&[&[-2]]), Vec::new(), Budget::unlimited());
+        let q2 = pool.solve(2, cnf(&[&[-2]]), &[], Budget::unlimited());
         assert_eq!(q2.result, SolveResult::Unsat);
         let w = q2.stats.winner.expect("unsat query has a winner");
         // stitch the winner's two segments and replay them through the
@@ -906,8 +906,7 @@ mod tests {
         let helper = thread::spawn(move || {
             let outcome = panic::catch_unwind(|| {
                 let mut pool = Pool::new(&PortfolioConfig::with_jobs(2));
-                pool.solve(2, cnf(&[&[5]]), Vec::new(), Budget::unlimited())
-                    .result
+                pool.solve(2, cnf(&[&[5]]), &[], Budget::unlimited()).result
             });
             let _ = tx.send(outcome.map_err(|p| panic_message(p.as_ref())));
         });

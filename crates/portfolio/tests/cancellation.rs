@@ -88,10 +88,11 @@ fn budget_exhausted_losers_aggregate_cleanly() {
     // field-wise sum of the per-worker stats (no lost or double-counted
     // updates through the cancellation path)
     let (num_vars, clauses) = pigeonhole(8, 7);
-    let out = Pool::new(&PortfolioConfig::with_jobs(4)).solve(
+    let mut pool = Pool::new(&PortfolioConfig::with_jobs(4));
+    let out = pool.solve(
         num_vars,
         clauses,
-        Vec::new(),
+        &[],
         Budget {
             max_conflicts: 16,
             timeout: None,
@@ -99,7 +100,7 @@ fn budget_exhausted_losers_aggregate_cleanly() {
     );
     assert_eq!(out.result, SolveResult::Unknown);
     assert!(out.stats.winner.is_none());
-    assert!(out.model.is_none());
+    assert_eq!(pool.value(Var::from_index(0)), None);
     assert!(out.proof_segments.iter().all(Vec::is_empty));
     assert_eq!(out.stats.workers.len(), 4);
     for (field, total, sum) in sum_check(&out.stats) {
@@ -121,7 +122,7 @@ fn cancelled_losers_aggregate_cleanly_after_a_win() {
     let out = Pool::new(&PortfolioConfig::with_jobs(4)).solve(
         num_vars,
         clauses,
-        Vec::new(),
+        &[],
         Budget::unlimited(),
     );
     assert_eq!(out.result, SolveResult::Unsat);

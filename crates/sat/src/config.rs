@@ -79,8 +79,7 @@ pub enum PhaseInit {
 ///
 /// All randomness is driven by the explicit `seed` through a
 /// deterministic xorshift generator, so two solvers with equal configs
-/// behave identically — the substrate for the portfolio's
-/// deterministic mode.
+/// behave identically.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct SolverConfig {
     /// EVSIDS variable-activity decay (activity increment grows by

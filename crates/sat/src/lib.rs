@@ -42,7 +42,6 @@
 
 mod clause;
 mod config;
-mod dimacs;
 mod heap;
 pub mod proof;
 pub mod reference;
@@ -50,7 +49,6 @@ mod solver;
 mod types;
 
 pub use config::{PhaseInit, RestartPolicy, SolverConfig};
-pub use dimacs::{parse_dimacs, to_dimacs};
-pub use proof::{DratTextLogger, MemoryProofLogger, ProofLogger, ProofStep, TeeProofLogger};
+pub use proof::{MemoryProofLogger, ProofLogger, ProofStep};
 pub use solver::{Budget, ExportHook, ImportHook, SolveResult, Solver, SolverStats};
 pub use types::{Lit, Var};

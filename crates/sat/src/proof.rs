@@ -27,7 +27,6 @@
 
 use crate::types::Lit;
 use std::cell::RefCell;
-use std::io::Write;
 use std::rc::Rc;
 
 /// One entry of a proof stream.
@@ -116,70 +115,6 @@ impl ProofLogger for MemoryProofLogger {
     }
 }
 
-/// Streams the proof as standard DRAT text (one clause per line,
-/// DIMACS literals, `0`-terminated; deletions prefixed with `d`).
-/// Input clauses are emitted as `c i ...` comment lines so one file
-/// carries both the formula and the proof for external cross-checking;
-/// standard DRAT tools ignore comment lines.
-pub struct DratTextLogger<W: Write> {
-    out: W,
-}
-
-impl<W: Write> DratTextLogger<W> {
-    /// Wraps a writer. Buffer it (`BufWriter`) for file targets.
-    pub fn new(out: W) -> DratTextLogger<W> {
-        DratTextLogger { out }
-    }
-
-    /// Unwraps the inner writer (e.g. to flush or inspect).
-    pub fn into_inner(self) -> W {
-        self.out
-    }
-
-    fn write_clause(&mut self, prefix: &str, lits: &[Lit]) {
-        let mut line = String::with_capacity(prefix.len() + 6 * lits.len() + 2);
-        line.push_str(prefix);
-        for l in lits {
-            line.push_str(&l.to_string());
-            line.push(' ');
-        }
-        line.push_str("0\n");
-        // a full disk is not a solver error; certification uses the
-        // in-memory stream, the file is for external tools
-        let _ = self.out.write_all(line.as_bytes());
-    }
-}
-
-impl<W: Write> ProofLogger for DratTextLogger<W> {
-    fn input(&mut self, lits: &[Lit]) {
-        self.write_clause("c i ", lits);
-    }
-    fn learn(&mut self, lits: &[Lit]) {
-        self.write_clause("", lits);
-    }
-    fn delete(&mut self, lits: &[Lit]) {
-        self.write_clause("d ", lits);
-    }
-}
-
-/// Forwards every step to two loggers (e.g. memory + DRAT file).
-pub struct TeeProofLogger<A, B>(pub A, pub B);
-
-impl<A: ProofLogger, B: ProofLogger> ProofLogger for TeeProofLogger<A, B> {
-    fn input(&mut self, lits: &[Lit]) {
-        self.0.input(lits);
-        self.1.input(lits);
-    }
-    fn learn(&mut self, lits: &[Lit]) {
-        self.0.learn(lits);
-        self.1.learn(lits);
-    }
-    fn delete(&mut self, lits: &[Lit]) {
-        self.0.delete(lits);
-        self.1.delete(lits);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,26 +133,5 @@ mod tests {
         let steps = a.take_steps();
         assert_eq!(steps, vec![ProofStep::Learn(vec![lit(1), lit(-2)])]);
         assert!(a.is_empty() && b.is_empty());
-    }
-
-    #[test]
-    fn drat_text_format() {
-        let mut l = DratTextLogger::new(Vec::new());
-        l.input(&[lit(1), lit(2)]);
-        l.learn(&[lit(-1)]);
-        l.learn(&[]);
-        l.delete(&[lit(-1)]);
-        let text = String::from_utf8(l.into_inner()).unwrap();
-        assert_eq!(text, "c i 1 2 0\n-1 0\n0\nd -1 0\n");
-    }
-
-    #[test]
-    fn tee_duplicates() {
-        let mem = MemoryProofLogger::new();
-        let mut tee = TeeProofLogger(mem.clone(), DratTextLogger::new(Vec::new()));
-        tee.learn(&[lit(3)]);
-        assert_eq!(mem.len(), 1);
-        let text = String::from_utf8(tee.1.into_inner()).unwrap();
-        assert_eq!(text, "3 0\n");
     }
 }

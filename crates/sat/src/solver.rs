@@ -151,14 +151,6 @@ impl SolverStats {
 /// (clause literals, LBD at learning time).
 pub type ExportHook = Box<dyn FnMut(&[Lit], u32) + Send>;
 
-/// Progress callback invoked at every restart boundary with the
-/// solver's cumulative statistics (see [`Solver::set_progress_hook`]).
-/// Independent of the tracing collector: hosts that want live
-/// conflicts/sec, propagation, and restart deltas (TTY lines,
-/// `fecsynth serve` heartbeats) subscribe here without installing any
-/// sink.
-pub type ProgressHook = Box<dyn FnMut(&SolverStats) + Send>;
-
 /// Supplier of shared clauses, polled at restart boundaries; returns
 /// `(clause, lbd)` batches drained from peer workers.
 pub type ImportHook = Box<dyn FnMut() -> Vec<(Vec<Lit>, u32)> + Send>;
@@ -209,8 +201,6 @@ pub struct Solver {
     export: Option<ExportHook>,
     export_lbd_max: u32,
     import: Option<ImportHook>,
-    // restart-boundary progress callback (None = off, the default)
-    progress: Option<ProgressHook>,
     // LBD distribution of learned clauses (bucket 15 = "≥ 15"); only
     // maintained while tracing is enabled at Debug, so the conflict
     // path pays one predictable branch otherwise
@@ -263,7 +253,6 @@ impl Solver {
             export: None,
             export_lbd_max: 0,
             import: None,
-            progress: None,
             lbd_hist: [0; 16],
             lbd_flushed: [0; 16],
             last_snapshot: None,
@@ -304,15 +293,6 @@ impl Solver {
         self.import = Some(hook);
     }
 
-    /// Installs a progress callback fired at every restart boundary —
-    /// the natural sampling point: never inside the propagation loop,
-    /// frequent enough (Luby schedule) for live rate displays. The
-    /// hook sees cumulative [`SolverStats`]; callers diff successive
-    /// snapshots for per-interval rates.
-    pub fn set_progress_hook(&mut self, hook: ProgressHook) {
-        self.progress = Some(hook);
-    }
-
     #[inline]
     fn should_stop(&self) -> bool {
         self.stop
@@ -331,16 +311,6 @@ impl Solver {
             "proof logger must be installed before any clause is added"
         );
         self.proof = Some(logger);
-    }
-
-    /// Removes and returns the installed proof logger, if any.
-    pub fn take_proof_logger(&mut self) -> Option<Box<dyn ProofLogger>> {
-        self.proof.take()
-    }
-
-    /// `true` when a proof logger is installed.
-    pub fn has_proof_logger(&self) -> bool {
-        self.proof.is_some()
     }
 
     #[inline]
@@ -390,13 +360,6 @@ impl Solver {
     /// Cumulative statistics.
     pub fn stats(&self) -> SolverStats {
         self.stats
-    }
-
-    /// LBD distribution of learned clauses (bucket 15 counts LBD ≥ 15).
-    /// Populated only while tracing is enabled at `Debug` level, so it
-    /// reads all-zero in untraced runs.
-    pub fn lbd_histogram(&self) -> &[u64; 16] {
-        &self.lbd_hist
     }
 
     #[inline]
@@ -991,12 +954,6 @@ impl Solver {
                     if fec_trace::enabled(fec_trace::Level::Debug) {
                         self.emit_snapshot(start);
                     }
-                    if self.progress.is_some() {
-                        let stats = self.stats;
-                        if let Some(hook) = self.progress.as_mut() {
-                            hook(&stats);
-                        }
-                    }
                     continue;
                 }
                 SearchOutcome::BudgetExhausted => break SolveResult::Unknown,
@@ -1569,28 +1526,6 @@ mod tests {
     }
 
     #[test]
-    fn progress_hook_fires_at_restart_boundaries() {
-        use std::sync::Mutex;
-        let seen: Arc<Mutex<Vec<SolverStats>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&seen);
-        let mut s = pigeonhole(7, 6);
-        s.set_progress_hook(Box::new(move |stats| {
-            sink.lock().unwrap().push(*stats);
-        }));
-        assert_eq!(s.solve(&[]), SolveResult::Unsat);
-        let snapshots = seen.lock().unwrap();
-        let restarts = s.stats().restarts;
-        assert!(restarts > 0, "instance too easy to exercise restarts");
-        assert_eq!(snapshots.len() as u64, restarts);
-        // cumulative statistics are monotone across snapshots
-        for w in snapshots.windows(2) {
-            assert!(w[0].conflicts <= w[1].conflicts);
-            assert!(w[0].propagations <= w[1].propagations);
-            assert!(w[0].restarts < w[1].restarts);
-        }
-    }
-
-    #[test]
     fn import_hook_clauses_are_used() {
         // Feed the refuting unit clauses of a tiny UNSAT instance in
         // via the import hook; the solver must pick them up at the
@@ -1761,12 +1696,6 @@ mod tests {
             Some(&ProofStep::Learn(Vec::new())),
             "the stream ends with the empty clause"
         );
-    }
-
-    #[test]
-    fn proof_logging_off_by_default() {
-        let s = Solver::new();
-        assert!(!s.has_proof_logger());
     }
 
     #[test]

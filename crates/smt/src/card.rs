@@ -1,62 +1,31 @@
-//! Cardinality constraints: `Σ xᵢ ⋈ k`.
-//!
-//! Two encodings are provided:
-//!
-//! - **Totalizer** (Bailleux–Boufkhad): builds a balanced tree of unary
-//!   "counting registers"; output literal `out[j]` means *at least j+1
-//!   inputs are true*. Arc-consistent, O(n log n) clauses for a bound.
-//! - **Sequential counter** (Sinz): a linear chain of partial-sum
-//!   registers. Simpler, O(n·k) clauses.
-//!
-//! The default is the totalizer; the choice is an ablation axis
-//! benchmarked in `fec-bench` (`card_ablation`).
+//! Cardinality constraints: `Σ xᵢ ⋈ k`, in the totalizer encoding
+//! (Bailleux–Boufkhad): a balanced tree of unary "counting registers"
+//! whose output literal `out[j]` means *at least j+1 inputs are true*.
+//! Arc-consistent, O(n log n) clauses for a bound.
 
 use crate::solver::SmtSolver;
 use fec_sat::Lit;
-
-/// Which cardinality encoding to use.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum CardEncoding {
-    /// Bailleux–Boufkhad totalizer (default).
-    #[default]
-    Totalizer,
-    /// Sinz sequential counter.
-    Sequential,
-}
 
 impl SmtSolver {
     /// Builds a unary counting register for `lits`: the returned vector
     /// `out` has `out[j]` true iff at least `j+1` of the inputs are true,
     /// with monotonicity (`out[j+1] → out[j]`) enforced.
-    pub fn counting_register(&mut self, lits: &[Lit], enc: CardEncoding) -> Vec<Lit> {
+    pub fn counting_register(&mut self, lits: &[Lit]) -> Vec<Lit> {
         let mark = self.enc_begin();
-        let (reg, family) = match enc {
-            CardEncoding::Totalizer => (self.totalizer(lits), "totalizer"),
-            CardEncoding::Sequential => (self.sequential_register(lits), "sequential"),
-        };
-        self.enc_end(family, mark);
+        let reg = self.totalizer(lits);
+        self.enc_end("totalizer", mark);
         reg
     }
 
-    /// Asserts `Σ lits ≤ k` (default encoding).
-    pub fn at_most_k(&mut self, lits: &[Lit], k: usize) {
-        self.at_most_k_with(lits, k, CardEncoding::Totalizer);
-    }
-
-    /// Asserts `Σ lits ≥ k` (default encoding).
-    pub fn at_least_k(&mut self, lits: &[Lit], k: usize) {
-        self.at_least_k_with(lits, k, CardEncoding::Totalizer);
-    }
-
-    /// Asserts `Σ lits = k` (default encoding).
+    /// Asserts `Σ lits = k`.
     pub fn exactly_k(&mut self, lits: &[Lit], k: usize) {
-        let reg = self.counting_register(lits, CardEncoding::Totalizer);
+        let reg = self.counting_register(lits);
         self.constrain_register_at_most(&reg, k);
         self.constrain_register_at_least(&reg, k);
     }
 
-    /// Asserts `Σ lits ≤ k` with an explicit encoding.
-    pub fn at_most_k_with(&mut self, lits: &[Lit], k: usize, enc: CardEncoding) {
+    /// Asserts `Σ lits ≤ k`.
+    pub fn at_most_k(&mut self, lits: &[Lit], k: usize) {
         if k >= lits.len() {
             return; // vacuous
         }
@@ -66,12 +35,12 @@ impl SmtSolver {
             }
             return;
         }
-        let reg = self.counting_register(lits, enc);
+        let reg = self.counting_register(lits);
         self.constrain_register_at_most(&reg, k);
     }
 
-    /// Asserts `Σ lits ≥ k` with an explicit encoding.
-    pub fn at_least_k_with(&mut self, lits: &[Lit], k: usize, enc: CardEncoding) {
+    /// Asserts `Σ lits ≥ k`.
+    pub fn at_least_k(&mut self, lits: &[Lit], k: usize) {
         if k == 0 {
             return; // vacuous
         }
@@ -86,7 +55,7 @@ impl SmtSolver {
             }
             return;
         }
-        let reg = self.counting_register(lits, enc);
+        let reg = self.counting_register(lits);
         self.constrain_register_at_least(&reg, k);
     }
 
@@ -177,40 +146,6 @@ impl SmtSolver {
         }
         out
     }
-
-    // --- sequential counter ----------------------------------------------
-
-    fn sequential_register(&mut self, lits: &[Lit]) -> Vec<Lit> {
-        if lits.is_empty() {
-            return Vec::new();
-        }
-        // prev[j]: among the inputs seen so far, at least j+1 are true
-        let mut prev: Vec<Lit> = vec![lits[0]];
-        for &x in &lits[1..] {
-            let width = prev.len() + 1;
-            let cur: Vec<Lit> = (0..width).map(|_| self.fresh_lit()).collect();
-            // cur[0] ↔ prev[0] ∨ x
-            self.add_clause(&[!x, cur[0]]);
-            self.add_clause(&[!prev[0], cur[0]]);
-            self.add_clause(&[prev[0], x, !cur[0]]);
-            for j in 1..width {
-                if j < prev.len() {
-                    // cur[j] ↔ prev[j] ∨ (prev[j-1] ∧ x)
-                    self.add_clause(&[!prev[j], cur[j]]);
-                    self.add_clause(&[!prev[j - 1], !x, cur[j]]);
-                    self.add_clause(&[!cur[j], prev[j], prev[j - 1]]);
-                    self.add_clause(&[!cur[j], prev[j], x]);
-                } else {
-                    // top cell: cur[j] ↔ prev[j-1] ∧ x
-                    self.add_clause(&[!prev[j - 1], !x, cur[j]]);
-                    self.add_clause(&[!cur[j], prev[j - 1]]);
-                    self.add_clause(&[!cur[j], x]);
-                }
-            }
-            prev = cur;
-        }
-        prev
-    }
 }
 
 #[cfg(test)]
@@ -246,42 +181,16 @@ mod tests {
     fn at_most_k_totalizer_exhaustive() {
         for n in 1..=5 {
             for k in 0..=n {
-                check_card(
-                    n,
-                    k,
-                    |s, xs, k| s.at_most_k_with(xs, k, CardEncoding::Totalizer),
-                    |count, k| count <= k,
-                );
+                check_card(n, k, |s, xs, k| s.at_most_k(xs, k), |count, k| count <= k);
             }
         }
     }
 
     #[test]
-    fn at_most_k_sequential_exhaustive() {
+    fn at_least_k_totalizer_exhaustive() {
         for n in 1..=5 {
             for k in 0..=n {
-                check_card(
-                    n,
-                    k,
-                    |s, xs, k| s.at_most_k_with(xs, k, CardEncoding::Sequential),
-                    |count, k| count <= k,
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn at_least_k_both_encodings_exhaustive() {
-        for enc in [CardEncoding::Totalizer, CardEncoding::Sequential] {
-            for n in 1..=5 {
-                for k in 0..=n {
-                    check_card(
-                        n,
-                        k,
-                        |s, xs, k| s.at_least_k_with(xs, k, enc),
-                        |count, k| count >= k,
-                    );
-                }
+                check_card(n, k, |s, xs, k| s.at_least_k(xs, k), |count, k| count >= k);
             }
         }
     }
@@ -302,25 +211,23 @@ mod tests {
 
     #[test]
     fn counting_register_reads_exact_value() {
-        for enc in [CardEncoding::Totalizer, CardEncoding::Sequential] {
-            let mut s = SmtSolver::new();
-            let xs: Vec<Lit> = (0..6).map(|_| s.fresh_lit()).collect();
-            let reg = s.counting_register(&xs, enc);
-            // force exactly bits 1, 3, 4 true
-            for (i, &x) in xs.iter().enumerate() {
-                let v = matches!(i, 1 | 3 | 4);
-                s.add_clause(&[if v { x } else { !x }]);
-            }
-            assert_eq!(s.solve(&[]), SmtResult::Sat);
-            let value = reg.iter().take_while(|&&r| s.model_lit(r)).count();
-            assert_eq!(value, 3, "encoding {enc:?}");
-            // monotone: after the first false, all false
-            let vals: Vec<bool> = reg.iter().map(|&r| s.model_lit(r)).collect();
-            assert!(
-                vals.windows(2).all(|w| w[0] || !w[1]),
-                "register not unary: {vals:?}"
-            );
+        let mut s = SmtSolver::new();
+        let xs: Vec<Lit> = (0..6).map(|_| s.fresh_lit()).collect();
+        let reg = s.counting_register(&xs);
+        // force exactly bits 1, 3, 4 true
+        for (i, &x) in xs.iter().enumerate() {
+            let v = matches!(i, 1 | 3 | 4);
+            s.add_clause(&[if v { x } else { !x }]);
         }
+        assert_eq!(s.solve(&[]), SmtResult::Sat);
+        let value = reg.iter().take_while(|&&r| s.model_lit(r)).count();
+        assert_eq!(value, 3);
+        // monotone: after the first false, all false
+        let vals: Vec<bool> = reg.iter().map(|&r| s.model_lit(r)).collect();
+        assert!(
+            vals.windows(2).all(|w| w[0] || !w[1]),
+            "register not unary: {vals:?}"
+        );
     }
 
     #[test]

@@ -89,23 +89,6 @@ impl SmtSolver {
     pub fn iff(&mut self, a: Lit, b: Lit) -> Lit {
         !self.xor2(a, b)
     }
-
-    /// Asserts `a → b` in the current scope.
-    pub fn assert_implies(&mut self, a: Lit, b: Lit) {
-        self.add_clause(&[!a, b]);
-    }
-
-    /// Asserts `a ↔ b` in the current scope.
-    pub fn assert_iff(&mut self, a: Lit, b: Lit) {
-        self.add_clause(&[!a, b]);
-        self.add_clause(&[a, !b]);
-    }
-
-    /// Asserts that `o` equals the XOR of `lits` in the current scope.
-    pub fn assert_xor_equals(&mut self, lits: &[Lit], o: Lit) {
-        let x = self.xor_all(lits);
-        self.assert_iff(x, o);
-    }
 }
 
 #[cfg(test)]

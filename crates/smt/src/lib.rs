@@ -7,11 +7,13 @@
 //!
 //! - [`SmtSolver`]: incremental solver with `push`/`pop` scopes
 //!   (implemented with activation literals, so learnt clauses survive
-//!   pops soundly), fresh variables, and budgeted solving;
+//!   pops soundly), fresh variables, and budgeted solving. Every query
+//!   runs on a `fec_portfolio::Pool` — one inline worker (the plain
+//!   CDCL solver) by default, racing worker threads with `jobs > 1` —
+//!   and certification (`PortfolioConfig::certify`) replays each
+//!   worker's DRAT stream through one `fec-drat` checker per worker;
 //! - boolean gadgets (Tseitin `and`/`or`/`xor`/`iff`);
-//! - cardinality constraints (totalizer and sequential-counter
-//!   encodings — the encoding choice is an ablation axis, see
-//!   `fec-bench/benches/card_ablation.rs`);
+//! - cardinality constraints (the totalizer encoding);
 //! - [`UnaryInt`]: small bounded integers in monotone unary encoding
 //!   (used for symbolic check-bit counts `len_c`).
 //!
@@ -36,7 +38,6 @@ mod gadgets;
 mod int;
 mod solver;
 
-pub use card::CardEncoding;
 pub use int::UnaryInt;
 pub use solver::{CertificateStats, SmtResult, SmtSolver, SolveBackend};
 

@@ -1,20 +1,18 @@
 //! The incremental solver shell: scopes, fresh variables, budgets.
 
 use fec_drat::Checker;
-use fec_portfolio::{Pool, PortfolioConfig, PortfolioStats};
-use fec_sat::{
-    Budget, DratTextLogger, Lit, MemoryProofLogger, SolveResult, Solver, SolverStats,
-    TeeProofLogger,
-};
+use fec_portfolio::{Pool, PoolOutcome, PortfolioConfig, PortfolioStats};
+use fec_sat::{Budget, Lit, SolveResult, SolverStats, Var};
 
-/// Which solve engine answers [`SmtSolver`] queries.
+/// Which solve engine answers [`SmtSolver`] queries: how many workers
+/// the pool behind it runs.
 ///
 /// The theory layer (scopes, gadgets, cardinality, certification
-/// counters) is identical either way; only the engine behind
-/// [`SmtSolver::solve_with_budget`] changes.
+/// counters) is identical either way.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub enum SolveBackend {
-    /// One incremental CDCL solver (the historical behaviour).
+    /// One worker on the calling thread: the plain incremental CDCL
+    /// solver.
     #[default]
     Single,
     /// A resident warm portfolio of diversified workers racing each
@@ -45,18 +43,35 @@ pub enum SmtResult {
 /// learnt clauses carry the guards they were derived from, they remain
 /// sound across pops — this is the standard MiniSat-style incremental
 /// construction and exactly what Algorithm 1's `push`/`pop` calls need.
+///
+/// Every query runs on a `fec_portfolio::Pool`: one inline worker by
+/// default, or racing worker threads (see [`SmtSolver::with_config`]).
+/// The activation-literal discipline keeps the formula monotone, so the
+/// warm workers only ever receive new clauses.
 pub struct SmtSolver {
-    sat: Solver,
+    pool: Pool,
+    /// Variables allocated so far; the workers grow to match before
+    /// each clause and query.
+    num_vars: usize,
     guards: Vec<Lit>,
     true_lit: Option<Lit>,
-    cert: Option<Certifier>,
-    portfolio: Option<Box<PortfolioState>>,
+    /// Certification mode: one stitching checker per worker. Each
+    /// query's per-worker DRAT segments are appended to that worker's
+    /// checker, reconstructing its complete stream, so warm answers
+    /// certify exactly like cold ones. Empty when not certifying.
+    checkers: Vec<Checker>,
+    cert_stats: CertificateStats,
+    /// Statistics of the most recent query of a multi-worker pool.
+    last_run: Option<PortfolioStats>,
+    /// Worker statistics summed over every query so far (per-query
+    /// deltas, so the sum counts each unit of work exactly once).
+    stats: SolverStats,
     /// Clauses handed to `raw_add_clause` so far (encoding size metric).
     clauses_added: u64,
     /// Nesting depth of encoder attribution scopes (see `enc_begin`):
     /// only the outermost constraint family claims the vars/clauses it
-    /// allocates, so a PB constraint built from ITE gadgets is counted
-    /// once, as PB.
+    /// allocates, so a constraint built from other gadgets is counted
+    /// once, under its own family.
     enc_depth: u32,
 }
 
@@ -68,52 +83,7 @@ pub(crate) struct EncMark {
     armed: bool,
 }
 
-/// State of the portfolio backend.
-///
-/// The incremental `sat` instance keeps allocating variables as usual,
-/// but queries are answered by a resident [`Pool`] of warm workers.
-/// Clauses buffer in `pending` until the next pool interaction, so
-/// each query ships only the delta since the previous one — the warm
-/// workers' own clause databases (inputs + learnts + imports) carry
-/// the rest, which is sound because the activation-literal discipline
-/// keeps the formula monotone.
-struct PortfolioState {
-    config: PortfolioConfig,
-    /// Clauses added since the last pool interaction: the next
-    /// query's delta. Replaces the old full-formula mirror — the fix
-    /// for the per-query re-shipping cost.
-    pending: Vec<Vec<Lit>>,
-    /// The resident warm pool, spawned lazily at the first query.
-    pool: Option<Pool>,
-    /// One stitching checker per worker (certify mode): each query's
-    /// per-worker DRAT segments are appended to that worker's checker,
-    /// reconstructing its complete stream so warm answers certify
-    /// exactly like cold ones.
-    checkers: Vec<Checker>,
-    /// Winner's model of the most recent `Sat` answer.
-    last_model: Option<Vec<Option<bool>>>,
-    /// Statistics of the most recent query.
-    last_run: Option<PortfolioStats>,
-    /// Worker statistics accumulated over all queries (per-query
-    /// deltas, so the sum counts each unit of work exactly once).
-    agg: SolverStats,
-    /// Certification counters (when `config.certify`).
-    cert_stats: CertificateStats,
-}
-
-/// Pending clauses stream to an already-running pool in batches of
-/// this size, overlapping encoding with worker-side clause ingestion.
-const PRELOAD_BATCH: usize = 4096;
-
-/// Independent certification state: the solver's proof stream is
-/// replayed through the `fec-drat` RUP checker after every query.
-struct Certifier {
-    log: MemoryProofLogger,
-    checker: Checker,
-    stats: CertificateStats,
-}
-
-/// Counters from certification mode (see [`SmtSolver::new_certifying`]).
+/// Counters from certification mode (see [`SmtSolver::with_config`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CertificateStats {
     /// Lemmas accepted by the RUP checker across all queries.
@@ -131,63 +101,32 @@ impl Default for SmtSolver {
 }
 
 impl SmtSolver {
-    /// An empty solver.
+    /// An empty solver on one inline worker.
     pub fn new() -> SmtSolver {
-        SmtSolver {
-            sat: Solver::new(),
-            guards: Vec::new(),
-            true_lit: None,
-            cert: None,
-            portfolio: None,
-            clauses_added: 0,
-            enc_depth: 0,
-        }
+        Self::with_config(PortfolioConfig::default())
     }
 
-    /// An empty solver answering queries through `backend`.
+    /// An empty, non-certifying solver answering queries through
+    /// `backend`.
     pub fn with_backend(backend: SolveBackend) -> SmtSolver {
-        let mut s = SmtSolver::new();
-        s.install_backend(backend, false);
-        s
-    }
-
-    /// Like [`SmtSolver::new_certifying`], but answering queries
-    /// through `backend`. In portfolio mode every warm worker logs a
-    /// DRAT stream for the pool's lifetime; each query's per-worker
-    /// segments are stitched into persistent `fec-drat` checkers and
-    /// the verdict is certified against the winner's stitched stream
-    /// (imports are RUP-filtered by the workers, see `fec-portfolio`).
-    /// Certification failures panic, exactly as in single mode.
-    pub fn new_certifying_with_backend(backend: SolveBackend) -> SmtSolver {
         match backend {
-            SolveBackend::Single => Self::new_certifying(),
-            SolveBackend::Portfolio(_) => {
-                let mut s = SmtSolver::new();
-                s.install_backend(backend, true);
-                s
-            }
+            SolveBackend::Single => Self::new(),
+            SolveBackend::Portfolio(config) => Self::with_config(PortfolioConfig {
+                certify: false,
+                ..config
+            }),
         }
     }
 
-    fn install_backend(&mut self, backend: SolveBackend, certify: bool) {
-        if let SolveBackend::Portfolio(mut config) = backend {
-            config.certify = certify;
-            self.portfolio = Some(Box::new(PortfolioState {
-                config,
-                pending: Vec::new(),
-                pool: None,
-                checkers: Vec::new(),
-                last_model: None,
-                last_run: None,
-                agg: SolverStats::default(),
-                cert_stats: CertificateStats::default(),
-            }));
-        }
-    }
-
-    /// An empty solver in certification mode: every clause the SAT core
-    /// learns is validated by reverse unit propagation in the
-    /// independent `fec-drat` checker, every satisfying assignment is
+    /// An empty solver on a pool of `config.jobs` workers.
+    ///
+    /// With `config.certify` the solver runs in certification mode:
+    /// every worker logs a DRAT stream for the pool's lifetime, each
+    /// query's per-worker segments are stitched into persistent
+    /// `fec-drat` checkers (imports are RUP-filtered by the workers,
+    /// see `fec-portfolio`), and the verdict is certified against the
+    /// winner's stitched stream. Every learned clause is validated by
+    /// reverse unit propagation, every satisfying assignment is
     /// replayed against all input clauses, and every unsatisfiable
     /// answer must come with a checkable refutation (or, under
     /// assumptions, a failed-assumption clause derivable by RUP).
@@ -196,39 +135,22 @@ impl SmtSolver {
     /// first rejected lemma: the solver and the checker disagreeing
     /// means one of them is wrong, and no downstream result can be
     /// trusted.
-    pub fn new_certifying() -> SmtSolver {
-        let log = MemoryProofLogger::new();
-        let mut sat = Solver::new();
-        sat.set_proof_logger(Box::new(log.clone()));
-        Self::with_certifier(sat, log)
-    }
-
-    /// Like [`SmtSolver::new_certifying`], but additionally streams the
-    /// proof to `sink` in standard DRAT text format (learned clauses as
-    /// `lits 0`, deletions as `d lits 0`, input clauses as `c i lits 0`
-    /// comments) so it can be cross-checked by an external tool such as
-    /// `drat-trim`.
-    pub fn new_certifying_with_drat(sink: Box<dyn std::io::Write>) -> SmtSolver {
-        let log = MemoryProofLogger::new();
-        let mut sat = Solver::new();
-        sat.set_proof_logger(Box::new(TeeProofLogger(
-            log.clone(),
-            DratTextLogger::new(sink),
-        )));
-        Self::with_certifier(sat, log)
-    }
-
-    fn with_certifier(sat: Solver, log: MemoryProofLogger) -> SmtSolver {
+    pub fn with_config(config: PortfolioConfig) -> SmtSolver {
+        let pool = Pool::new(&config);
+        let checkers = if config.certify {
+            (0..pool.jobs()).map(|_| Checker::new()).collect()
+        } else {
+            Vec::new()
+        };
         SmtSolver {
-            sat,
+            pool,
+            num_vars: 0,
             guards: Vec::new(),
             true_lit: None,
-            cert: Some(Certifier {
-                log,
-                checker: Checker::new(),
-                stats: CertificateStats::default(),
-            }),
-            portfolio: None,
+            checkers,
+            cert_stats: CertificateStats::default(),
+            last_run: None,
+            stats: SolverStats::default(),
             clauses_added: 0,
             enc_depth: 0,
         }
@@ -236,42 +158,24 @@ impl SmtSolver {
 
     /// `true` when this solver certifies its answers.
     pub fn is_certifying(&self) -> bool {
-        self.cert.is_some() || self.portfolio.as_ref().is_some_and(|p| p.config.certify)
+        !self.checkers.is_empty()
     }
 
     /// Certification counters; `None` unless built in certifying mode.
     pub fn certificate_stats(&self) -> Option<CertificateStats> {
-        if let Some(c) = self.cert.as_ref() {
-            return Some(c.stats);
-        }
-        self.portfolio
-            .as_ref()
-            .filter(|p| p.config.certify)
-            .map(|p| p.cert_stats)
+        self.is_certifying().then_some(self.cert_stats)
     }
 
-    /// Statistics of the most recent portfolio query; `None` in single
-    /// mode or before the first query.
+    /// Statistics of the most recent query when workers race; `None`
+    /// on one worker or before the first query.
     pub fn last_portfolio(&self) -> Option<&PortfolioStats> {
-        self.portfolio.as_ref().and_then(|p| p.last_run.as_ref())
+        self.last_run.as_ref()
     }
 
-    /// Adds a clause to the incremental core and (in portfolio mode)
-    /// the pending delta buffer for the warm workers.
+    /// Hands a clause to the pool's workers.
     fn raw_add_clause(&mut self, lits: &[Lit]) {
         self.clauses_added += 1;
-        if let Some(p) = self.portfolio.as_mut() {
-            p.pending.push(lits.to_vec());
-            // eager preload: once the pool is running, large encodings
-            // stream to the workers in batches (fire-and-forget) so
-            // the solve call itself ships only the tail of the delta
-            if p.pending.len() >= PRELOAD_BATCH {
-                if let Some(pool) = p.pool.as_mut() {
-                    pool.load(self.sat.num_vars(), std::mem::take(&mut p.pending));
-                }
-            }
-        }
-        self.sat.add_clause(lits);
+        self.pool.add_clause(self.num_vars, lits);
     }
 
     /// Total clauses added so far.
@@ -286,7 +190,7 @@ impl SmtSolver {
         let armed = self.enc_depth == 0 && fec_trace::enabled(fec_trace::Level::Debug);
         self.enc_depth += 1;
         EncMark {
-            vars: self.sat.num_vars(),
+            vars: self.num_vars,
             clauses: self.clauses_added,
             armed,
         }
@@ -299,7 +203,7 @@ impl SmtSolver {
         if !mark.armed {
             return;
         }
-        let vars = self.sat.num_vars() - mark.vars;
+        let vars = self.num_vars - mark.vars;
         let clauses = self.clauses_added - mark.clauses;
         if vars > 0 {
             fec_trace::counter(
@@ -317,47 +221,56 @@ impl SmtSolver {
         }
     }
 
-    /// Replays the proof stream produced since the last call through
-    /// the independent checker, then certifies the verdict itself.
-    fn certify(&mut self, verdict: SolveResult, assumptions: &[Lit]) {
-        let Some(cert) = self.cert.as_mut() else {
-            return;
-        };
+    /// Certifies one answer: every worker's new proof steps extend that
+    /// worker's stitched stream — winners and losers alike, since the
+    /// next query's answer may depend on clauses any of them derived
+    /// (or imported) now — and the verdict is checked against the
+    /// winner's stream, which spans the whole warm session, so an
+    /// answer that leans on a clause learned three queries ago still
+    /// checks.
+    fn certify(&mut self, out: &PoolOutcome, assumptions: &[Lit]) {
         let _sp = fec_trace::span!(
             fec_trace::Level::Trace,
             "cert.check",
-            "verdict" => match verdict {
+            "verdict" => match out.result {
                 SolveResult::Sat => "sat",
                 SolveResult::Unsat => "unsat",
                 SolveResult::Unknown => "unknown",
             },
         );
-        let steps = cert.log.take_steps();
-        let before = cert.checker.lemmas_accepted();
-        if let Err(e) = cert.checker.process_all(&steps) {
-            panic!("certification failed: {e} (verdict {verdict:?})");
+        for (w, seg) in out.proof_segments.iter().enumerate() {
+            let checker = &mut self.checkers[w];
+            let before = checker.lemmas_accepted();
+            if let Err(e) = checker.process_all(seg) {
+                panic!(
+                    "certification failed: {e} (worker {w}, verdict {:?})",
+                    out.result
+                );
+            }
+            self.cert_stats.lemmas_checked += (checker.lemmas_accepted() - before) as u64;
         }
-        cert.stats.lemmas_checked += (cert.checker.lemmas_accepted() - before) as u64;
-        match verdict {
+        match out.result {
             SolveResult::Sat => {
-                let sat = &self.sat;
-                if let Err(e) = cert.checker.validate_model(|v| sat.value(v), assumptions) {
+                let checker = &self.checkers[out.stats.winner.expect("sat has a winner")];
+                let pool = &self.pool;
+                if let Err(e) = checker.validate_model(|v| pool.value(v), assumptions) {
                     panic!("model validation failed: {e}");
                 }
-                cert.stats.models_validated += 1;
+                self.cert_stats.models_validated += 1;
             }
             SolveResult::Unsat => {
                 // either the stream refuted the formula outright, or
                 // the failed-assumption clause ¬a₁ ∨ … ∨ ¬aₖ is RUP
                 // over inputs + accepted lemmas
-                let negated: Vec<Lit> = self.sat.failed_assumptions().iter().map(|&a| !a).collect();
-                if !cert.checker.is_refuted() && !cert.checker.is_rup(&negated) {
+                let checker = &mut self.checkers[out.stats.winner.expect("unsat has a winner")];
+                let negated: Vec<Lit> = out.failed_assumptions.iter().map(|&a| !a).collect();
+                if !checker.is_refuted() && !checker.is_rup(&negated) {
                     panic!(
                         "unsat certification failed: failed-assumption clause \
                          {negated:?} is not RUP and the formula is not refuted"
                     );
                 }
-                cert.stats.unsat_certified += 1;
+                self.cert_stats.unsat_certified += 1;
             }
             SolveResult::Unknown => {}
         }
@@ -365,7 +278,9 @@ impl SmtSolver {
 
     /// A fresh boolean variable, returned as its positive literal.
     pub fn fresh_lit(&mut self) -> Lit {
-        Lit::pos(self.sat.new_var())
+        let v = Var::from_index(self.num_vars);
+        self.num_vars += 1;
+        Lit::pos(v)
     }
 
     /// A literal constrained to be true (lazily created).
@@ -458,25 +373,30 @@ impl SmtSolver {
     pub fn solve_with_budget(&mut self, extra: &[Lit], budget: Budget) -> SmtResult {
         let mut assumptions = self.guards.clone();
         assumptions.extend_from_slice(extra);
+        let racing = self.pool.jobs() > 1;
         let _sp = fec_trace::span!(
             fec_trace::Level::Trace,
             "smt.solve",
-            "vars" => self.sat.num_vars(),
+            "vars" => self.num_vars,
             "clauses" => self.clauses_added,
             "assumptions" => assumptions.len(),
-            "backend" => if self.portfolio.is_some() { "portfolio" } else { "single" },
+            "backend" => if racing { "portfolio" } else { "single" },
         );
-        let result = if self.portfolio.is_some() {
-            self.solve_portfolio(&assumptions, budget)
-        } else {
-            let verdict = self.sat.solve_with_budget(&assumptions, budget);
-            self.certify(verdict, &assumptions);
-            match verdict {
-                SolveResult::Sat => SmtResult::Sat,
-                SolveResult::Unsat => SmtResult::Unsat,
-                SolveResult::Unknown => SmtResult::Unknown,
-            }
+        let out = self
+            .pool
+            .solve(self.num_vars, Vec::new(), &assumptions, budget);
+        self.stats.merge(&out.stats.total);
+        if self.is_certifying() {
+            self.certify(&out, &assumptions);
+        }
+        let result = match out.result {
+            SolveResult::Sat => SmtResult::Sat,
+            SolveResult::Unsat => SmtResult::Unsat,
+            SolveResult::Unknown => SmtResult::Unknown,
         };
+        if racing {
+            self.last_run = Some(out.stats);
+        }
         fec_trace::event!(
             fec_trace::Level::Trace,
             "smt.verdict",
@@ -489,87 +409,10 @@ impl SmtSolver {
         result
     }
 
-    /// Answers one query through the resident warm pool, shipping only
-    /// the clause delta since the previous pool interaction. In
-    /// certifying mode every worker's per-query DRAT segment is
-    /// appended to that worker's persistent stitching checker, and the
-    /// verdict is certified against the *winner's* checker — whose
-    /// stream now spans the whole warm session, so an answer that
-    /// leans on a clause learned three queries ago still checks.
-    fn solve_portfolio(&mut self, assumptions: &[Lit], budget: Budget) -> SmtResult {
-        let num_vars = self.sat.num_vars();
-        let p = self.portfolio.as_mut().expect("portfolio backend");
-        let config = p.config;
-        let pool = p.pool.get_or_insert_with(|| Pool::new(&config));
-        let delta = std::mem::take(&mut p.pending);
-        let out = pool.solve(num_vars, delta, assumptions.to_vec(), budget);
-        if p.checkers.is_empty() && config.certify {
-            p.checkers = (0..pool.jobs()).map(|_| Checker::new()).collect();
-        }
-        p.agg.merge(&out.stats.total);
-        if config.certify {
-            // stitch: every worker's segment extends its own stream,
-            // winners and losers alike — next query's answer may
-            // depend on clauses any of them derived (or imported) now
-            let mut accepted = 0u64;
-            for (w, seg) in out.proof_segments.iter().enumerate() {
-                let before = p.checkers[w].lemmas_accepted();
-                if let Err(e) = p.checkers[w].process_all(seg) {
-                    panic!(
-                        "portfolio certification failed: {e} (worker {w}, verdict {:?})",
-                        out.result
-                    );
-                }
-                accepted += (p.checkers[w].lemmas_accepted() - before) as u64;
-            }
-            p.cert_stats.lemmas_checked += accepted;
-            match out.result {
-                SolveResult::Sat => {
-                    let checker = &p.checkers[out.stats.winner.expect("sat has a winner")];
-                    let model = out.model.as_ref().expect("sat winner carries a model");
-                    let value = |v: fec_sat::Var| model.get(v.index()).copied().flatten();
-                    if let Err(e) = checker.validate_model(value, assumptions) {
-                        panic!("portfolio model validation failed: {e}");
-                    }
-                    p.cert_stats.models_validated += 1;
-                }
-                SolveResult::Unsat => {
-                    let checker = &mut p.checkers[out.stats.winner.expect("unsat has a winner")];
-                    let negated: Vec<Lit> = out.failed_assumptions.iter().map(|&a| !a).collect();
-                    if !checker.is_refuted() && !checker.is_rup(&negated) {
-                        panic!(
-                            "portfolio unsat certification failed: failed-assumption \
-                             clause {negated:?} is not RUP and the formula is not refuted"
-                        );
-                    }
-                    p.cert_stats.unsat_certified += 1;
-                }
-                SolveResult::Unknown => {}
-            }
-        }
-        let verdict = out.result;
-        if verdict == SolveResult::Sat {
-            p.last_model = out.model;
-        }
-        p.last_run = Some(out.stats);
-        match verdict {
-            SolveResult::Sat => SmtResult::Sat,
-            SolveResult::Unsat => SmtResult::Unsat,
-            SolveResult::Unknown => SmtResult::Unknown,
-        }
-    }
-
     /// Model value of a literal after a `Sat` answer. Unconstrained
     /// variables read as `false`.
     pub fn model_lit(&self, l: Lit) -> bool {
-        let v = match self.portfolio.as_ref() {
-            Some(p) => p
-                .last_model
-                .as_ref()
-                .and_then(|m| m.get(l.var().index()).copied().flatten())
-                .unwrap_or(false),
-            None => self.sat.value(l.var()).unwrap_or(false),
-        };
+        let v = self.pool.value(l.var()).unwrap_or(false);
         if l.is_pos() {
             v
         } else {
@@ -577,24 +420,29 @@ impl SmtSolver {
         }
     }
 
-    /// Underlying SAT statistics. In portfolio mode this is the
-    /// field-wise sum over every worker of every query so far.
-    pub fn stats(&self) -> fec_sat::SolverStats {
-        match self.portfolio.as_ref() {
-            Some(p) => p.agg,
-            None => self.sat.stats(),
-        }
+    /// Underlying SAT statistics: the field-wise sum over every worker
+    /// of every query so far.
+    pub fn stats(&self) -> SolverStats {
+        self.stats
     }
 
     /// Number of SAT variables allocated so far.
     pub fn num_vars(&self) -> usize {
-        self.sat.num_vars()
+        self.num_vars
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A certifying solver on `jobs` workers.
+    fn certifying(jobs: usize) -> SmtSolver {
+        SmtSolver::with_config(PortfolioConfig {
+            certify: true,
+            ..PortfolioConfig::with_jobs(jobs)
+        })
+    }
 
     #[test]
     fn push_pop_restores_satisfiability() {
@@ -674,7 +522,7 @@ mod tests {
     fn certifying_solver_matches_plain_solver() {
         // the full scope/assumption workout, now with every answer
         // independently certified
-        let mut s = SmtSolver::new_certifying();
+        let mut s = certifying(1);
         assert!(s.is_certifying());
         let x = s.fresh_lit();
         s.add_clause(&[x]);
@@ -712,8 +560,7 @@ mod tests {
 
     #[test]
     fn certifying_portfolio_backend() {
-        let backend = SolveBackend::Portfolio(PortfolioConfig::with_jobs(3));
-        let mut s = SmtSolver::new_certifying_with_backend(backend);
+        let mut s = certifying(3);
         assert!(s.is_certifying());
         let xs: Vec<Lit> = (0..6).map(|_| s.fresh_lit()).collect();
         s.at_most_k(&xs, 2);
@@ -761,17 +608,20 @@ mod tests {
 
     #[test]
     fn single_backend_is_plain_solver() {
+        // one worker reports no portfolio run, before or after a query
         let mut s = SmtSolver::with_backend(SolveBackend::Single);
         assert!(s.last_portfolio().is_none());
         let x = s.fresh_lit();
         s.add_clause(&[x]);
         assert_eq!(s.solve(&[]), SmtResult::Sat);
         assert!(s.model_lit(x));
+        assert!(s.last_portfolio().is_none());
+        assert_eq!(s.stats().solve_calls, 1);
     }
 
     #[test]
     fn certifying_solver_handles_cardinality_workout() {
-        let mut s = SmtSolver::new_certifying();
+        let mut s = certifying(1);
         let xs: Vec<Lit> = (0..6).map(|_| s.fresh_lit()).collect();
         s.at_most_k(&xs, 2);
         s.at_least_k(&xs, 1);
@@ -795,9 +645,7 @@ mod tests {
     /// flips a verdict.
     fn scripted_session(s: &mut SmtSolver) -> Vec<SmtResult> {
         let xs: Vec<Lit> = (0..8).map(|_| s.fresh_lit()).collect();
-        let count = crate::UnaryInt::from_register(
-            s.counting_register(&xs, crate::CardEncoding::Totalizer),
-        );
+        let count = crate::UnaryInt::from_register(s.counting_register(&xs));
         count.assert_le(s, 5);
         for w in xs.windows(2) {
             s.add_clause(&[!w[0], w[1]]); // x_i → x_{i+1}
@@ -829,10 +677,7 @@ mod tests {
         assert_eq!(scripted_session(&mut SmtSolver::new()), expected);
         let mut port = SmtSolver::with_backend(portfolio());
         assert_eq!(scripted_session(&mut port), expected);
-        for mut s in [
-            SmtSolver::new_certifying(),
-            SmtSolver::new_certifying_with_backend(portfolio()),
-        ] {
+        for mut s in [certifying(1), certifying(3)] {
             assert_eq!(scripted_session(&mut s), expected);
             let stats = s.certificate_stats().unwrap();
             assert_eq!(stats.models_validated, 4);
