@@ -265,15 +265,16 @@ fn refute_direct(n: usize, k: usize, d: usize) -> Option<BoundCertificate> {
             );
         }
     }
-    // Griesmer: n ≥ Σ_{i=0}^{k−1} ⌈d / 2^i⌉
-    let mut g = 0usize;
-    let mut terms = Vec::with_capacity(k);
-    for i in 0..k {
-        let t = d.div_ceil(1 << i.min(63));
-        g += t;
-        terms.push(t.to_string());
-    }
+    // Griesmer: n ≥ Σ_{i=0}^{k−1} ⌈d / 2^i⌉. The terms are 1 from the
+    // first i with 2^i ≥ d on, so that tail is summed as its length
+    let term = |i: usize| d.div_ceil(1 << i.min(63));
+    let ones_from = (0..k).find(|&i| term(i) == 1).unwrap_or(k);
+    let g = (0..ones_from).map(term).sum::<usize>() + (k - ones_from);
     if n < g {
+        let mut terms: Vec<String> = (0..ones_from).map(|i| term(i).to_string()).collect();
+        if ones_from < k {
+            terms.push(format!("{}*1", k - ones_from));
+        }
         return cert(
             "griesmer",
             format!(

@@ -25,6 +25,8 @@
 //! distances) — exactly the contract `fecsynth analyze`, the CEGIS
 //! pre-solve gate, and the benchmark sweep pruner consume.
 
+#![forbid(unsafe_code)]
+
 pub mod bounds;
 pub mod canon;
 pub mod shape;

@@ -7,6 +7,12 @@ use crate::spec::{CmpOp, Expr, GenFn, Prop};
 use std::collections::BTreeMap;
 use std::fmt;
 
+/// The longest code (`len_d` plus the widest admissible `len_c`) a
+/// spec may ask for. The bounds engine sums Hamming balls term by term,
+/// in time linear in the length, so longer codes are refused up front
+/// instead of analyzed for hours.
+pub const MAX_CODE_LEN: usize = 1 << 16;
+
 /// A static spec error found before any solver runs.
 #[derive(Clone, PartialEq, Debug)]
 pub enum SpecError {
@@ -267,6 +273,12 @@ impl ProblemShape {
                     "len_c(G{i}) bounds [{check_lo}, {check_hi}] are empty"
                 )));
             }
+            let n = data_len.saturating_add(check_hi);
+            if n > MAX_CODE_LEN {
+                return Err(SpecError::Unsupported(format!(
+                    "G{i} may be {n} bits long; codes longer than {MAX_CODE_LEN} bits are not supported"
+                )));
+            }
             // pinned cells: property indexes the full G; map to P columns
             let mut pinned = Vec::new();
             for (r, c, v) in p.cells {
@@ -328,6 +340,23 @@ mod tests {
     use crate::spec::parse_property;
 
     const MAX_CHECK: usize = 14;
+
+    #[test]
+    fn codes_past_the_length_cap_are_refused() {
+        for src in [
+            "len_d(G0) = 1000000000",
+            "len_d(G0) = 4 && len_c(G0) <= 70000",
+        ] {
+            let p = parse_property(src).unwrap();
+            assert!(
+                matches!(
+                    ProblemShape::from_prop(&p, MAX_CHECK),
+                    Err(SpecError::Unsupported(_))
+                ),
+                "{src}"
+            );
+        }
+    }
 
     #[test]
     fn shape_extraction_section31_example() {

@@ -2,11 +2,11 @@
 //! satisfiable graph coloring — tracks regressions in the CDCL engine
 //! that every other component sits on. The `proof_logging` group
 //! measures the DRAT instrumentation overhead: `off` must match the
-//! plain solver (the `ProofLogger` hook is a no-op when absent) and
+//! plain solver (the proof buffer is a never-taken branch when off) and
 //! `on` must stay within ~15% of it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fec_sat::{Lit, MemoryProofLogger, SolveResult, Solver, Var};
+use fec_sat::{Lit, SolveResult, Solver, Var};
 
 fn pigeonhole(np: usize, nh: usize) -> Solver {
     pigeonhole_in(Solver::new(), np, nh)
@@ -85,11 +85,10 @@ fn bench_sat(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("pigeonhole_on", n), &n, |b, &n| {
         b.iter(|| {
             let mut empty = Solver::new();
-            let log = MemoryProofLogger::new();
-            empty.set_proof_logger(Box::new(log.clone()));
+            empty.enable_proof();
             let mut s = pigeonhole_in(empty, n, n - 1);
             assert_eq!(s.solve(&[]), SolveResult::Unsat);
-            assert!(!log.is_empty());
+            assert!(!s.take_proof().is_empty());
         })
     });
     group.finish();

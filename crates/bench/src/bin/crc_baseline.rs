@@ -1,5 +1,5 @@
 //! Baseline comparison: Koopman-style CRC polynomial search vs. CEGIS
-//! synthesis (the paper's Related Work contrast, ref [16]).
+//! synthesis (the paper's Related Work contrast, ref \[16\]).
 //!
 //! For each (data length, check length) point, exhaustively search all
 //! CRC polynomials for the best minimum distance, synthesize an

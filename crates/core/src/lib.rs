@@ -13,8 +13,8 @@
 //! 3. **CEGIS** ([`cegis`]) — Algorithm 1: a synthesizer solver
 //!    proposes candidate generators, a verifier solver searches for
 //!    minimum-distance counterexamples, and optimization constraints
-//!    tighten bounds until timeout. [`reference`] is the from-scratch
-//!    oracle the incremental driver is tested against.
+//!    tighten bounds until timeout. [`reference`](mod@reference) is
+//!    the from-scratch oracle the incremental driver is tested against.
 //! 4. **Stand-alone verification** ([`verify`]) — §4.1: check concrete
 //!    generators (e.g. the 802.3df (128,120) code) against properties.
 //! 5. **Weighted synthesis** ([`weights`]) — §4.3: per-bit criticality

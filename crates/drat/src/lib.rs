@@ -8,7 +8,7 @@
 //!
 //! # What is checked
 //!
-//! The solver (with a proof logger installed) emits a chronological
+//! The solver (with proof logging enabled) emits a chronological
 //! stream of [`ProofStep`]s. [`Checker::process`] replays that stream:
 //!
 //! - **Input** clauses are admitted without justification — they *are*
@@ -170,19 +170,18 @@ struct CClause {
 /// Forward RUP checker over a solver proof stream.
 ///
 /// ```
-/// use fec_sat::{MemoryProofLogger, Solver, Lit, SolveResult};
+/// use fec_sat::{Solver, Lit, SolveResult};
 /// use fec_drat::Checker;
 ///
-/// let log = MemoryProofLogger::new();
 /// let mut s = Solver::new();
-/// s.set_proof_logger(Box::new(log.clone()));
+/// s.enable_proof();
 /// let v = s.new_var();
 /// s.add_clause(&[Lit::pos(v)]);
 /// s.add_clause(&[Lit::neg(v)]);
 /// assert_eq!(s.solve(&[]), SolveResult::Unsat);
 ///
 /// let mut checker = Checker::new();
-/// checker.process_all(&log.take_steps()).expect("proof accepted");
+/// checker.process_all(&s.take_proof()).expect("proof accepted");
 /// assert!(checker.is_refuted());
 /// ```
 #[derive(Default)]

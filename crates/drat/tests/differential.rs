@@ -12,7 +12,6 @@
 //!   failed-assumption subset RUP.
 
 use fec_drat::Checker;
-use fec_sat::proof::MemoryProofLogger;
 use fec_sat::{reference, Lit, SolveResult, Solver, Var};
 
 /// Deterministic linear congruential generator (Numerical Recipes
@@ -112,9 +111,8 @@ fn agree_and_certify(case: usize, nv: usize, clauses: &[Vec<Lit>], assumptions: 
     with_units.extend(assumptions.iter().map(|&a| vec![a]));
     let oracle = reference::solve(nv, &with_units);
 
-    let log = MemoryProofLogger::new();
     let mut s = Solver::new();
-    s.set_proof_logger(Box::new(log.clone()));
+    s.enable_proof();
     for _ in 0..nv {
         s.new_var();
     }
@@ -133,7 +131,7 @@ fn agree_and_certify(case: usize, nv: usize, clauses: &[Vec<Lit>], assumptions: 
 
     let mut checker = Checker::new();
     checker
-        .process_all(&log.take_steps())
+        .process_all(&s.take_proof())
         .unwrap_or_else(|e| panic!("case {case}: proof rejected: {e}"));
     match (oracle.is_some(), cdcl) {
         (true, SolveResult::Sat) => {
@@ -244,9 +242,8 @@ fn incremental_stream_with_assumptions_certifies() {
     let mut rng = Lcg(0xC0FFEE);
     for case in 0..60 {
         let (nv, clauses) = random_cnf(&mut rng);
-        let log = MemoryProofLogger::new();
         let mut s = Solver::new();
-        s.set_proof_logger(Box::new(log.clone()));
+        s.enable_proof();
         for _ in 0..nv {
             s.new_var();
         }
@@ -284,7 +281,7 @@ fn incremental_stream_with_assumptions_certifies() {
                 "case {case} round {round}: incremental verdict disagrees with the oracle"
             );
             checker
-                .process_all(&log.take_steps())
+                .process_all(&s.take_proof())
                 .unwrap_or_else(|e| panic!("case {case} round {round}: {e}"));
             match verdict {
                 SolveResult::Sat => {

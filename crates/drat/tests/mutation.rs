@@ -3,14 +3,13 @@
 //! accepted corrupted proofs it would certify nothing.
 
 use fec_drat::{CheckError, Checker};
-use fec_sat::proof::{MemoryProofLogger, ProofStep};
+use fec_sat::proof::ProofStep;
 use fec_sat::{Lit, SolveResult, Solver, Var};
 
 /// A pigeonhole instance: reliably UNSAT with a non-trivial proof.
 fn pigeonhole_proof(np: usize, nh: usize) -> Vec<ProofStep> {
-    let log = MemoryProofLogger::new();
     let mut s = Solver::new();
-    s.set_proof_logger(Box::new(log.clone()));
+    s.enable_proof();
     for _ in 0..np * nh {
         s.new_var();
     }
@@ -27,7 +26,7 @@ fn pigeonhole_proof(np: usize, nh: usize) -> Vec<ProofStep> {
         }
     }
     assert_eq!(s.solve(&[]), SolveResult::Unsat);
-    log.take_steps()
+    s.take_proof()
 }
 
 fn check(steps: &[ProofStep]) -> Result<bool, CheckError> {

@@ -1,7 +1,7 @@
 //! CRC codes as systematic generators — the related-work baseline.
 //!
 //! The paper contrasts its synthesis approach with "exhaustive
-//! exploration of CRC polynomials" (Koopman & Chakravarty, ref [16]),
+//! exploration of CRC polynomials" (Koopman & Chakravarty, ref \[16\]),
 //! which tabulates the best CRC polynomial per (width, data length)
 //! but "does not provide formal guarantees". A CRC with generator
 //! polynomial `g(x)` of degree `c` over `k` data bits *is* a linear

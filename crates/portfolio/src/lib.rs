@@ -3,9 +3,11 @@
 //! Races N diversified `fec-sat` CDCL workers over the same CNF: each
 //! worker gets a distinct [`fec_sat::SolverConfig`] (restart schedule,
 //! VSIDS decay, initial phases, seeded tie-breaking), workers exchange
-//! low-LBD learned clauses through bounded lock-free SPSC rings, and the
-//! first worker to reach a verdict cancels the rest through an atomic
-//! stop flag checked inside their propagation loops.
+//! low-LBD learned clauses through bounded `std::sync::mpsc` inboxes
+//! that drop clauses when full, and the first worker to reach a verdict
+//! cancels the rest through an atomic stop flag checked inside their
+//! propagation loops. Workers share nothing but std channels, the stop
+//! flag and an atomic winner slot.
 //!
 //! The engine is the resident warm [`Pool`]: workers persist across a
 //! session of queries and receive only each query's clause delta. A
@@ -14,9 +16,9 @@
 //! Two execution modes:
 //!
 //! - `jobs == 1` — one worker on the calling thread, no threads, no
-//!   rings: the plain `Solver` with the default config, fed each clause
-//!   as it is added. It is the engine behind every `fec-smt` query at
-//!   the default `--jobs 1`.
+//!   channels: the plain `Solver` with the default config, fed each
+//!   clause as it is added. It is the engine behind every `fec-smt`
+//!   query at the default `--jobs 1`.
 //! - `jobs > 1` — one resident OS thread per worker, first-to-finish
 //!   wins each query.
 //!
@@ -36,32 +38,12 @@
 //! proof therefore checks stand-alone with `fec-drat`.
 //!
 //! See [`Pool`] for a worked example.
-//!
-//! # Model checking the lock-free core
-//!
-//! The SPSC sharing ring and the job gate (with its per-query winner
-//! election) are hand-written lock-free code; their correctness is
-//! *model-checked*, not just example-tested. With `--features
-//! fec_check` the `ring` and `gate` modules compile against the
-//! `fec-check` shims (swapped in by the private `sync` module) and
-//! `tests/model.rs` exhaustively explores their thread interleavings —
-//! including mutation tests proving a downgraded memory ordering is
-//! caught as a data race. The pool itself is compiled out under that
-//! feature (real solver threads cannot run inside a model); normal
-//! builds pay zero cost.
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
-pub mod gate;
-#[cfg(not(feature = "fec_check"))]
 mod pool;
-mod ring;
-mod sync;
 
-pub use gate::Gate;
-#[cfg(not(feature = "fec_check"))]
 pub use pool::{Pool, PoolOutcome, PortfolioStats};
-pub use ring::{spsc, Consumer, Producer};
 
 use fec_sat::{PhaseInit, RestartPolicy, SolverConfig};
 

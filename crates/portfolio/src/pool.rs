@@ -7,12 +7,12 @@
 //! under the activation-literal discipline — retraction is a unit
 //! guard clause, also a delta), so every worker keeps its learned
 //! clause database, VSIDS activities, phase saving, and previously
-//! imported clauses warm from one query to the next. The SPSC sharing
-//! mesh is likewise built once and reused: a clause exported during
-//! query `q` may be imported during query `q+1`, which is sound for
-//! exactly the same reason the warm learned-clause DB is — all
-//! workers' formulas grow monotonically and stay identical. A one-shot
-//! solve is simply a session of one query.
+//! imported clauses warm from one query to the next. The sharing mesh
+//! is likewise built once and reused: a clause exported during query
+//! `q` may be imported during query `q+1`, which is sound for exactly
+//! the same reason the warm learned-clause DB is — all workers'
+//! formulas grow monotonically and stay identical. A one-shot solve is
+//! simply a session of one query.
 //!
 //! The pool has two modes:
 //!
@@ -21,35 +21,34 @@
 //!   clause goes straight into it as it is added, each query is one
 //!   `solve_with_budget` call, and it emits no `portfolio.*` trace
 //!   records.
-//! - **N ≥ 2 workers** are resident threads. The coordinator (the
-//!   thread driving the [`Pool`]) publishes jobs through a [`Gate`] and
-//!   the workers park between generations. Clauses buffer on the
-//!   coordinator and ship in batches: a load is *fire-and-forget* — the
-//!   coordinator returns as soon as the job is published and overlaps
-//!   its own work (e.g. encoding, or the CEGIS synthesizer query) with
-//!   the workers'; `solve` ships the rest, races the workers, waits for
-//!   all acknowledgements and collects per-query reports. A worker
-//!   whose job panics still acknowledges the generation, carrying the
-//!   panic message, and then exits; the coordinator re-raises that
-//!   message from its next call instead of waiting on a worker that
-//!   will never acknowledge again.
+//! - **N ≥ 2 workers** are resident threads, each blocked on its own
+//!   `mpsc` job queue between jobs. Clauses buffer on the coordinator
+//!   (the thread driving the [`Pool`]) and ship in batches: a load is
+//!   *fire-and-forget* — the coordinator queues it for every worker and
+//!   returns at once, overlapping its own work (e.g. encoding, or the
+//!   CEGIS synthesizer query) with the workers'; `solve` ships the
+//!   rest, races the workers, and collects one report per worker from
+//!   the shared ack channel. A worker whose job panics sends the panic
+//!   message on that channel instead and exits; the coordinator
+//!   re-raises it from its next `solve`, and from every call after
+//!   that, instead of waiting on a worker that will never report again.
 //!
-//! Certification: with [`PortfolioConfig::certify`] every worker keeps
-//! its `MemoryProofLogger` installed for the pool's lifetime and each
-//! `solve` report drains the buffered steps into a per-query *segment*
-//! (covering every clause added since the previous solve plus this
-//! query's derivations). Concatenating worker `i`'s segments in query
-//! order reconstructs worker `i`'s complete stand-alone DRAT stream —
-//! for a one-query pool the winner's single segment already is — so a
+//! Certification: with [`PortfolioConfig::certify`] every worker logs
+//! its DRAT stream for the pool's lifetime and each `solve` report
+//! drains the logged steps into a per-query *segment* (covering every
+//! clause added since the previous solve plus this query's
+//! derivations). Concatenating worker `i`'s segments in query order
+//! reconstructs worker `i`'s complete stand-alone DRAT stream — for a
+//! one-query pool the winner's single segment already is — so a
 //! stitching checker upstream (see `fec-smt`) certifies warm answers
 //! exactly as it certifies cold ones.
 
-use crate::gate::Gate;
-use crate::ring::{spsc, Consumer, Producer};
 use crate::{diversify, PortfolioConfig};
-use fec_sat::{Budget, Lit, MemoryProofLogger, ProofStep, SolveResult, Solver, SolverStats, Var};
+use fec_sat::{Budget, Lit, ProofStep, SolveResult, Solver, SolverStats, Var};
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -58,9 +57,9 @@ use std::time::{Duration, Instant};
 /// clauses are the ones worth shipping).
 const SHARE_LBD_MAX: u32 = 6;
 
-/// Capacity of each pairwise sharing ring (rounded up to a power of
-/// two). Full rings drop clauses rather than block the exporter.
-const RING_CAPACITY: usize = 2048;
+/// Room in each worker's sharing inbox per peer. A full inbox drops
+/// clauses rather than block the exporter.
+const INBOX_PER_PEER: usize = 2048;
 
 /// Clauses added to a racing pool ship to its workers in batches of
 /// this size, overlapping encoding with worker-side clause ingestion.
@@ -69,10 +68,12 @@ const PRELOAD_BATCH: usize = 4096;
 /// A clause in flight between workers: literals plus LBD at export time.
 type SharedClause = (Vec<Lit>, u32);
 
-/// Per-worker ends of the sharing mesh: the producers that broadcast a
-/// worker's exports to every peer, and the consumers that drain every
-/// peer's exports into that worker.
-type MeshEnds = (Vec<Producer<SharedClause>>, Vec<Consumer<SharedClause>>);
+/// A racing worker's ends of the sharing mesh: a sender into every
+/// peer's inbox, and its own inbox.
+struct MeshEnds {
+    peers: Vec<SyncSender<SharedClause>>,
+    inbox: Receiver<SharedClause>,
+}
 
 /// Aggregate statistics of one portfolio query.
 #[derive(Clone, Debug, Default)]
@@ -95,46 +96,18 @@ pub struct PortfolioStats {
     pub shipped_clauses: u64,
 }
 
-/// What the coordinator publishes to the resident workers.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum JobKind {
-    /// Apply the clause delta, no solving. Fire-and-forget.
-    Load,
-    /// Apply the delta, then race a solve under the assumptions.
-    Solve,
-    /// Tear the pool down.
-    Quit,
-}
-
+/// What the coordinator queues for every resident worker.
 struct Job {
-    kind: JobKind,
     /// Total variable count after this job's delta.
     num_vars: usize,
     /// Clause delta since the previous job.
     clauses: Vec<Vec<Lit>>,
-    /// `Solve`: the query's assumptions.
-    assumptions: Vec<Lit>,
-    budget: Budget,
-    /// The coordinator thread, unparked after every acknowledgement.
-    waker: thread::Thread,
+    /// A solve job's assumptions and budget; `None` for a
+    /// fire-and-forget load.
+    query: Option<(Vec<Lit>, Budget)>,
 }
 
-impl Job {
-    fn new(kind: JobKind, num_vars: usize, clauses: Vec<Vec<Lit>>, assumptions: Vec<Lit>) -> Job {
-        Job {
-            kind,
-            num_vars,
-            clauses,
-            assumptions,
-            budget: Budget::unlimited(),
-            waker: thread::current(),
-        }
-    }
-}
-
-/// What one worker reports for a solve query. The solver itself is not
-/// `Send` (its proof logger may hold an `Rc`), so workers are built and
-/// dropped inside their threads and only plain data crosses back.
+/// What one worker reports for a solve query.
 struct WorkerReport {
     result: SolveResult,
     /// Delta since the worker's previous solve report.
@@ -146,16 +119,9 @@ struct WorkerReport {
     proof: Vec<ProofStep>,
 }
 
-/// A resident worker's acknowledgement of one generation.
-enum Ack {
-    /// A load or teardown job finished; its work rides
-    /// into the next solve report's delta.
-    Done,
-    /// A solve job finished.
-    Solved(WorkerReport),
-    /// The job panicked with this message and the worker has exited.
-    Panicked(String),
-}
+/// A resident worker's message on the ack channel: its index and its
+/// solve report, or the message of a panic, after which it has exited.
+type Ack = (usize, Result<WorkerReport, String>);
 
 /// Result of one [`Pool::solve`] query. The model of a `Sat` answer
 /// stays in the pool: read it with [`Pool::value`].
@@ -210,11 +176,11 @@ enum PoolInner {
 
 impl Pool {
     /// Builds the pool over an empty formula: one inline worker for
-    /// `jobs <= 1`, otherwise `jobs` worker threads, spawned and parked
-    /// immediately.
+    /// `jobs <= 1`, otherwise `jobs` worker threads, spawned at once
+    /// and blocked on their job queues.
     pub fn new(config: &PortfolioConfig) -> Pool {
         let inner = if config.jobs <= 1 {
-            PoolInner::Inline(Box::new(Worker::new(0, config, (Vec::new(), Vec::new()))))
+            PoolInner::Inline(Box::new(Worker::new(0, config, None)))
         } else {
             PoolInner::Threaded(ThreadedPool::new(config.jobs, config))
         };
@@ -225,7 +191,7 @@ impl Pool {
     pub fn jobs(&self) -> usize {
         match &self.inner {
             PoolInner::Inline(_) => 1,
-            PoolInner::Threaded(p) => p.gate.workers(),
+            PoolInner::Threaded(p) => p.queues.len(),
         }
     }
 
@@ -293,7 +259,7 @@ impl Pool {
                         wall: start.elapsed(),
                         shipped_clauses: clauses.len() as u64,
                     },
-                    proof_segments: if w.logger.is_some() {
+                    proof_segments: if w.certify {
                         vec![report.proof]
                     } else {
                         Vec::new()
@@ -357,30 +323,33 @@ fn assemble(
 // workers and the sharing mesh
 // ---------------------------------------------------------------------
 
-/// Build the full N·(N−1) SPSC ring mesh (one ring per ordered pair of
-/// distinct workers) and regroup the ends per worker. With `n` workers
-/// the returned vector has `n` entries; entry `i` holds worker `i`'s
-/// producers (feeding each peer) and consumers (fed by each peer).
-fn ring_mesh(n: usize) -> Vec<MeshEnds> {
-    let mut producers: Vec<Vec<Producer<SharedClause>>> = (0..n).map(|_| Vec::new()).collect();
-    let mut consumers: Vec<Vec<Consumer<SharedClause>>> = (0..n).map(|_| Vec::new()).collect();
-    for (i, prods) in producers.iter_mut().enumerate() {
-        for (j, cons) in consumers.iter_mut().enumerate() {
-            if i != j {
-                let (p, c) = spsc(RING_CAPACITY);
-                prods.push(p);
-                cons.push(c);
-            }
-        }
-    }
-    producers.into_iter().zip(consumers).collect()
+/// Builds the sharing mesh of `n ≥ 2` workers: one bounded inbox per
+/// worker with room for [`INBOX_PER_PEER`] clauses from each peer, and
+/// a sender into it held by each of those peers. Entry `i` holds
+/// worker `i`'s ends.
+fn mesh(n: usize) -> Vec<MeshEnds> {
+    let (senders, inboxes): (Vec<_>, Vec<_>) = (0..n)
+        .map(|_| mpsc::sync_channel(INBOX_PER_PEER * (n - 1)))
+        .unzip();
+    inboxes
+        .into_iter()
+        .enumerate()
+        .map(|(i, inbox)| MeshEnds {
+            peers: (0..n)
+                .filter(|&j| j != i)
+                .map(|j| senders[j].clone())
+                .collect(),
+            inbox,
+        })
+        .collect()
 }
 
-/// One resident worker: its solver, its proof buffer when certifying,
-/// and the statistics totals already reported.
+/// One resident worker: its solver and the statistics totals already
+/// reported.
 struct Worker {
     solver: Solver,
-    logger: Option<MemoryProofLogger>,
+    /// Whether the solver logs its DRAT stream.
+    certify: bool,
     /// Totals already reported by previous solve calls, so each report
     /// is a per-query delta.
     reported: SolverStats,
@@ -388,40 +357,37 @@ struct Worker {
 
 impl Worker {
     /// Builds diversified worker `i` over an empty formula and, when it
-    /// has peers, wires it into the sharing mesh through `ends`.
-    fn new(i: usize, config: &PortfolioConfig, (prods, cons): MeshEnds) -> Worker {
+    /// has peers, wires it into the sharing mesh through `mesh`.
+    fn new(i: usize, config: &PortfolioConfig, mesh: Option<MeshEnds>) -> Worker {
         let mut solver = Solver::with_config(diversify(i, config.seed));
-        // installed before any clause arrives, so the stream records the
-        // whole input formula
-        let logger = config.certify.then(|| {
-            let l = MemoryProofLogger::new();
-            solver.set_proof_logger(Box::new(l.clone()));
-            l
-        });
-        if !prods.is_empty() {
+        if config.certify {
+            // enabled before any clause arrives, so the stream records
+            // the whole input formula
+            solver.enable_proof();
+        }
+        if let Some(MeshEnds { peers, inbox }) = mesh {
             solver.set_export_hook(
                 Box::new(move |lits, lbd| {
                     // share-traffic profile: what LBD quality actually
                     // crosses the mesh
                     fec_trace::hist!(fec_trace::Level::Debug, "portfolio.share.lbd", lbd);
-                    for p in &prods {
-                        p.push((lits.to_vec(), lbd));
+                    for p in &peers {
+                        // a full or closed inbox drops the clause:
+                        // sharing only speeds the search up
+                        let _ = p.try_send((lits.to_vec(), lbd));
                     }
                 }),
                 SHARE_LBD_MAX,
             );
             solver.set_import_hook(Box::new(move || {
-                let mut batch = Vec::new();
-                for c in &cons {
-                    batch.extend(c.drain());
-                }
+                let batch: Vec<SharedClause> = inbox.try_iter().collect();
                 observe_import(i, batch.len());
                 batch
             }));
         }
         Worker {
             solver,
-            logger,
+            certify: config.certify,
             reported: SolverStats::default(),
         }
     }
@@ -462,10 +428,7 @@ impl Worker {
             // every worker ships its segment every query — the stitched
             // per-worker streams upstream need losers' derivations too
             // (their next-query imports may depend on them)
-            proof: self
-                .logger
-                .as_ref()
-                .map_or_else(Vec::new, |l| l.take_steps()),
+            proof: self.solver.take_proof(),
         }
     }
 }
@@ -524,8 +487,53 @@ fn emit_worker_done(
 // threaded (racing) pool
 // ---------------------------------------------------------------------
 
+/// Winner slot value while a query is undecided.
+const NO_WINNER: usize = usize::MAX;
+
+/// Each query's first-to-finish election. Every atomic access is
+/// `Relaxed`: the compare-exchange alone makes the winner unique, the
+/// stop flag carries no data, the job queues order the coordinator's
+/// reset before every worker's race, and the ack channel orders every
+/// worker's claim before the coordinator reads the winner.
+#[derive(Clone)]
+struct Election {
+    /// Raised by the winner; every racing solver polls it.
+    stop: Arc<AtomicBool>,
+    winner: Arc<AtomicUsize>,
+}
+
+impl Election {
+    /// Coordinator: opens a fresh election before a solve job.
+    fn reset(&self) {
+        self.winner.store(NO_WINNER, Ordering::Relaxed);
+        self.stop.store(false, Ordering::Relaxed);
+    }
+
+    /// Worker: claims the current query's verdict. Exactly one caller
+    /// per query wins, and it cancels the other workers' solvers.
+    fn try_win(&self, worker: usize) -> bool {
+        let won = self
+            .winner
+            .compare_exchange(NO_WINNER, worker, Ordering::Relaxed, Ordering::Relaxed)
+            .is_ok();
+        if won {
+            self.stop.store(true, Ordering::Relaxed);
+        }
+        won
+    }
+
+    /// Coordinator, once every worker has reported: the winner.
+    fn winner(&self) -> Option<usize> {
+        Some(self.winner.load(Ordering::Relaxed)).filter(|&w| w != NO_WINNER)
+    }
+}
+
 struct ThreadedPool {
-    gate: Arc<Gate<Job, Ack>>,
+    /// One job queue per worker. Dropping them ends the workers.
+    queues: Vec<Sender<Arc<Job>>>,
+    /// Every worker's solve reports and panic messages.
+    acks: Receiver<Ack>,
+    election: Election,
     handles: Vec<thread::JoinHandle<()>>,
     /// The first worker panic seen. Once set the pool is dead: the
     /// panicked worker has exited, so every later call re-raises this.
@@ -542,18 +550,31 @@ struct ThreadedPool {
 
 impl ThreadedPool {
     fn new(n: usize, config: &PortfolioConfig) -> ThreadedPool {
-        let gate = Arc::new(Gate::new(n));
-        let handles = ring_mesh(n)
+        let election = Election {
+            stop: Arc::new(AtomicBool::new(false)),
+            winner: Arc::new(AtomicUsize::new(NO_WINNER)),
+        };
+        let (ack_tx, acks) = mpsc::channel();
+        let mut queues = Vec::with_capacity(n);
+        let handles = mesh(n)
             .into_iter()
             .enumerate()
             .map(|(i, ends)| {
-                let gate = Arc::clone(&gate);
-                let config = *config;
-                thread::spawn(move || worker_main(i, &gate, &config, ends))
+                let (queue, jobs) = mpsc::channel();
+                queues.push(queue);
+                let (acks, election, config) = (ack_tx.clone(), election.clone(), *config);
+                thread::spawn(move || {
+                    fec_trace::set_thread_name(format!("pool-worker-{i}"));
+                    let mut w = Worker::new(i, &config, Some(ends));
+                    w.solver.set_stop_flag(Arc::clone(&election.stop));
+                    worker_main(i, w, &jobs, &acks, &election);
+                })
             })
             .collect();
         ThreadedPool {
-            gate,
+            queues,
+            acks,
+            election,
             handles,
             panicked: None,
             pending: Vec::new(),
@@ -563,52 +584,32 @@ impl ThreadedPool {
         }
     }
 
+    /// Re-raises the first worker panic seen, if any.
+    fn check(&self) {
+        if let Some(msg) = &self.panicked {
+            panic!("{msg}");
+        }
+    }
+
+    /// Queues `job` for every worker. A panicked worker has dropped its
+    /// queue, so its send fails; its panic message is already on the
+    /// ack channel.
+    fn send(&self, job: Job) {
+        let job = Arc::new(job);
+        for q in &self.queues {
+            let _ = q.send(Arc::clone(&job));
+        }
+    }
+
     /// Ships the pending clauses as a fire-and-forget load.
     fn flush(&mut self, num_vars: usize) {
+        self.check();
         let clauses = std::mem::take(&mut self.pending);
-        self.publish(Job::new(JobKind::Load, num_vars, clauses, Vec::new()));
-    }
-
-    /// Settles the previous generation (if any), then publishes `job`.
-    /// Returns without waiting for the new generation — callers that
-    /// need the reports call [`ThreadedPool::settle`] themselves.
-    fn publish(&mut self, job: Job) {
-        self.settle();
-        self.launch(job);
-    }
-
-    /// Publishes `job` and wakes every worker. The gate must be idle.
-    fn launch(&self, job: Job) {
-        self.gate.publish(job);
-        for h in &self.handles {
-            h.thread().unpark();
-        }
-    }
-
-    fn wait_idle(&self) {
-        // workers unpark us via the job's waker after each ack; the
-        // timeout is insurance against a stale waker (the Pool moved
-        // threads between calls)
-        while !self.gate.idle() {
-            thread::park_timeout(Duration::from_millis(1));
-        }
-    }
-
-    /// Waits until the in-flight generation is acknowledged and takes
-    /// its acks, re-raising a worker panic on the coordinator.
-    fn settle(&mut self) -> Vec<Option<Ack>> {
-        if self.panicked.is_none() {
-            self.wait_idle();
-            let acks = self.gate.take_reports();
-            self.panicked = acks.iter().enumerate().find_map(|(i, a)| match a {
-                Some(Ack::Panicked(msg)) => Some(format!("portfolio worker {i} panicked: {msg}")),
-                _ => None,
-            });
-            if self.panicked.is_none() {
-                return acks;
-            }
-        }
-        panic!("{}", self.panicked.as_deref().unwrap_or_default());
+        self.send(Job {
+            num_vars,
+            clauses,
+            query: None,
+        });
     }
 
     fn solve(
@@ -618,8 +619,9 @@ impl ThreadedPool {
         assumptions: &[Lit],
         budget: Budget,
     ) -> PoolOutcome {
+        self.check();
         let start = Instant::now();
-        let n = self.gate.workers();
+        let n = self.queues.len();
         let mut delta = std::mem::take(&mut self.pending);
         delta.extend(clauses);
         let shipped = (delta.len() * n) as u64;
@@ -632,19 +634,30 @@ impl ThreadedPool {
             "delta_clauses" => delta.len(),
             "vars" => num_vars,
         );
-        self.publish(Job {
-            budget,
-            ..Job::new(JobKind::Solve, num_vars, delta, assumptions.to_vec())
+        self.election.reset();
+        self.send(Job {
+            num_vars,
+            clauses: delta,
+            query: Some((assumptions.to_vec(), budget)),
         });
-        let mut reports: Vec<WorkerReport> = self
-            .settle()
-            .into_iter()
-            .map(|a| match a {
-                Some(Ack::Solved(r)) => r,
-                _ => unreachable!("every worker acks a solve generation with its report"),
-            })
-            .collect();
-        let winner = self.gate.winner();
+        let mut reports: Vec<Option<WorkerReport>> = (0..n).map(|_| None).collect();
+        // every worker sends exactly one message per solve: its report,
+        // or the panic (in this job or an earlier load) that ended it
+        for _ in 0..n {
+            match self.acks.recv().expect("a worker exited without reporting") {
+                (i, Ok(report)) => reports[i] = Some(report),
+                (i, Err(msg)) => {
+                    // cancel the survivors; the panic is re-raised once
+                    // they have reported, so none outlives the pool
+                    self.election.stop.store(true, Ordering::Relaxed);
+                    self.panicked
+                        .get_or_insert(format!("portfolio worker {i} panicked: {msg}"));
+                }
+            }
+        }
+        self.check();
+        let mut reports: Vec<WorkerReport> = reports.into_iter().flatten().collect();
+        let winner = self.election.winner();
         if let Some(model) = winner.and_then(|w| reports[w].model.take()) {
             self.model = model;
         }
@@ -676,89 +689,79 @@ impl ThreadedPool {
 
 impl Drop for ThreadedPool {
     fn drop(&mut self) {
-        // no settle() here — Drop may run while a worker's panic unwinds
-        // the coordinator. Every generation is fully acknowledged (a
-        // panicking worker acks before it exits), so the teardown
-        // publish cannot block, and the joins wait only on live
-        // workers: panicked ones have already returned.
-        self.wait_idle();
-        self.launch(Job::new(JobKind::Quit, 0, Vec::new(), Vec::new()));
+        // Drop may run while a worker's panic unwinds the coordinator,
+        // so it must not re-raise. Closing the queues ends each worker
+        // once it has applied the loads already queued; raising the
+        // stop flag cuts short a race abandoned mid-query. Panicked
+        // workers have already returned.
+        self.election.stop.store(true, Ordering::Relaxed);
+        self.queues.clear();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
     }
 }
 
-/// Body of one resident worker thread.
-fn worker_main(i: usize, gate: &Gate<Job, Ack>, config: &PortfolioConfig, ends: MeshEnds) {
-    fec_trace::set_thread_name(format!("pool-worker-{i}"));
-    let mut w = Worker::new(i, config, ends);
-    w.solver.set_stop_flag(gate.stop_handle());
-    let mut last_gen = 0usize;
-    loop {
-        let Some(gen) = gate.poll(last_gen) else {
-            thread::park();
-            continue;
-        };
-        last_gen = gen;
-        let (kind, waker) = gate.with_job(|job| (job.kind, job.waker.clone()));
-        // a panicking job still acks, carrying its message, and the
-        // worker exits: the coordinator re-raises the panic instead of
-        // waiting on an ack that would never come
-        let ack = panic::catch_unwind(AssertUnwindSafe(|| {
-            gate.with_job(|job| run_job(i, &mut w, gate, job))
-        }))
-        .unwrap_or_else(|payload| Ack::Panicked(panic_message(payload.as_ref())));
-        let exit = kind == JobKind::Quit || matches!(ack, Ack::Panicked(_));
-        gate.submit(i, ack);
-        waker.unpark();
-        if exit {
-            break;
+/// Body of one resident worker thread: runs its jobs in order until
+/// the coordinator closes the queue. A panicking job sends its message
+/// instead of a report and the worker exits, so the coordinator
+/// re-raises the panic instead of waiting on a report that would never
+/// come.
+fn worker_main(
+    i: usize,
+    mut w: Worker,
+    jobs: &Receiver<Arc<Job>>,
+    acks: &Sender<Ack>,
+    election: &Election,
+) {
+    for job in jobs {
+        match panic::catch_unwind(AssertUnwindSafe(|| run_job(i, &mut w, election, &job))) {
+            Ok(None) => {}
+            Ok(Some(report)) => {
+                let _ = acks.send((i, Ok(report)));
+            }
+            Err(payload) => {
+                let _ = acks.send((i, Err(panic_message(payload.as_ref()))));
+                return;
+            }
         }
     }
 }
 
-/// Runs one published job on worker `i`.
-fn run_job(i: usize, w: &mut Worker, gate: &Gate<Job, Ack>, job: &Job) -> Ack {
-    match job.kind {
-        JobKind::Quit => Ack::Done,
-        JobKind::Load => {
-            w.load(job.num_vars, &job.clauses);
-            Ack::Done
-        }
-        JobKind::Solve => {
-            w.load(job.num_vars, &job.clauses);
-            let _wsp = fec_trace::span!(
-                fec_trace::Level::Trace,
-                "portfolio.pool.worker",
-                "worker" => i,
-            );
-            let started = Instant::now();
-            let result = w.solver.solve_with_budget(&job.assumptions, job.budget);
-            // first verdict wins this generation's election and cancels
-            // the rest; losers keep their stats but extract nothing
-            let won = result != SolveResult::Unknown && gate.try_win(i);
-            if won {
-                fec_trace::event!(
-                    fec_trace::Level::Debug,
-                    "portfolio.win",
-                    "worker" => i,
-                    "conflicts" => w.solver.stats().conflicts,
-                );
-            }
-            let mut rep = w.report(result, won);
-            if won && result == SolveResult::Sat {
-                let s = &w.solver;
-                rep.model = Some(
-                    (0..job.num_vars)
-                        .map(|v| s.value(Var::from_index(v)))
-                        .collect(),
-                );
-            }
-            emit_worker_done(i, &rep.stats, result, won, started);
-            Ack::Solved(rep)
-        }
+/// Runs one job on worker `i`: a load yields nothing, a solve its
+/// report.
+fn run_job(i: usize, w: &mut Worker, election: &Election, job: &Job) -> Option<WorkerReport> {
+    w.load(job.num_vars, &job.clauses);
+    let (assumptions, budget) = job.query.as_ref()?;
+    let _wsp = fec_trace::span!(
+        fec_trace::Level::Trace,
+        "portfolio.pool.worker",
+        "worker" => i,
+    );
+    let started = Instant::now();
+    let result = w.solver.solve_with_budget(assumptions, *budget);
+    // first verdict wins this query's election and cancels the rest;
+    // losers keep their stats but extract nothing
+    let won = result != SolveResult::Unknown && election.try_win(i);
+    if won {
+        fec_trace::event!(
+            fec_trace::Level::Debug,
+            "portfolio.win",
+            "worker" => i,
+            "conflicts" => w.solver.stats().conflicts,
+        );
     }
+    let mut rep = w.report(result, won);
+    if won && result == SolveResult::Sat {
+        let s = &w.solver;
+        rep.model = Some(
+            (0..job.num_vars)
+                .map(|v| s.value(Var::from_index(v)))
+                .collect(),
+        );
+    }
+    emit_worker_done(i, &rep.stats, result, won, started);
+    Some(rep)
 }
 
 /// The message of a caught panic payload.
@@ -895,26 +898,69 @@ mod tests {
     }
 
     #[test]
-    fn worker_panic_surfaces_instead_of_hanging() {
-        // a clause naming variable 4 in a 2-variable query makes every
-        // worker's add_clause index out of range on its own thread; the
-        // coordinator must re-raise that panic, and dropping the pool
-        // during the unwind must not wait on the dead workers. The call
-        // runs on a helper thread so a hang fails the test instead of
-        // stalling the suite.
+    fn every_query_of_a_long_session_elects_one_winner() {
+        // the election is reset before each solve job: over a long
+        // session of easy queries, where several workers often finish
+        // together, every query still has exactly one winner, and the
+        // model read back is the one that answered it
+        let mut pool = Pool::new(&PortfolioConfig::with_jobs(4));
+        pool.load(
+            8,
+            cnf(&[&[1, 2, 3, 4, 5, 6, 7, 8], &[-1, -2, -3, -4, -5, -6, -7, -8]]),
+        );
+        for q in 0..1000i32 {
+            let v = q % 8 + 1;
+            let a = if (q / 8) % 2 == 0 { lit(v) } else { lit(-v) };
+            let out = pool.solve(8, Vec::new(), &[a], Budget::unlimited());
+            assert_eq!(out.result, SolveResult::Sat, "query {q}");
+            assert!(out.stats.winner.is_some_and(|w| w < 4), "query {q}");
+            assert_eq!(out.stats.workers.len(), 4, "query {q}");
+            assert_eq!(pool.value(a.var()), Some(a.is_pos()), "query {q}");
+        }
+    }
+
+    /// Runs `f` on a helper thread and returns the message it panicked
+    /// with. A hang fails the test after 60 s instead of stalling the
+    /// suite.
+    fn panic_of(f: impl FnOnce() + Send + 'static) -> String {
         let (tx, rx) = mpsc::channel();
         let helper = thread::spawn(move || {
-            let outcome = panic::catch_unwind(|| {
-                let mut pool = Pool::new(&PortfolioConfig::with_jobs(2));
-                pool.solve(2, cnf(&[&[5]]), &[], Budget::unlimited()).result
-            });
+            let outcome = panic::catch_unwind(AssertUnwindSafe(f));
             let _ = tx.send(outcome.map_err(|p| panic_message(p.as_ref())));
         });
         let outcome = rx
             .recv_timeout(Duration::from_secs(60))
-            .expect("pool.solve hung on a panicked worker");
+            .expect("the pool hung on a panicked worker");
         helper.join().expect("helper thread caught the panic");
-        let msg = outcome.expect_err("a clause outside the variable space must panic");
+        outcome.expect_err("a clause outside the variable space must panic")
+    }
+
+    #[test]
+    fn worker_panic_surfaces_instead_of_hanging() {
+        // a clause naming variable 4 in a 2-variable query makes every
+        // worker's add_clause index out of range on its own thread; the
+        // coordinator must re-raise that panic, and dropping the pool
+        // during the unwind must not wait on the dead workers
+        let msg = panic_of(|| {
+            let mut pool = Pool::new(&PortfolioConfig::with_jobs(2));
+            pool.solve(2, cnf(&[&[5]]), &[], Budget::unlimited());
+        });
+        assert!(msg.contains("portfolio worker"), "unexpected panic: {msg}");
+    }
+
+    #[test]
+    fn load_panic_surfaces_by_the_next_solve() {
+        // a full batch of bad clauses ships as a fire-and-forget load
+        // that no one waits on, and every worker panics applying it;
+        // the panic must still surface, at the latest from the next
+        // solve
+        let msg = panic_of(|| {
+            let mut pool = Pool::new(&PortfolioConfig::with_jobs(2));
+            for _ in 0..PRELOAD_BATCH {
+                pool.add_clause(2, &[lit(5)]);
+            }
+            pool.solve(2, Vec::new(), &[], Budget::unlimited());
+        });
         assert!(msg.contains("portfolio worker"), "unexpected panic: {msg}");
     }
 }

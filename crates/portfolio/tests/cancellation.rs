@@ -2,9 +2,6 @@
 //! stop promptly, stay usable, and still contribute clean statistics to
 //! the portfolio aggregate.
 
-// the pool is compiled out under the model-checking feature
-#![cfg(not(feature = "fec_check"))]
-
 use fec_portfolio::{Pool, PortfolioConfig};
 use fec_sat::{Budget, Lit, SolveResult, Solver, Var};
 use std::sync::atomic::{AtomicBool, Ordering};

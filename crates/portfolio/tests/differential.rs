@@ -3,9 +3,6 @@
 //! sessions (a one-shot solve) and on incremental multi-query sessions —
 //! plus a replay showing that a one-worker pool is the plain solver.
 
-// the pool is compiled out under the model-checking feature
-#![cfg(not(feature = "fec_check"))]
-
 use fec_portfolio::{Pool, PortfolioConfig};
 use fec_sat::{reference, Budget, Lit, SolveResult, Solver, SolverStats, Var};
 

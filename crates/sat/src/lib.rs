@@ -49,6 +49,6 @@ mod solver;
 mod types;
 
 pub use config::{PhaseInit, RestartPolicy, SolverConfig};
-pub use proof::{MemoryProofLogger, ProofLogger, ProofStep};
+pub use proof::ProofStep;
 pub use solver::{Budget, ExportHook, ImportHook, SolveResult, Solver, SolverStats};
 pub use types::{Lit, Var};

@@ -3,7 +3,7 @@
 use crate::clause::{Clause, ClauseRef, Watcher};
 use crate::config::{PhaseInit, SolverConfig, XorShift64};
 use crate::heap::ActivityHeap;
-use crate::proof::ProofLogger;
+use crate::proof::ProofStep;
 use crate::types::{LBool, Lit, Var};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -189,8 +189,8 @@ pub struct Solver {
     model: Vec<LBool>,
     // failed assumptions from the last assumption-Unsat answer
     conflict_assumptions: Vec<Lit>,
-    // DRAT proof stream receiver; None = logging off (the default)
-    proof: Option<Box<dyn ProofLogger>>,
+    // DRAT proof steps not yet taken; None = logging off (the default)
+    proof: Option<Vec<ProofStep>>,
     // heuristic knobs (fixed at construction)
     config: SolverConfig,
     // the solver's only randomness source, seeded from the config
@@ -282,11 +282,11 @@ impl Solver {
     }
 
     /// Installs the shared-clause import hook, polled once per restart
-    /// boundary (at decision level 0). When a proof logger is
-    /// installed, each imported clause is admitted only if it is RUP
+    /// boundary (at decision level 0). When proof logging is
+    /// enabled, each imported clause is admitted only if it is RUP
     /// with respect to this solver's current clause database — the
     /// accepted clause is then logged as a regular `Learn` step, so the
-    /// proof stream stays self-contained. Without a proof logger,
+    /// proof stream stays self-contained. Without proof logging,
     /// imports are trusted (peers solve the same formula, so shared
     /// clauses are logical consequences of it).
     pub fn set_import_hook(&mut self, hook: ImportHook) {
@@ -300,23 +300,30 @@ impl Solver {
             .is_some_and(|s| s.load(Ordering::Relaxed))
     }
 
-    /// Installs a proof logger receiving the DRAT stream of this solver.
+    /// Starts recording this solver's DRAT proof stream (see
+    /// [`crate::proof`]), read with [`Solver::take_proof`].
     ///
-    /// Must be installed on a *fresh* solver (before any `add_clause`):
+    /// Must be called on a *fresh* solver (before any `add_clause`):
     /// clauses added earlier would be missing from the input record and
     /// an independent checker would reject lemmas derived from them.
-    pub fn set_proof_logger(&mut self, logger: Box<dyn ProofLogger>) {
+    pub fn enable_proof(&mut self) {
         assert!(
             self.clauses.is_empty() && self.trail.is_empty() && self.ok,
-            "proof logger must be installed before any clause is added"
+            "proof logging must be enabled before any clause is added"
         );
-        self.proof = Some(logger);
+        self.proof = Some(Vec::new());
+    }
+
+    /// Removes and returns the proof steps logged since the previous
+    /// call; empty when proof logging is off.
+    pub fn take_proof(&mut self) -> Vec<ProofStep> {
+        self.proof.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     #[inline]
     fn log_learn(&mut self, lits: &[Lit]) {
-        if let Some(p) = self.proof.as_deref_mut() {
-            p.learn(lits);
+        if let Some(p) = self.proof.as_mut() {
+            p.push(ProofStep::Learn(lits.to_vec()));
         }
     }
 
@@ -458,8 +465,8 @@ impl Solver {
         }
         // record the clause as given, before normalization: the proof
         // stream doubles as the checker's input formula
-        if let Some(p) = self.proof.as_deref_mut() {
-            p.input(lits);
+        if let Some(p) = self.proof.as_mut() {
+            p.push(ProofStep::Input(lits.to_vec()));
         }
         let mut ls: Vec<Lit> = lits.to_vec();
         ls.sort_unstable();
@@ -805,8 +812,8 @@ impl Solver {
         for &i in learnts.iter().take(n) {
             self.clauses[i].deleted = true;
             self.stats.deleted_clauses += 1;
-            if let Some(p) = self.proof.as_deref_mut() {
-                p.delete(&self.clauses[i].lits);
+            if let Some(p) = self.proof.as_mut() {
+                p.push(ProofStep::Delete(self.clauses[i].lits.clone()));
             }
         }
     }
@@ -849,7 +856,7 @@ impl Solver {
     /// Integrates one clause shared by a peer worker.
     ///
     /// The clause is simplified against the level-0 assignment first.
-    /// With a proof logger installed, it is admitted only if RUP over
+    /// With proof logging enabled, it is admitted only if RUP over
     /// this solver's live clause database (and then logged as a `Learn`
     /// step, keeping the proof self-contained); otherwise it is trusted
     /// — peers solve the same formula, so their learned clauses are
@@ -1672,16 +1679,14 @@ mod tests {
 
     #[test]
     fn proof_stream_records_inputs_and_refutation() {
-        use crate::proof::{MemoryProofLogger, ProofStep};
-        let log = MemoryProofLogger::new();
         let mut s = Solver::new();
-        s.set_proof_logger(Box::new(log.clone()));
+        s.enable_proof();
         add(&mut s, &[1, 2]);
         add(&mut s, &[-1, 2]);
         add(&mut s, &[1, -2]);
         add(&mut s, &[-1, -2]);
         assert_eq!(s.solve(&[]), SolveResult::Unsat);
-        let steps = log.take_steps();
+        let steps = s.take_proof();
         let inputs = steps
             .iter()
             .filter(|s| matches!(s, ProofStep::Input(_)))
@@ -1700,11 +1705,10 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "before any clause is added")]
-    fn proof_logger_rejected_after_clauses() {
-        use crate::proof::MemoryProofLogger;
+    fn proof_enabled_after_clauses_panics() {
         let mut s = Solver::new();
         add(&mut s, &[1]);
-        s.set_proof_logger(Box::new(MemoryProofLogger::new()));
+        s.enable_proof();
     }
 
     #[test]

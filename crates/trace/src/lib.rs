@@ -1,8 +1,8 @@
 //! **fec-trace** — structured tracing, metrics, and profiling for the
 //! synthesis stack, with no dependencies outside `std`.
 //!
-//! The design follows the same discipline as the SAT core's
-//! `ProofLogger`: instrumentation must be *zero-cost when disabled*.
+//! The design follows the same discipline as the SAT core's proof
+//! logging: instrumentation must be *zero-cost when disabled*.
 //! Every emission site is guarded by [`enabled`], a single relaxed
 //! atomic load against the installed maximum level; with no collector
 //! installed (the default) that load reads `0` and the site costs one
