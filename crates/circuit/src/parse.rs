@@ -239,7 +239,10 @@ fn parse_signature(sig: &str, lang: Lang) -> Result<(String, ParamShape), String
                 .filter(|w| !w.is_empty())
                 .ok_or("empty parameter list")?;
             if let Some(open) = decl.find('[') {
-                let close = decl.find(']').ok_or("unbalanced `[` in parameter")?;
+                let close = decl[open..]
+                    .find(']')
+                    .map(|c| open + c)
+                    .ok_or("unbalanced `[` in parameter")?;
                 let w: usize = decl[open + 1..close]
                     .parse()
                     .map_err(|_| format!("bad array length in `{decl}`"))?;
@@ -276,13 +279,16 @@ enum Tok {
     Punct(&'static str),
 }
 
+/// Splits source text into tokens. Only ASCII can start a token, so `i`
+/// stays on a char boundary and a stray non-ASCII character is an error
+/// naming it.
 fn lex(src: &str) -> Result<Vec<Tok>, String> {
     let b = src.as_bytes();
     let mut toks = Vec::new();
     let mut i = 0;
     while i < b.len() {
         let c = b[i] as char;
-        if c.is_whitespace() {
+        if c.is_ascii_whitespace() {
             i += 1;
             continue;
         }
@@ -303,10 +309,10 @@ fn lex(src: &str) -> Result<Vec<Tok>, String> {
             continue;
         }
         if i + 1 < b.len() {
-            let two = &src[i..i + 2];
+            let two = &b[i..i + 2];
             if let Some(t) = ["<<", ">>", "|=", "^=", "&=", "+="]
                 .into_iter()
-                .find(|&p| p == two)
+                .find(|p| p.as_bytes() == two)
             {
                 toks.push(Tok::Punct(t));
                 i += 2;
@@ -318,8 +324,11 @@ fn lex(src: &str) -> Result<Vec<Tok>, String> {
             ":",
         ]
         .into_iter()
-        .find(|p| p.as_bytes()[0] as char == c)
-        .ok_or_else(|| format!("unexpected character `{c}`"))?;
+        .find(|p| p.as_bytes()[0] == b[i])
+        .ok_or_else(|| {
+            let c = src[i..].chars().next().unwrap_or(c);
+            format!("unexpected character `{c}`")
+        })?;
         toks.push(Tok::Punct(one));
         i += 1;
     }
@@ -577,6 +586,18 @@ pub(crate) fn count_xors(f: &Func) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stray_brackets_and_non_ascii_are_errors_not_panics() {
+        // `]` before `[` in a C parameter, and a multi-byte character
+        // right after a one-byte operator
+        for src in [
+            "uint64_t encode_checks(uint64_t d]0[) { return d; }",
+            "uint64_t encode_checks(uint64_t d) { return d ^\u{ef}; }",
+        ] {
+            assert!(parse_encode_checks(src, Lang::C).is_err(), "{src}");
+        }
+    }
 
     #[test]
     fn parses_emitted_c_shape() {

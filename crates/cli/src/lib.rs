@@ -12,7 +12,7 @@
 
 #![forbid(unsafe_code)]
 
-mod report;
+pub mod report;
 
 use fec_gf2::BitVec;
 use fec_hamming::{distance, Generator};

@@ -100,15 +100,12 @@ pub struct RunReport {
 impl RunReport {
     /// Driver self-time attributed to a *named* phase (excludes `other`).
     pub fn attributed_us(&self) -> u64 {
-        PHASES
-            .iter()
-            .filter_map(|p| self.driver_self_us.get(p))
-            .sum()
+        total(PHASES.iter().filter_map(|p| self.driver_self_us.get(p)))
     }
 
     /// Driver wall-clock not covered by any span.
     pub fn untraced_us(&self) -> u64 {
-        let traced: u64 = self.driver_self_us.values().sum();
+        let traced = total(self.driver_self_us.values());
         self.wall_us.saturating_sub(traced)
     }
 }
@@ -165,15 +162,18 @@ pub fn analyze(text: &str) -> RunReport {
                     let open = stack.pop().expect("just checked");
                     let self_time = dur.saturating_sub(open.child_us);
                     let phase = open.phase.unwrap_or("other");
-                    *self_us.entry(tid).or_default().entry(phase).or_default() += self_time;
+                    add(
+                        self_us.entry(tid).or_default().entry(phase).or_default(),
+                        self_time,
+                    );
                     match stack.last_mut() {
-                        Some(parent) => parent.child_us += dur,
-                        None => *top_us.entry(tid).or_default() += dur,
+                        Some(parent) => add(&mut parent.child_us, dur),
+                        None => add(top_us.entry(tid).or_default(), dur),
                     }
                     if let Some(stage) = stream_spans().find(|&s| s == name) {
-                        *r.stream_self_us.entry(stage).or_default() += self_time;
+                        add(r.stream_self_us.entry(stage).or_default(), self_time);
                         if stage == "stream.run" {
-                            r.stream_run_us += dur;
+                            add(&mut r.stream_run_us, dur);
                         }
                     }
                 }
@@ -210,17 +210,27 @@ pub fn analyze(text: &str) -> RunReport {
     r.driver_self_us = self_us.remove(&r.driver_tid).unwrap_or_default();
     for per_tid in std::iter::once(&r.driver_self_us).chain(self_us.values()) {
         for (&phase, &us) in per_tid {
-            *r.busy_self_us.entry(phase).or_default() += us;
+            add(r.busy_self_us.entry(phase).or_default(), us);
         }
     }
     // a worker that finishes early idles until its query's slowest
     // worker releases the portfolio.pool.solve span
     for &(wb, we) in &workers {
         if let Some(&(_, se)) = solves.iter().find(|&&(sb, se)| sb <= wb && wb <= se) {
-            r.portfolio_idle_us += se.saturating_sub(we);
+            add(&mut r.portfolio_idle_us, se.saturating_sub(we));
         }
     }
     r
+}
+
+/// Microsecond totals saturate: a corrupt `dur_us` or `ts_us` (a JSON
+/// number past `u64::MAX` reads as `u64::MAX`) must not overflow.
+fn add(acc: &mut u64, us: u64) {
+    *acc = acc.saturating_add(us);
+}
+
+fn total<'a>(us: impl Iterator<Item = &'a u64>) -> u64 {
+    us.fold(0, |acc, &x| acc.saturating_add(x))
 }
 
 fn secs(us: u64) -> f64 {
@@ -280,7 +290,7 @@ pub fn render_text(r: &RunReport, path: &str) -> String {
         secs(attributed),
         pct(attributed, r.wall_us)
     );
-    let busy: u64 = r.busy_self_us.values().sum();
+    let busy = total(r.busy_self_us.values());
     if busy > 0 {
         let _ = writeln!(out, "all-thread busy self-time:");
         for phase in PHASES.iter().copied().chain(["other"]) {
@@ -492,6 +502,21 @@ mod tests {
         let json = fec_trace::parse_json(&render_json(&r)).expect("report JSON parses");
         let stream = json.get("stream").expect("stream section");
         assert_eq!(stream.get("run_us").and_then(Json::as_num), Some(1000.0));
+    }
+
+    #[test]
+    fn huge_durations_saturate_instead_of_overflowing() {
+        let mut t = String::new();
+        t += &line(0, 0, "begin", "cegis.run", None);
+        t += &line(1, 0, "begin", "cegis.synth", None);
+        t += &line(2, 0, "end", "cegis.synth", Some(u64::MAX));
+        t += &line(3, 0, "begin", "cegis.verify", None);
+        t += &line(4, 0, "end", "cegis.verify", Some(u64::MAX));
+        t += &line(5, 0, "end", "cegis.run", Some(u64::MAX));
+        let r = analyze(&t);
+        assert_eq!(r.attributed_us(), u64::MAX);
+        assert!(render_text(&r, "t.jsonl").contains("synth"));
+        fec_trace::parse_json(&render_json(&r)).expect("report JSON parses");
     }
 
     #[test]

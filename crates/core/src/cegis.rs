@@ -408,7 +408,14 @@ impl Synthesizer {
                 (per_bound || gs.min_distance >= 2).then(|| {
                     let mut solver = self.new_solver();
                     let sym = SymbolicGenerator::new(&mut solver, gs.data_len, gs.check_hi);
-                    let (witness_lits, weight) = sym.assert_distance_violation(&mut solver);
+                    // the register counts as far as the largest distance
+                    // this verifier is asked about
+                    let max_d = if per_bound {
+                        self.max_distance(gs)
+                    } else {
+                        gs.min_distance
+                    };
+                    let (witness_lits, weight) = sym.assert_distance_violation(&mut solver, max_d);
                     if !per_bound {
                         solver.constrain_register_at_most(&weight, gs.min_distance - 1);
                     }
@@ -423,7 +430,8 @@ impl Synthesizer {
             .collect();
         let ones = match shape.objective {
             Some(Objective::MinOnes(i) | Objective::MaxOnes(i)) => {
-                syn.counting_register(&syms[i].all_cells())
+                let cells = syms[i].all_cells();
+                syn.counting_register(&cells, cells.len())
             }
             _ => Vec::new(),
         };
@@ -507,23 +515,31 @@ impl Synthesizer {
             Objective::MinOnes(_) => (ones_hi, ones_lo),
             Objective::MaxOnes(_) => (ones_lo, ones_hi),
             Objective::MaxDistance(_) => {
-                let n = g.data_len + g.check_hi;
-                let d_hi = if self.config.static_analysis {
-                    let hi = bounds::distance_upper_bound(n, g.data_len);
+                let d_hi = self.max_distance(g);
+                if self.config.static_analysis {
                     obs::event(
                         self.config.trace,
                         Level::Info,
                         "analyze.clamp",
-                        &[("generator", i.into()), ("d_hi", hi.into())],
+                        &[("generator", i.into()), ("d_hi", d_hi.into())],
                     );
-                    hi
-                } else {
-                    n // d > n is impossible outright
-                };
+                }
                 (g.min_distance.max(1), d_hi)
             }
         };
         (first as i64, last as i64)
+    }
+
+    /// The last distance a `maximal(md)` loop tries: the static `d_hi`
+    /// with the gate on, else `n`, since no distance exceeds the
+    /// codeword length.
+    fn max_distance(&self, g: &GenShape) -> usize {
+        let n = g.data_len + g.check_hi;
+        if self.config.static_analysis {
+            bounds::distance_upper_bound(n, g.data_len)
+        } else {
+            n
+        }
     }
 
     /// Asserts one bound on the synthesizer: a unit clause on the
@@ -713,6 +729,20 @@ mod tests {
             timeout: Duration::from_secs(30),
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn huge_check_window_verifier_is_linear_in_n() {
+        // the fixed-md verifier's weight register counts only to md,
+        // so a 30,004-bit codeword costs O(n · md) clauses, not the
+        // full register's ~(n/2)² in its top merge alone
+        let p = parse_property("len_d(G0) = 4 && len_c(G0) = 30000 && md(G0) = 3").unwrap();
+        let synth = Synthesizer::new(quick_config());
+        let state = synth.build(&synth.shape_of(&p).unwrap());
+        let verifier = state.verifiers[0].as_ref().expect("md 3 needs a verifier");
+        let n = 4 + 30_000;
+        let clauses = verifier.solver.clauses_added();
+        assert!(clauses < 40 * n, "{clauses} clauses for n = {n}");
     }
 
     #[test]

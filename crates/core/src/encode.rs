@@ -178,8 +178,14 @@ impl SymbolicGenerator {
     /// and the register `weight`, where `weight[j]` holds iff the
     /// codeword has weight ≥ `j + 1`. The violation of distance `d` is
     /// `¬weight[d − 1]`: a unit clause for a fixed distance, or a
-    /// solve-time assumption when `d` changes between queries.
-    pub fn assert_distance_violation(&self, s: &mut SmtSolver) -> (Vec<Lit>, Vec<Lit>) {
+    /// solve-time assumption when `d` changes between queries. The
+    /// register counts only up to `max_d`, the largest distance the
+    /// caller will ask about, so it costs O(n · max_d) clauses.
+    pub fn assert_distance_violation(
+        &self,
+        s: &mut SmtSolver,
+        max_d: usize,
+    ) -> (Vec<Lit>, Vec<Lit>) {
         let xs: Vec<Lit> = (0..self.data_len).map(|_| s.fresh_lit()).collect();
         s.add_clause(&xs); // x ≠ 0
         let parities: Vec<Lit> = (0..self.max_check)
@@ -192,7 +198,7 @@ impl SymbolicGenerator {
             .collect();
         let mut all: Vec<Lit> = xs.clone();
         all.extend(parities);
-        let weight = s.counting_register(&all);
+        let weight = s.counting_register(&all, max_d);
         (xs, weight)
     }
 }
@@ -248,7 +254,7 @@ mod tests {
         let mut s = SmtSolver::new();
         let sym = SymbolicGenerator::new(&mut s, 3, 3);
         let bad = Generator::from_coeff_str("110\n110\n011").unwrap();
-        let (xs, weight) = sym.assert_distance_violation(&mut s);
+        let (xs, weight) = sym.assert_distance_violation(&mut s, 3);
         s.add_clause(&[!weight[2]]);
         assert_eq!(s.solve(&sym.pin_assumptions(&bad)), SmtResult::Sat);
         // witness: read x, confirm concretely that its codeword weight < 3
@@ -267,7 +273,7 @@ mod tests {
         let mut s = SmtSolver::new();
         let sym = SymbolicGenerator::new(&mut s, 4, 3);
         let good = standards::hamming_7_4();
-        let (_, weight) = sym.assert_distance_violation(&mut s);
+        let (_, weight) = sym.assert_distance_violation(&mut s, 3);
         s.add_clause(&[!weight[2]]);
         assert_eq!(s.solve(&sym.pin_assumptions(&good)), SmtResult::Unsat);
     }
@@ -279,7 +285,7 @@ mod tests {
         // d = 3 and fails d = 4 on the same solver
         let mut s = SmtSolver::new();
         let sym = SymbolicGenerator::new(&mut s, 4, 3);
-        let (xs, weight) = sym.assert_distance_violation(&mut s);
+        let (xs, weight) = sym.assert_distance_violation(&mut s, 4);
         let g = standards::hamming_7_4();
         let query = |d: usize| [sym.pin_assumptions(&g), vec![!weight[d - 1]]].concat();
         assert_eq!(s.solve(&query(3)), SmtResult::Unsat);
@@ -315,7 +321,7 @@ mod tests {
         sym_s.len_c().assert_eq(&mut syn, 3);
         let mut ver = SmtSolver::new();
         let sym_v = SymbolicGenerator::new(&mut ver, 3, 3);
-        let (xs, weight) = sym_v.assert_distance_violation(&mut ver);
+        let (xs, weight) = sym_v.assert_distance_violation(&mut ver, 3);
         ver.add_clause(&[!weight[2]]);
         let mut found = None;
         for _ in 0..200 {

@@ -367,8 +367,14 @@ pub fn sat_min_distance_incremental_with(
         let parity = s.xor_all(&selected);
         all.push(parity);
     }
-    // reg[j] ⟺ at least j+1 codeword bits are true
-    let reg = s.counting_register(&all);
+    // reg[j] ⟺ at least j+1 codeword bits are true. The lightest
+    // row's codeword bounds the distance, so the loop below stops by
+    // that weight and the register need count no further.
+    let lightest = (0..k)
+        .map(|y| 1 + g.coefficients().row(y).count_ones())
+        .min()
+        .unwrap_or(all.len());
+    let reg = s.counting_register(&all, lightest + 1);
     let mut answer = None;
     let mut portfolio = Vec::new();
     for w in 1..=g.codeword_len() {
@@ -390,7 +396,10 @@ pub fn sat_min_distance_incremental_with(
                 break;
             }
             SmtResult::Unknown => break,
-            SmtResult::Unsat => {}
+            // every codeword is heavier than w: a fact from here on
+            SmtResult::Unsat => {
+                s.add_clause(&[reg[w]]);
+            }
         }
     }
     let cert = s.certificate_stats().unwrap_or_default();

@@ -34,9 +34,12 @@
 //!
 //! One deliberate laxity, shared with drat-trim: literals fixed by unit
 //! propagation stay fixed even if a clause that implied them is later
-//! deleted. The solver never deletes root-level reason clauses, and
-//! every lemma was justified at its own acceptance time, so the final
-//! refutation remains sound.
+//! deleted. The solver does delete such clauses — a problem clause
+//! satisfied at level 0 goes, even when it is the reason of the
+//! root-level literal that satisfies it — but every deleted clause was
+//! part of the formula or an accepted lemma, and every lemma was
+//! justified at its own acceptance time, so the final refutation
+//! remains sound.
 //!
 //! # Model validation
 //!

@@ -27,14 +27,19 @@ pub fn crc_generator(k: usize, poly: u128) -> Option<Generator> {
         return None;
     }
     let mut p = BitMatrix::zeros(k, c);
+    // data bit `row` occupies x^(c + row); its check contribution is
+    // x^(c+row) mod g, the previous row's remainder times x, reduced by
+    // g once it reaches degree c (c ≤ 127, so the shift cannot overflow)
+    let mut rem = 1u128 << (c - 1);
     for row in 0..k {
-        // data bit `row` occupies x^(c + row); its check contribution is
-        // x^(c+row) mod g
-        let rem = Gf2Poly::monomial((c + row) as u32) % g;
-        for col in 0..c {
-            if (rem.bits() >> col) & 1 == 1 {
-                p.set(row, col, true);
-            }
+        rem <<= 1;
+        if rem >> c & 1 == 1 {
+            rem ^= poly;
+        }
+        let mut ones = rem;
+        while ones != 0 {
+            p.set(row, ones.trailing_zeros() as usize, true);
+            ones &= ones - 1;
         }
     }
     Some(Generator::from_coefficients(p))
@@ -142,6 +147,35 @@ mod tests {
         let (_, md_crc) = best_crc_polynomial(4, 5);
         assert!(md_crc <= 4);
         assert!(md_crc >= 3, "a good CRC-5 detects 2 errors, got {md_crc}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Shift-and-reduce rows equal long division: row `r` is
+        /// `x^(c+r) mod g`, for polynomials of degree 1 to 64 with a
+        /// constant term and every admissible data length.
+        #[test]
+        fn prop_rows_are_long_division_remainders(
+            c in 1usize..=64,
+            mid in proptest::prelude::any::<u64>(),
+            k_pick in proptest::prelude::any::<u64>(),
+        ) {
+            let poly = (1u128 << c) | (u128::from(mid) << 1) & ((1u128 << c) - 1) | 1;
+            let k = 1 + (k_pick % (128 - c) as u64) as usize;
+            let g = crc_generator(k, poly).unwrap();
+            let divisor = Gf2Poly::from_bits(poly);
+            for row in 0..k {
+                let rem = (Gf2Poly::monomial((c + row) as u32) % divisor).bits();
+                for col in 0..c {
+                    proptest::prop_assert_eq!(
+                        g.coefficients().get(row, col),
+                        rem >> col & 1 == 1,
+                        "poly {:#x} k {} row {} col {}", poly, k, row, col
+                    );
+                }
+            }
+        }
     }
 
     #[test]

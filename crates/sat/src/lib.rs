@@ -7,13 +7,22 @@
 //! bit-level CDCL search is a complete decision procedure for them).
 //!
 //! Features:
+//! - one paged, flat clause arena: each clause a 4-word header followed
+//!   by its literals, in fixed pages of 64 Ki literals (the `clause`
+//!   module says why pages), with values kept per literal,
 //! - two-literal watching with blocker literals,
-//! - first-UIP conflict analysis with clause minimization,
+//! - first-UIP conflict analysis with clause minimization, reading
+//!   reason clauses in place and counting LBD by per-level stamps, so
+//!   a conflict allocates nothing beyond the clause it learns,
 //! - EVSIDS branching with phase saving,
 //! - Luby or geometric restarts (every heuristic knob is a public
 //!   [`SolverConfig`] field, the substrate for portfolio
 //!   diversification in `fec-portfolio`),
 //! - LBD-based learnt-clause database reduction,
+//! - a sweep of the problem clauses satisfied at level 0, run by
+//!   `solve` whenever the level-0 trail has grown (after a scope's
+//!   closing unit `¬g`, the scope's clauses go), logged as DRAT
+//!   deletions,
 //! - solving under assumptions (the substrate for push/pop scopes in
 //!   `fec-smt`), with failed-assumption extraction,
 //! - conflict and wall-clock budgets (the paper's 120 s solver timeout),

@@ -11,7 +11,9 @@
 //!   (including learned units and the empty clause on a level-0
 //!   refutation), logged after minimization;
 //! - [`ProofStep::Delete`] — every learnt clause tombstoned by database
-//!   reduction.
+//!   reduction, and every problem clause dropped because a level-0
+//!   literal satisfies it (swept at the start of a `solve` once the
+//!   level-0 trail has grown, e.g. after a scope's closing unit `¬g`).
 //!
 //! Learn/Delete steps are exactly DRAT addition and deletion lines; an
 //! independent checker (the `fec-drat` crate) validates each learned
@@ -46,6 +48,6 @@ pub enum ProofStep {
     Input(Vec<Lit>),
     /// A clause derived by the solver (DRAT addition line).
     Learn(Vec<Lit>),
-    /// A learnt clause removed from the database (DRAT deletion line).
+    /// A clause removed from the database (DRAT deletion line).
     Delete(Vec<Lit>),
 }

@@ -1,6 +1,6 @@
 //! The CDCL search engine.
 
-use crate::clause::{Clause, ClauseRef, Watcher};
+use crate::clause::{ClauseArena, ClauseRef, Watcher};
 use crate::config::{PhaseInit, SolverConfig, XorShift64};
 use crate::heap::ActivityHeap;
 use crate::proof::ProofStep;
@@ -160,11 +160,12 @@ const INVALID_CLAUSE: ClauseRef = ClauseRef(u32::MAX);
 /// A CDCL SAT solver (see crate docs for the feature list).
 pub struct Solver {
     // clause database
-    clauses: Vec<Clause>,
+    arena: ClauseArena,
     // watches[lit.index()] = watchers of clauses that contain ¬lit
     watches: Vec<Vec<Watcher>>,
+    // vals[lit.index()] = the literal's value (both polarities kept)
+    vals: Vec<LBool>,
     // assignment trail
-    assigns: Vec<LBool>,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     qhead: usize,
@@ -178,8 +179,14 @@ pub struct Solver {
     saved_phase: Vec<bool>,
     // clause activity
     cla_inc: f64,
-    // analyze scratch
+    // analyze scratch: seen variables, the learnt clause buffer, and
+    // per-decision-level stamps for counting LBD
     seen: Vec<bool>,
+    learnt_buf: Vec<Lit>,
+    level_stamp: Vec<u64>,
+    lbd_stamp: u64,
+    // level-0 trail length at the last satisfied-clause sweep
+    swept_trail: usize,
     // status
     ok: bool,
     stats: SolverStats,
@@ -227,9 +234,9 @@ impl Solver {
     /// for portfolio diversification.
     pub fn with_config(config: SolverConfig) -> Solver {
         Solver {
-            clauses: Vec::new(),
+            arena: ClauseArena::default(),
             watches: Vec::new(),
-            assigns: Vec::new(),
+            vals: Vec::new(),
             trail: Vec::new(),
             trail_lim: Vec::new(),
             qhead: 0,
@@ -241,6 +248,10 @@ impl Solver {
             saved_phase: Vec::new(),
             cla_inc: 1.0,
             seen: Vec::new(),
+            learnt_buf: Vec::new(),
+            level_stamp: vec![0],
+            lbd_stamp: 0,
+            swept_trail: 0,
             ok: true,
             stats: SolverStats::default(),
             max_learnts: 4000.0,
@@ -308,7 +319,7 @@ impl Solver {
     /// an independent checker would reject lemmas derived from them.
     pub fn enable_proof(&mut self) {
         assert!(
-            self.clauses.is_empty() && self.trail.is_empty() && self.ok,
+            self.arena.is_empty() && self.trail.is_empty() && self.ok,
             "proof logging must be enabled before any clause is added"
         );
         self.proof = Some(Vec::new());
@@ -329,8 +340,8 @@ impl Solver {
 
     /// Creates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var::from_index(self.assigns.len());
-        self.assigns.push(LBool::Undef);
+        let v = Var::from_index(self.num_vars());
+        self.vals.extend([LBool::Undef; 2]);
         self.reason.push(INVALID_CLAUSE);
         self.level.push(0);
         // tiny seeded activities break the index-order tie among
@@ -348,6 +359,7 @@ impl Solver {
         };
         self.saved_phase.push(phase);
         self.seen.push(false);
+        self.level_stamp.push(0);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.heap.push_new_var(v, &self.activity);
@@ -356,12 +368,15 @@ impl Solver {
 
     /// Number of variables created.
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.vals.len() / 2
     }
 
     /// Number of live problem + learnt clauses.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.iter().filter(|c| !c.deleted).count()
+        self.arena
+            .refs()
+            .filter(|&c| !self.arena.deleted(c))
+            .count()
     }
 
     /// Cumulative statistics.
@@ -507,31 +522,26 @@ impl Solver {
                 self.ok
             }
             _ => {
-                self.attach_clause(Clause::new(out, false, 0));
+                self.attach_clause(&out, false, 0);
                 true
             }
         }
     }
 
-    fn attach_clause(&mut self, clause: Clause) -> ClauseRef {
-        debug_assert!(clause.len() >= 2);
-        let cref = ClauseRef(u32::try_from(self.clauses.len()).expect("clause count overflow"));
-        let (w0, w1) = (clause.lits[0], clause.lits[1]);
+    fn attach_clause(&mut self, lits: &[Lit], learnt: bool, lbd: u32) -> ClauseRef {
+        debug_assert!(lits.len() >= 2);
+        let cref = self.arena.alloc(lits, learnt, lbd);
+        let (w0, w1) = (lits[0], lits[1]);
         // a watcher fires when its literal's negation becomes true,
         // so the entry for watching w lives in watches[(!w).index()]
         self.watches[(!w0).index()].push(Watcher { cref, blocker: w1 });
         self.watches[(!w1).index()].push(Watcher { cref, blocker: w0 });
-        self.clauses.push(clause);
         cref
     }
 
     #[inline]
     fn lit_value(&self, l: Lit) -> LBool {
-        match self.assigns[l.var().index()] {
-            LBool::Undef => LBool::Undef,
-            LBool::True => LBool::from_bool(l.is_pos()),
-            LBool::False => LBool::from_bool(!l.is_pos()),
-        }
+        self.vals[l.index()]
     }
 
     /// The value of `v` in the most recent satisfying model.
@@ -558,7 +568,8 @@ impl Solver {
     fn uncheck_enqueue(&mut self, l: Lit, from: ClauseRef) {
         debug_assert_eq!(self.lit_value(l), LBool::Undef);
         let v = l.var().index();
-        self.assigns[v] = LBool::from_bool(l.is_pos());
+        self.vals[l.index()] = LBool::True;
+        self.vals[(!l).index()] = LBool::False;
         self.reason[v] = from;
         self.level[v] = self.decision_level();
         self.trail.push(l);
@@ -580,6 +591,7 @@ impl Solver {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
+            let false_lit = !p;
             let mut ws = std::mem::take(&mut self.watches[p.index()]);
             let mut i = 0;
             let mut j = 0;
@@ -587,40 +599,35 @@ impl Solver {
                 let w = ws[i];
                 i += 1;
                 // fast path: blocker already true means clause satisfied
-                if self.lit_value(w.blocker) == LBool::True {
+                if self.vals[w.blocker.index()] == LBool::True {
                     ws[j] = w;
                     j += 1;
                     continue;
                 }
                 let cref = w.cref;
-                if self.clauses[cref.0 as usize].deleted {
+                let Some(lits) = self.arena.live_lits_mut(cref) else {
                     continue; // lazily drop watcher of a tombstoned clause
-                }
+                };
                 // ensure the falsified literal sits at lits[1]
-                let false_lit = !p;
-                {
-                    let clause = &mut self.clauses[cref.0 as usize];
-                    if clause.lits[0] == false_lit {
-                        clause.lits.swap(0, 1);
-                    }
-                    debug_assert_eq!(clause.lits[1], false_lit);
+                if lits[0] == false_lit {
+                    lits.swap(0, 1);
                 }
-                let first = self.clauses[cref.0 as usize].lits[0];
+                debug_assert_eq!(lits[1], false_lit);
+                let first = lits[0];
                 let new_watcher = Watcher {
                     cref,
                     blocker: first,
                 };
-                if first != w.blocker && self.lit_value(first) == LBool::True {
+                if first != w.blocker && self.vals[first.index()] == LBool::True {
                     ws[j] = new_watcher;
                     j += 1;
                     continue;
                 }
                 // search for an unfalsified replacement watch
-                let len = self.clauses[cref.0 as usize].len();
-                for k in 2..len {
-                    let lk = self.clauses[cref.0 as usize].lits[k];
-                    if self.lit_value(lk) != LBool::False {
-                        self.clauses[cref.0 as usize].lits.swap(1, k);
+                for k in 2..lits.len() {
+                    let lk = lits[k];
+                    if self.vals[lk.index()] != LBool::False {
+                        lits.swap(1, k);
                         self.watches[(!lk).index()].push(new_watcher);
                         continue 'watchers;
                     }
@@ -628,7 +635,7 @@ impl Solver {
                 // clause is unit or conflicting
                 ws[j] = new_watcher;
                 j += 1;
-                if self.lit_value(first) == LBool::False {
+                if self.vals[first.index()] == LBool::False {
                     conflict = Some(cref);
                     // copy back the rest of the watcher list untouched
                     while i < ws.len() {
@@ -654,20 +661,24 @@ impl Solver {
     /// First-UIP conflict analysis. Returns the learnt clause with the
     /// asserting literal in slot 0 (and the watch partner, the highest-
     /// level remaining literal, in slot 1) plus the backjump level.
+    ///
+    /// The clause is built in the solver's reusable buffer; the caller
+    /// hands it back through `learnt_buf` once it has been attached.
     fn analyze(&mut self, mut conflict: ClauseRef) -> (Vec<Lit>, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit(0)]; // slot 0 = asserting literal
+        let mut learnt = std::mem::take(&mut self.learnt_buf);
+        learnt.clear();
+        learnt.push(Lit(0)); // slot 0 = asserting literal
         let mut counter = 0usize;
-        let mut resolving_on: Option<Lit> = None;
+        let mut resolving = false;
         let mut index = self.trail.len();
 
         loop {
-            if self.clauses[conflict.0 as usize].learnt {
+            if self.arena.learnt(conflict) {
                 self.bump_clause(conflict);
             }
             // skip lits[0] of a reason clause: it is the propagated literal
-            let start = usize::from(resolving_on.is_some());
-            let clause_lits: Vec<Lit> = self.clauses[conflict.0 as usize].lits[start..].to_vec();
-            for q in clause_lits {
+            for k in usize::from(resolving)..self.arena.lits(conflict).len() {
+                let q = self.arena.lits(conflict)[k];
                 let v = q.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
@@ -693,23 +704,27 @@ impl Solver {
                 learnt[0] = !pl;
                 break;
             }
-            resolving_on = Some(pl);
+            resolving = true;
             conflict = self.reason[pl.var().index()];
             debug_assert_ne!(conflict, INVALID_CLAUSE, "resolving on a decision");
         }
 
-        // clause minimization: drop literals whose reason is subsumed
-        let mut minimized = vec![learnt[0]];
-        minimized.extend(
-            learnt[1..]
-                .iter()
-                .copied()
-                .filter(|&l| !self.literal_redundant(l, &learnt)),
-        );
-
-        for l in &learnt {
+        // clause minimization: drop literals whose reason is subsumed.
+        // `seen` marks exactly the variables of learnt[1..] here. Kept
+        // literals move to the front in order, dropped ones to the back,
+        // so every seen mark can be cleared afterwards.
+        let mut kept = 1;
+        for i in 1..learnt.len() {
+            if !self.literal_redundant(learnt[i]) {
+                learnt.swap(kept, i);
+                kept += 1;
+            }
+        }
+        for l in &learnt[1..] {
             self.seen[l.var().index()] = false;
         }
+        learnt.truncate(kept);
+        let mut minimized = learnt;
 
         let bt = if minimized.len() == 1 {
             0
@@ -732,16 +747,18 @@ impl Solver {
 
     /// Local redundancy test (MiniSat's basic minimization): `l` can be
     /// dropped when every other literal of its reason clause is either
-    /// already in the learnt clause or fixed at level 0.
-    fn literal_redundant(&self, l: Lit, learnt: &[Lit]) -> bool {
+    /// already in the learnt clause or fixed at level 0. Membership is
+    /// `seen`: the reason's other literals are false, as the learnt
+    /// clause's are, so a seen variable means the very same literal.
+    fn literal_redundant(&self, l: Lit) -> bool {
         let r = self.reason[l.var().index()];
         if r == INVALID_CLAUSE {
             return false;
         }
-        self.clauses[r.0 as usize]
-            .lits
-            .iter()
-            .all(|&q| q == !l || self.level[q.var().index()] == 0 || learnt.contains(&q))
+        self.arena.lits(r).iter().all(|&q| {
+            let v = q.var().index();
+            q == !l || self.level[v] == 0 || self.seen[v]
+        })
     }
 
     fn bump_var(&mut self, v: Var) {
@@ -756,12 +773,10 @@ impl Solver {
     }
 
     fn bump_clause(&mut self, c: ClauseRef) {
-        let cl = &mut self.clauses[c.0 as usize];
-        cl.activity += self.cla_inc;
-        if cl.activity > 1e20 {
-            for cl in self.clauses.iter_mut().filter(|c| c.learnt) {
-                cl.activity *= 1e-20;
-            }
+        let activity = self.arena.activity(c) + self.cla_inc;
+        self.arena.set_activity(c, activity);
+        if activity > 1e20 {
+            self.arena.scale_learnt_activity(1e-20);
             self.cla_inc *= 1e-20;
         }
     }
@@ -776,7 +791,8 @@ impl Solver {
             let l = self.trail[i];
             let v = l.var();
             self.saved_phase[v.index()] = l.is_pos();
-            self.assigns[v.index()] = LBool::Undef;
+            self.vals[l.index()] = LBool::Undef;
+            self.vals[(!l).index()] = LBool::Undef;
             self.reason[v.index()] = INVALID_CLAUSE;
             self.heap.insert(v, &self.activity);
         }
@@ -785,44 +801,86 @@ impl Solver {
         self.qhead = self.trail.len();
     }
 
-    /// Literal-block distance: number of distinct decision levels.
-    fn compute_lbd(&self, lits: &[Lit]) -> u32 {
-        let mut levels: Vec<u32> = lits.iter().map(|l| self.level[l.var().index()]).collect();
-        levels.sort_unstable();
-        levels.dedup();
-        levels.len() as u32
+    /// Literal-block distance: number of distinct decision levels,
+    /// counted by stamping each level once per call.
+    fn compute_lbd(&mut self, lits: &[Lit]) -> u32 {
+        self.lbd_stamp += 1;
+        let mut lbd = 0;
+        for l in lits {
+            let level = self.level[l.var().index()] as usize;
+            if self.level_stamp[level] != self.lbd_stamp {
+                self.level_stamp[level] = self.lbd_stamp;
+                lbd += 1;
+            }
+        }
+        lbd
     }
 
     /// Tombstones the worst half of the removable learnt clauses.
     fn reduce_db(&mut self) {
-        let mut learnts: Vec<usize> = (0..self.clauses.len())
-            .filter(|&i| {
-                let c = &self.clauses[i];
-                c.learnt && !c.deleted && c.len() > 2 && c.lbd > 2 && !self.is_reason(i)
+        let arena = &self.arena;
+        let mut learnts: Vec<ClauseRef> = arena
+            .refs()
+            .filter(|&c| {
+                arena.learnt(c)
+                    && !arena.deleted(c)
+                    && arena.lits(c).len() > 2
+                    && arena.lbd(c) > 2
+                    && !self.is_reason(c)
             })
             .collect();
-        // worst first: high LBD, then low activity
+        // worst first: high LBD, then low activity; the stable sort
+        // keeps allocation order among ties
         learnts.sort_by(|&a, &b| {
-            let (ca, cb) = (&self.clauses[a], &self.clauses[b]);
-            cb.lbd
-                .cmp(&ca.lbd)
-                .then(ca.activity.total_cmp(&cb.activity))
+            arena
+                .lbd(b)
+                .cmp(&arena.lbd(a))
+                .then(arena.activity(a).total_cmp(&arena.activity(b)))
         });
         let n = learnts.len() / 2;
-        for &i in learnts.iter().take(n) {
-            self.clauses[i].deleted = true;
+        for &c in learnts.iter().take(n) {
+            self.arena.delete(c);
             self.stats.deleted_clauses += 1;
             if let Some(p) = self.proof.as_mut() {
-                p.push(ProofStep::Delete(self.clauses[i].lits.clone()));
+                p.push(ProofStep::Delete(self.arena.lits(c).to_vec()));
             }
         }
     }
 
-    fn is_reason(&self, clause_idx: usize) -> bool {
-        let c = &self.clauses[clause_idx];
-        let l = c.lits[0];
-        self.lit_value(l) == LBool::True
-            && self.reason[l.var().index()] == ClauseRef(clause_idx as u32)
+    fn is_reason(&self, c: ClauseRef) -> bool {
+        let l = self.arena.lits(c)[0];
+        self.lit_value(l) == LBool::True && self.reason[l.var().index()] == c
+    }
+
+    /// Tombstones every problem clause satisfied at level 0, logging a
+    /// DRAT deletion for each, then purges tombstones from the watch
+    /// lists (survivors keep their order) and clears the level-0
+    /// reasons that pointed at removed clauses. Learnt clauses stay:
+    /// `reduce_db` alone decides their fate. A satisfied clause never
+    /// propagates or conflicts, so the search is unchanged.
+    fn sweep_satisfied(&mut self) {
+        debug_assert_eq!(self.decision_level(), 0);
+        self.swept_trail = self.trail.len();
+        let (vals, proof) = (&self.vals, &mut self.proof);
+        let removed = self.arena.delete_problem_clauses(|lits| {
+            let satisfied = lits.iter().any(|&l| vals[l.index()] == LBool::True);
+            if let Some(p) = proof.as_mut().filter(|_| satisfied) {
+                p.push(ProofStep::Delete(lits.to_vec()));
+            }
+            satisfied
+        });
+        if removed == 0 {
+            return;
+        }
+        for ws in &mut self.watches {
+            ws.retain(|w| !self.arena.deleted(w.cref));
+        }
+        for l in &self.trail {
+            let r = &mut self.reason[l.var().index()];
+            if *r != INVALID_CLAUSE && self.arena.deleted(*r) {
+                *r = INVALID_CLAUSE;
+            }
+        }
     }
 
     /// Hands a freshly learned clause to the export hook when its LBD
@@ -904,7 +962,7 @@ impl Solver {
             }
             _ => {
                 let lbd = lbd.clamp(1, out.len() as u32);
-                self.attach_clause(Clause::new(out, true, lbd));
+                self.attach_clause(&out, true, lbd);
             }
         }
     }
@@ -939,6 +997,9 @@ impl Solver {
         if !self.ok {
             return SolveResult::Unsat;
         }
+        if self.trail.len() > self.swept_trail {
+            self.sweep_satisfied();
+        }
         let start = Instant::now();
         let conflict_budget = self.stats.conflicts.saturating_add(budget.max_conflicts);
         let mut restart_idx = 0u64;
@@ -950,7 +1011,9 @@ impl Solver {
             restart_idx += 1;
             match self.search(assumptions, limit, conflict_budget, start, budget.timeout) {
                 SearchOutcome::Sat => {
-                    self.model = self.assigns.clone();
+                    let vals = &self.vals;
+                    self.model.clear();
+                    self.model.extend(vals.iter().step_by(2));
                     break SolveResult::Sat;
                 }
                 SearchOutcome::Unsat => break SolveResult::Unsat,
@@ -1027,10 +1090,11 @@ impl Solver {
                     let lbd = self.compute_lbd(&learnt);
                     self.record_lbd(lbd);
                     self.export_learnt(&learnt, lbd);
-                    let cref = self.attach_clause(Clause::new(learnt, true, lbd));
+                    let cref = self.attach_clause(&learnt, true, lbd);
                     self.stats.learnt_clauses += 1;
                     self.uncheck_enqueue(asserting, cref);
                 }
+                self.learnt_buf = learnt;
                 self.var_inc /= self.config.var_decay;
                 self.cla_inc /= self.config.clause_decay;
                 if self
@@ -1078,7 +1142,7 @@ impl Solver {
                 let next = loop {
                     match self.heap.pop_max(&self.activity) {
                         None => return SearchOutcome::Sat, // everything assigned
-                        Some(v) if self.assigns[v.index()] == LBool::Undef => break v,
+                        Some(v) if self.vals[Lit::pos(v).index()] == LBool::Undef => break v,
                         Some(_) => continue,
                     }
                 };
@@ -1099,7 +1163,7 @@ impl Solver {
 
     /// Traces a conflict clause back to the assumptions that caused it.
     fn analyze_final_clause(&mut self, conf: ClauseRef, assumptions: &[Lit]) {
-        let seed: Vec<Lit> = self.clauses[conf.0 as usize].lits.clone();
+        let seed: Vec<Lit> = self.arena.lits(conf).to_vec();
         self.trace_to_assumptions(seed, assumptions, Vec::new());
     }
 
@@ -1113,8 +1177,7 @@ impl Solver {
         } else if self.reason[v] != INVALID_CLAUSE {
             // ¬failed was propagated: trace the falsified literals of
             // its reason clause back to the assumptions that set them
-            let r = self.reason[v];
-            self.clauses[r.0 as usize].lits[1..].to_vec()
+            self.arena.lits(self.reason[v])[1..].to_vec()
         } else {
             // ¬failed is itself an earlier assumption (directly
             // contradictory assumption set)
@@ -1140,8 +1203,7 @@ impl Solver {
                     out.push(!l);
                 }
             } else if self.reason[v.index()] != INVALID_CLAUSE {
-                let r = self.reason[v.index()];
-                stack.extend(self.clauses[r.0 as usize].lits.iter().copied());
+                stack.extend_from_slice(self.arena.lits(self.reason[v.index()]));
             }
         }
         self.conflict_assumptions = out;
@@ -1168,7 +1230,18 @@ impl Solver {
     /// `propagate`.
     pub fn check_invariants(&self) {
         // --- trail / assignment agreement ---
-        let assigned = self.assigns.iter().filter(|&&a| a != LBool::Undef).count();
+        for (v, pair) in self.vals.chunks(2).enumerate() {
+            assert!(
+                matches!(
+                    (pair[0], pair[1]),
+                    (LBool::Undef, LBool::Undef)
+                        | (LBool::True, LBool::False)
+                        | (LBool::False, LBool::True)
+                ),
+                "v{v}'s literal values disagree: {pair:?}"
+            );
+        }
+        let assigned = self.vals.iter().filter(|&&a| a == LBool::True).count();
         assert_eq!(
             assigned,
             self.trail.len(),
@@ -1190,10 +1263,10 @@ impl Solver {
             );
             let r = self.reason[v];
             if r != INVALID_CLAUSE {
-                let c = &self.clauses[r.0 as usize];
-                assert!(!c.deleted, "reason clause of {l:?} is deleted");
+                assert!(!self.arena.deleted(r), "reason clause of {l:?} is deleted");
                 assert_eq!(
-                    c.lits[0], l,
+                    self.arena.lits(r)[0],
+                    l,
                     "reason clause of {l:?} does not have it in slot 0"
                 );
             }
@@ -1210,66 +1283,57 @@ impl Solver {
         // --- watched-literal integrity ---
         // tracked per watch slot, not just per clause: two watchers on
         // lits[0] and none on lits[1] also totals 2
-        let mut watch_seen = vec![[false; 2]; self.clauses.len()];
+        let mut watch_seen: std::collections::HashMap<ClauseRef, [bool; 2]> =
+            self.arena.refs().map(|c| (c, [false; 2])).collect();
         for (wi, ws) in self.watches.iter().enumerate() {
             // watches[l.index()] fires when l becomes true, i.e. holds
             // the clauses currently watching ¬l
             let watched = !Lit(wi as u32);
             for w in ws {
-                assert!(
-                    (w.cref.0 as usize) < self.clauses.len(),
-                    "watcher references clause {} beyond the database",
-                    w.cref.0
-                );
-                let c = &self.clauses[w.cref.0 as usize];
-                if c.deleted {
+                let seen = watch_seen
+                    .get_mut(&w.cref)
+                    .unwrap_or_else(|| panic!("watcher references no clause: {:?}", w.cref));
+                if self.arena.deleted(w.cref) {
                     continue; // stale entries of tombstones are dropped lazily
                 }
+                let lits = self.arena.lits(w.cref);
                 assert!(
-                    c.lits[0] == watched || c.lits[1] == watched,
-                    "clause {:?} watched on {watched:?}, not one of its first two literals",
-                    c.lits
+                    lits[0] == watched || lits[1] == watched,
+                    "clause {lits:?} watched on {watched:?}, not one of its first two literals"
                 );
-                let slot = usize::from(c.lits[1] == watched);
+                let slot = usize::from(lits[1] == watched);
+                assert!(!seen[slot], "clause {lits:?} watched twice on {watched:?}");
+                seen[slot] = true;
                 assert!(
-                    !watch_seen[w.cref.0 as usize][slot],
-                    "clause {:?} watched twice on {watched:?}",
-                    c.lits
-                );
-                watch_seen[w.cref.0 as usize][slot] = true;
-                assert!(
-                    c.lits.contains(&w.blocker),
-                    "watcher blocker {:?} not in clause {:?}",
-                    w.blocker,
-                    c.lits
+                    lits.contains(&w.blocker),
+                    "watcher blocker {:?} not in clause {lits:?}",
+                    w.blocker
                 );
             }
         }
         let at_fixpoint = self.decision_level() == 0 && self.qhead == self.trail.len() && self.ok;
-        for (i, c) in self.clauses.iter().enumerate() {
-            if c.deleted {
+        for c in self.arena.refs() {
+            if self.arena.deleted(c) {
                 continue;
             }
+            let lits = self.arena.lits(c);
             assert!(
-                c.len() >= 2,
-                "live clause {:?} shorter than 2 literals",
-                c.lits
+                lits.len() >= 2,
+                "live clause {lits:?} shorter than 2 literals"
             );
             assert!(
-                watch_seen[i][0] && watch_seen[i][1],
-                "clause {:?} watched on {:?} of its first two literals",
-                c.lits,
-                watch_seen[i]
+                watch_seen[&c] == [true; 2],
+                "clause {lits:?} watched on {:?} of its first two literals",
+                watch_seen[&c]
             );
             if at_fixpoint
-                && (self.lit_value(c.lits[0]) == LBool::False
-                    || self.lit_value(c.lits[1]) == LBool::False)
+                && (self.lit_value(lits[0]) == LBool::False
+                    || self.lit_value(lits[1]) == LBool::False)
             {
                 assert!(
-                    c.lits.iter().any(|&l| self.lit_value(l) == LBool::True),
-                    "clause {:?} has a falsified watch at a level-0 fixpoint \
-                     but is not satisfied",
-                    c.lits
+                    lits.iter().any(|&l| self.lit_value(l) == LBool::True),
+                    "clause {lits:?} has a falsified watch at a level-0 fixpoint \
+                     but is not satisfied"
                 );
             }
         }
@@ -1675,6 +1739,29 @@ mod tests {
             SolveResult::Unsat
         );
         s.check_invariants();
+    }
+
+    #[test]
+    fn level0_units_sweep_satisfied_problem_clauses() {
+        // a scope as fec-smt builds it: clauses guarded by ¬g, closed
+        // by the unit ¬g; plus a clause that becomes a level-0 reason
+        let mut s = Solver::new();
+        add(&mut s, &[1, 2, 3]);
+        add(&mut s, &[-5, 6]);
+        let g = 4;
+        add(&mut s, &[-g, 1, 2]);
+        add(&mut s, &[-g, 1, 3]);
+        add(&mut s, &[-g, 2, 3]);
+        assert_eq!(s.solve(&[Lit::pos(Var::from_index(3))]), SolveResult::Sat);
+        assert_eq!(s.num_clauses(), 5);
+        add(&mut s, &[-g]);
+        add(&mut s, &[5]); // propagates 6 at level 0, its reason [-5, 6]
+        assert_eq!(s.num_clauses(), 5, "the sweep waits for the next solve");
+        assert_eq!(s.solve(&[]), SolveResult::Sat);
+        assert_eq!(s.stats().learnt_clauses, 0);
+        assert_eq!(s.num_clauses(), 1, "only [1, 2, 3] is not satisfied");
+        s.check_invariants();
+        assert_eq!(s.value(Var::from_index(5)), Some(true));
     }
 
     #[test]

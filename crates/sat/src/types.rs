@@ -119,17 +119,6 @@ pub(crate) enum LBool {
     Undef,
 }
 
-impl LBool {
-    #[inline]
-    pub(crate) fn from_bool(b: bool) -> LBool {
-        if b {
-            LBool::True
-        } else {
-            LBool::False
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

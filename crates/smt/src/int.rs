@@ -159,7 +159,7 @@ mod tests {
     fn register_linkage_counts_bits() {
         let mut s = SmtSolver::new();
         let xs: Vec<Lit> = (0..5).map(|_| s.fresh_lit()).collect();
-        let reg = s.counting_register(&xs);
+        let reg = s.counting_register(&xs, xs.len());
         let count = UnaryInt::from_register(reg);
         // force 2 of 5 true, then the integer must read 2
         s.add_clause(&[xs[0]]);

@@ -645,7 +645,7 @@ mod tests {
     /// flips a verdict.
     fn scripted_session(s: &mut SmtSolver) -> Vec<SmtResult> {
         let xs: Vec<Lit> = (0..8).map(|_| s.fresh_lit()).collect();
-        let count = crate::UnaryInt::from_register(s.counting_register(&xs));
+        let count = crate::UnaryInt::from_register(s.counting_register(&xs, xs.len()));
         count.assert_le(s, 5);
         for w in xs.windows(2) {
             s.add_clause(&[!w[0], w[1]]); // x_i → x_{i+1}
