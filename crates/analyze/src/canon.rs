@@ -8,8 +8,8 @@
 //! conjuncts, sorts the surviving conjuncts into a fixed order, and
 //! hashes the result. The hash is content-addressed: any spec equal
 //! modulo whitespace, conjunct order, redundant bounds, or foldable
-//! arithmetic maps to the same `fecspec-v1:` key — exactly what a
-//! serve-side result cache (ROADMAP item 2) needs.
+//! arithmetic maps to the same `fecspec-v1:` key, which `fecsynth
+//! analyze` prints beside the canonical form.
 //!
 //! Every rewrite that discards or tightens user-written text is
 //! reported as a typed [`Lint`] and mirrored to `fec-trace` as an

@@ -8,8 +8,8 @@
 //!   the analyzer and the synthesizer share one definition of meaning.
 //! - [`canon`] — the canonicalizer: constant folding, comparison
 //!   normalization, interval narrowing, dead-conjunct lints, and a
-//!   stable `fecspec-v1:` content hash (the cache key for ROADMAP
-//!   item 2's `fecsynth serve` result cache).
+//!   stable `fecspec-v1:` content hash, which `fecsynth analyze`
+//!   prints beside the canonical form.
 //! - [`shape`] — structural extraction of per-generator constraints
 //!   ([`ProblemShape::from_prop`]), shared with the synthesizer.
 //! - [`bounds`] — the coding-bounds feasibility engine: Singleton,
@@ -98,7 +98,7 @@ impl Analysis {
 /// extract the problem shape, and run the bounds engine per generator.
 ///
 /// `default_max_check` bounds the check-length window when the property
-/// leaves it open (the synthesizer's `default_max_check`). Verdicts are
+/// leaves it open (synthesis uses [`shape::DEFAULT_MAX_CHECK`]). Verdicts are
 /// computed at `n = len_d + check_hi` — the widest point — so an
 /// `Infeasible` verdict covers the whole window. `TriviallyFeasible`
 /// is only reported for *pure* `[n, k, d]` shapes (no pinned cells, no

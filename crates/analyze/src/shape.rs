@@ -13,6 +13,11 @@ use std::fmt;
 /// instead of analyzed for hours.
 pub const MAX_CODE_LEN: usize = 1 << 16;
 
+/// The check-length bound when a property leaves `len_c` open: the
+/// window synthesis searches and the default of `fecsynth analyze
+/// --max-check`.
+pub const DEFAULT_MAX_CHECK: usize = 14;
+
 /// A static spec error found before any solver runs.
 #[derive(Clone, PartialEq, Debug)]
 pub enum SpecError {

@@ -80,6 +80,22 @@ impl EvalContext {
             .ok_or_else(|| EvalError(format!("generator index {idx} out of range")))
     }
 
+    /// `md(G{idx})`: the pre-resolved value, else the exact distance.
+    /// Past `k = 20` the column analysis only bounds it from below,
+    /// which is an error here rather than a value.
+    fn min_distance(&self, idx: usize, g: &Generator) -> Result<usize, EvalError> {
+        if let Some(&d) = self.md_overrides.get(idx) {
+            return Ok(d);
+        }
+        match distance::min_distance(g) {
+            (d, true) => Ok(d),
+            (d, false) => Err(EvalError(format!(
+                "md(G{idx}) is only known to be ≥ {d} at k = {}",
+                g.data_len()
+            ))),
+        }
+    }
+
     /// The weighted objective `sum_w` from §3.2 constraint (6):
     /// `Σ_j w(j) · C(len_d(map(j)) + len_c(map(j)), md(map(j))) · p^md`.
     pub fn sum_w(&self) -> Result<f64, EvalError> {
@@ -95,10 +111,7 @@ impl EvalContext {
             let g = self
                 .generator(gi)
                 .map_err(|_| EvalError(format!("map({j}) = {gi} out of range")))?;
-            let md = match self.md_overrides.get(gi) {
-                Some(&d) => d,
-                None => distance::min_distance(g).0,
-            };
+            let md = self.min_distance(gi, g)?;
             total += w * choose_times_pow(g.codeword_len(), md, self.bit_error_rate);
         }
         Ok(total)
@@ -148,17 +161,8 @@ impl EvalContext {
                     GenFn::LenD => g.data_len() as i64,
                     GenFn::LenC => g.check_len() as i64,
                     GenFn::LenOnes => g.coefficient_ones() as i64,
-                    GenFn::Md => match self.md_overrides.get(gi) {
-                        Some(&d) => d as i64,
-                        None => distance::min_distance(g).0 as i64,
-                    },
-                    GenFn::Corr => {
-                        let md = match self.md_overrides.get(gi) {
-                            Some(&d) => d,
-                            None => distance::min_distance(g).0,
-                        };
-                        ((md - 1) / 2) as i64
-                    }
+                    GenFn::Md => self.min_distance(gi, g)? as i64,
+                    GenFn::Corr => ((self.min_distance(gi, g)? - 1) / 2) as i64,
                 };
                 Ok(Value::Int(v))
             }
@@ -236,6 +240,34 @@ mod tests {
         let p4 = parse_property("md(G0) = 4").unwrap();
         let ext = EvalContext::from_generators(vec![standards::hamming_extended_8_4()]);
         assert!(ext.eval_prop(&p4).unwrap());
+    }
+
+    #[test]
+    fn inexact_distance_is_an_error() {
+        // k = 21 is past exhaustive range: the column analysis of these
+        // distinct odd-weight rows proves only md ≥ 4, which must not
+        // read as md = 4 (or corr = 1)
+        let rows: Vec<String> = (0u32..64)
+            .filter(|v| matches!(v.count_ones(), 3 | 5))
+            .take(21)
+            .map(|v| format!("{v:06b}"))
+            .collect();
+        let g = Generator::from_coeff_str(&rows.join("\n")).unwrap();
+        let ctx = EvalContext::from_generators(vec![g]);
+        for src in ["md(G0) = 4", "corr(G0) = 1"] {
+            assert!(
+                ctx.eval_prop(&parse_property(src).unwrap()).is_err(),
+                "{src}"
+            );
+        }
+        // a distance resolved elsewhere (a SAT query) is read as given
+        let resolved = EvalContext {
+            md_overrides: vec![4],
+            ..ctx
+        };
+        assert!(resolved
+            .eval_prop(&parse_property("corr(G0) = 1").unwrap())
+            .unwrap());
     }
 
     #[test]

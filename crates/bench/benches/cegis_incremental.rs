@@ -1,7 +1,6 @@
-//! Incremental-CEGIS speedup on the hardest Table 1 rows, plus the
-//! warm portfolio pool on the flagship verification session.
+//! Incremental-CEGIS speedup on the hardest Table 1 rows.
 //!
-//! Part 1 replays the Table 1 `min_dist ∈ {7, 8}` optimization rows in
+//! The bench replays the Table 1 `min_dist ∈ {7, 8}` optimization rows in
 //! paper mode (`CexMode::BlockCandidate`, counterexamples not carried
 //! across bounds — thousands of CEGIS iterations) under the default
 //! incremental core, and against `fec_synth::reference::synthesize`,
@@ -9,27 +8,16 @@
 //! given a wall-clock cap for the whole run; when it times out, its
 //! elapsed time is a *lower bound* on the true cost and the recorded
 //! speedup is therefore conservative. Gate: incremental ≥ 2× on both
-//! rows.
-//!
-//! Part 2 runs the §4.1 (128,120) 802.3df minimum-distance session —
-//! one solver, one iterative-deepening weight query per distance — at
-//! `jobs = 2` through the resident warm pool, against the cold path
-//! that spawns a fresh portfolio (and re-ships the whole circuit) per
-//! weight. Gate: warm ≥ 1.0× at jobs = 2.
-//!
-//! A missed gate fails an assert, so the bench exits nonzero.
+//! rows; a missed gate fails an assert, so the bench exits nonzero.
 //!
 //! ```text
 //! cargo bench -p fec-bench --bench cegis_incremental
 //! ```
 
-use fec_hamming::standards;
-use fec_smt::Budget;
 use fec_synth::cegis::{SynthError, SynthesisConfig, Synthesizer};
 use fec_synth::encode::CexMode;
 use fec_synth::reference;
 use fec_synth::spec::parse_property;
-use fec_synth::verify::{sat_min_distance_incremental_with, sat_min_distance_with, VerifyOptions};
 use std::time::{Duration, Instant};
 
 const REPS: usize = 3;
@@ -37,9 +25,8 @@ const REPS: usize = 3;
 /// slower than the incremental core, so the bench records a capped
 /// lower bound instead of waiting minutes per rep.
 const SCRATCH_TIMEOUT: Duration = Duration::from_secs(20);
-/// The gates this bench enforces.
+/// The gate this bench enforces.
 const CEGIS_GATE: f64 = 2.0;
-const WARM_GATE: f64 = 1.0;
 
 struct Table1Row {
     min_dist: usize,
@@ -109,24 +96,11 @@ fn table1_row(min_dist: usize) -> Table1Row {
     }
 }
 
-/// Median wall time over `REPS` runs of a min-distance session.
-fn median_session(f: impl Fn() -> Option<usize>, expect: usize) -> f64 {
-    let mut secs = Vec::with_capacity(REPS);
-    for _ in 0..REPS {
-        let t = Instant::now();
-        let d = f();
-        secs.push(t.elapsed().as_secs_f64());
-        assert_eq!(d, Some(expect), "session changed the distance verdict");
-    }
-    secs.sort_by(|a, b| a.total_cmp(b));
-    secs[REPS / 2]
-}
-
 fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("incremental CEGIS bench, {REPS} reps, {cores} core(s)");
 
-    // Part 1: Table 1 min_dist = 7/8 optimization rows, paper mode.
+    // Table 1 min_dist = 7/8 optimization rows, paper mode.
     for min_dist in [7usize, 8] {
         let row = table1_row(min_dist);
         println!(
@@ -149,26 +123,5 @@ fn main() {
             row.min_dist,
             row.speedup
         );
-    }
-
-    // Part 2: warm pool vs cold spawn-per-weight on the flagship query.
-    let g = standards::ieee_8023df_128_120();
-    let expect = 3;
-    for jobs in [1usize, 2] {
-        let opts = VerifyOptions {
-            budget: Budget::unlimited(),
-            jobs,
-            ..VerifyOptions::default()
-        };
-        let cold = median_session(|| sat_min_distance_with(&g, opts).0, expect);
-        let warm = median_session(|| sat_min_distance_incremental_with(&g, opts).0, expect);
-        let speedup = cold / warm;
-        println!("  802.3df jobs={jobs}: cold {cold:.3}s, warm {warm:.3}s => {speedup:.2}x");
-        if jobs == 2 {
-            assert!(
-                speedup >= WARM_GATE,
-                "warm pool at jobs=2 is {speedup:.2}x (gate {WARM_GATE}x)"
-            );
-        }
     }
 }

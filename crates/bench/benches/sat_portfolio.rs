@@ -35,7 +35,6 @@ fn main() {
             budget: Budget::unlimited(),
             check_certificates: false,
             jobs,
-            ..VerifyOptions::default()
         };
         let mut secs = Vec::with_capacity(REPS);
         for _ in 0..REPS {
@@ -62,7 +61,6 @@ fn main() {
         budget: Budget::unlimited(),
         check_certificates: true,
         jobs: 4,
-        ..VerifyOptions::default()
     };
     let (outcome, stats) = verify_min_distance_at_least_with(&g, 3, opts);
     assert_eq!(outcome, VerifyOutcome::Holds);

@@ -40,7 +40,6 @@ fn main() {
         budget: Budget::unlimited(),
         check_certificates: check_proofs,
         jobs,
-        ..VerifyOptions::default()
     };
     let g = standards::ieee_8023df_128_120();
     println!(

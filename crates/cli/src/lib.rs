@@ -352,9 +352,7 @@ pub fn setup_trace(args: &[String]) -> Result<bool, String> {
                 .ok_or_else(|| format!("bad --progress interval {v:?} (milliseconds)"))?,
             _ => 1_000, // bare --progress: 1s heartbeat
         };
-        config = config
-            .progress_every(Duration::from_millis(every_ms))
-            .progress_tty(true);
+        config = config.progress_every(Duration::from_millis(every_ms));
         if let Some(v) = stall_ms {
             let ms = v
                 .parse::<u64>()
@@ -417,7 +415,12 @@ fn cmd_analyze(args: &[String], out: &mut String, err: &mut String) -> i32 {
     let Some(spec) = args.get(1).filter(|s| !s.starts_with("--")) else {
         return usage(err, "analyze: missing property argument");
     };
-    let max_check = match parse_bounded(args, "max-check", 14, 1..=64) {
+    let max_check = match parse_bounded(
+        args,
+        "max-check",
+        fec_analyze::shape::DEFAULT_MAX_CHECK,
+        1..=64,
+    ) {
         Ok(v) => v,
         Err(e) => return usage(err, &e),
     };
@@ -550,7 +553,6 @@ fn cmd_verify(args: &[String], out: &mut String, err: &mut String) -> i32 {
         budget: Budget::unlimited(),
         check_certificates: has_flag(args, "check-proofs"),
         jobs,
-        ..VerifyOptions::default()
     };
     let (outcome, stats) = verify_props_with(&[g], &prop, opts);
     if opts.check_certificates {
@@ -1248,6 +1250,20 @@ mod tests {
         let (code, out, _) = run(&argv(&["verify", "md(G0) = 4", "--coeff", coeff]));
         assert_eq!(code, 1);
         assert!(out.contains("FAILS"));
+    }
+
+    #[test]
+    fn verify_resolves_corr_beyond_exhaustive_range() {
+        // a [32, 21] code with md 5: corr = 2 must be decided by SAT,
+        // not by the k > 20 column analysis that stops at md ≥ 4
+        let coeff = "10010100010/00101001111/01011010001/00101010110/11001100000/\
+                     11111001000/11010111000/10100010101/00110011000/10001010100/\
+                     10100001110/01001110111/01011011010/11100000011/11000110010/\
+                     10011111101/01010001001/01010110101/11011100110/11000011100/\
+                     01100111011";
+        let (code, out, err) = run(&argv(&["verify", "corr(G0) = 2", "--coeff", coeff]));
+        assert_eq!(code, 0, "{out}{err}");
+        assert!(out.contains("HOLDS"), "{out}");
     }
 
     #[test]

@@ -21,10 +21,9 @@
 //! single assumption `¬weight[d − 1]` beside the candidate pins.
 
 use crate::encode::{CexMode, SymbolicGenerator};
-use crate::obs;
 use crate::spec::Prop;
 use fec_analyze::bounds;
-use fec_analyze::shape::SpecError;
+use fec_analyze::shape::{SpecError, DEFAULT_MAX_CHECK};
 use fec_gf2::BitVec;
 use fec_hamming::Generator;
 use fec_smt::{Budget, Lit, PortfolioConfig, SmtResult, SmtSolver};
@@ -43,8 +42,6 @@ pub struct SynthesisConfig {
     pub timeout: Duration,
     /// Counterexample generalization mode (ablation axis).
     pub cex_mode: CexMode,
-    /// Upper bound on check bits when the property gives none.
-    pub default_max_check: usize,
     /// Keep counterexamples across optimization bounds (sound in both
     /// modes; the paper re-derives them per bound — set `false` for
     /// paper-faithful behaviour).
@@ -60,13 +57,6 @@ pub struct SynthesisConfig {
     /// default) is one inline worker per solver, the plain incremental
     /// solver (the CLI's `--jobs N`).
     pub jobs: usize,
-    /// Per-run cap on trace emission from this synthesis: a record is
-    /// emitted only if its level is within both this cap *and* the
-    /// globally installed `fec-trace` sink level. The default
-    /// (`Level::Trace`) defers entirely to the global level; set
-    /// `Level::Off` to silence one run (e.g. a bench baseline) while
-    /// tracing stays installed.
-    pub trace: fec_trace::Level,
     /// Run the `fec-analyze` coding-bounds gate before building any
     /// solver: parameter points the bounds refute return `NoSolution`
     /// instantly (with the certificate on the trace), minimize-check
@@ -82,11 +72,9 @@ impl Default for SynthesisConfig {
         SynthesisConfig {
             timeout: Duration::from_secs(120),
             cex_mode: CexMode::DataWord,
-            default_max_check: 14,
             persist_counterexamples: true,
             check_certificates: false,
             jobs: 1,
-            trace: fec_trace::Level::Trace,
             static_analysis: true,
         }
     }
@@ -229,10 +217,11 @@ impl Synthesizer {
         self.run_shape(&shape)
     }
 
-    /// The structural constraints of a parsed property.
+    /// The structural constraints of a parsed property; an open check
+    /// window ends at [`DEFAULT_MAX_CHECK`].
     pub(crate) fn shape_of(&self, prop: &Prop) -> Result<ProblemShape, SynthError> {
         crate::spec::typecheck(prop).map_err(|e| SynthError::Unsupported(e.to_string()))?;
-        let shape = ProblemShape::from_prop(prop, self.config.default_max_check)?;
+        let shape = ProblemShape::from_prop(prop, DEFAULT_MAX_CHECK)?;
         Ok(shape)
     }
 
@@ -248,15 +237,12 @@ impl Synthesizer {
     pub fn run_shape(&mut self, shape: &ProblemShape) -> Result<SynthesisResult, SynthError> {
         let start = Instant::now();
         let deadline = start + self.config.timeout;
-        let _run = obs::span(
-            self.config.trace,
+        let _run = fec_trace::span!(
             Level::Info,
             "cegis.run",
-            &[
-                ("generators", shape.gens.len().into()),
-                ("optimizing", shape.objective.is_some().into()),
-                ("jobs", self.config.jobs.into()),
-            ],
+            "generators" => shape.gens.len(),
+            "optimizing" => shape.objective.is_some(),
+            "jobs" => self.config.jobs,
         );
         let shape = self.prepare(shape)?;
         let mut state = self.build(&shape);
@@ -303,21 +289,11 @@ impl Synthesizer {
                 };
                 // Algorithm 1 line 2: canBeFurtherOptimized
                 while (last - bound) * step >= 0 {
-                    obs::event(
-                        self.config.trace,
-                        Level::Info,
-                        "synth.bound",
-                        &[("bound", bound.into())],
-                    );
+                    fec_trace::event!(Level::Info, "synth.bound", "bound" => bound);
                     match cegis_at(Some((obj, bound)), &mut iterations) {
                         CegisOutcome::Found(gens) => {
                             let achieved = objective_value(&gens, obj, bound);
-                            obs::event(
-                                self.config.trace,
-                                Level::Info,
-                                "synth.optimum",
-                                &[("value", achieved.into())],
-                            );
+                            fec_trace::event!(Level::Info, "synth.optimum", "value" => achieved);
                             intermediates.push((achieved, gens.clone()));
                             best = Some(gens);
                             // o.success(): tighten past the achieved value
@@ -337,16 +313,13 @@ impl Synthesizer {
             }
         }
         let generators = best.ok_or(SynthError::NoSolution)?;
-        obs::event(
-            self.config.trace,
+        fec_trace::event!(
             Level::Info,
             "cegis.done",
-            &[
-                ("iterations", iterations.into()),
-                ("intermediates", intermediates.len().into()),
-                ("optimal", optimal.into()),
-                ("elapsed_us", (start.elapsed().as_micros() as u64).into()),
-            ],
+            "iterations" => iterations,
+            "intermediates" => intermediates.len(),
+            "optimal" => optimal,
+            "elapsed_us" => start.elapsed().as_micros() as u64,
         );
         Ok(SynthesisResult {
             generators,
@@ -386,7 +359,7 @@ impl Synthesizer {
         let mut syms = Vec::with_capacity(shape.gens.len());
         for gs in &shape.gens {
             let sym = SymbolicGenerator::new(&mut syn, gs.data_len, gs.check_hi);
-            sym.len_c().assert_ge(&mut syn, gs.check_lo);
+            syn.constrain_register_at_least(sym.len_c(), gs.check_lo);
             for &(r, c, v) in &gs.pinned_cells {
                 let lit = sym.cell(r, c);
                 syn.add_clause(&[if v { lit } else { !lit }]);
@@ -452,15 +425,12 @@ impl Synthesizer {
         for (i, g) in shape.gens.iter().enumerate() {
             let n = g.data_len + g.check_hi;
             if let Some(cert) = bounds::refute(n, g.data_len, g.min_distance) {
-                obs::event(
-                    self.config.trace,
+                fec_trace::event!(
                     Level::Info,
                     "analyze.infeasible",
-                    &[
-                        ("generator", i.into()),
-                        ("bound", cert.bound.into()),
-                        ("certificate", cert.to_string().into()),
-                    ],
+                    "generator" => i,
+                    "bound" => cert.bound,
+                    "certificate" => cert.to_string(),
                 );
                 return Err(SynthError::NoSolution);
             }
@@ -482,15 +452,12 @@ impl Synthesizer {
             return; // whole window refuted — static_gate already fired
         };
         if r > g.check_lo {
-            obs::event(
-                self.config.trace,
+            fec_trace::event!(
                 Level::Info,
                 "analyze.clamp",
-                &[
-                    ("generator", i.into()),
-                    ("check_lo", g.check_lo.into()),
-                    ("clamped_to", r.into()),
-                ],
+                "generator" => i,
+                "check_lo" => g.check_lo,
+                "clamped_to" => r,
             );
             g.check_lo = r;
         }
@@ -517,11 +484,11 @@ impl Synthesizer {
             Objective::MaxDistance(_) => {
                 let d_hi = self.max_distance(g);
                 if self.config.static_analysis {
-                    obs::event(
-                        self.config.trace,
+                    fec_trace::event!(
                         Level::Info,
                         "analyze.clamp",
-                        &[("generator", i.into()), ("d_hi", d_hi.into())],
+                        "generator" => i,
+                        "d_hi" => d_hi,
                     );
                 }
                 (g.min_distance.max(1), d_hi)
@@ -548,8 +515,8 @@ impl Synthesizer {
     pub(crate) fn assert_bound(&self, state: &mut SynthState, obj: Objective, bound: i64) {
         let (syn, b) = (&mut state.syn, bound as usize);
         match obj {
-            Objective::MinCheckLen(i) => state.syms[i].len_c().assert_le(syn, b),
-            Objective::MaxCheckLen(i) => state.syms[i].len_c().assert_ge(syn, b),
+            Objective::MinCheckLen(i) => syn.constrain_register_at_most(state.syms[i].len_c(), b),
+            Objective::MaxCheckLen(i) => syn.constrain_register_at_least(state.syms[i].len_c(), b),
             Objective::MinOnes(_) => syn.constrain_register_at_most(&state.ones, b),
             Objective::MaxOnes(_) => syn.constrain_register_at_least(&state.ones, b),
             Objective::MaxDistance(_) => {}
@@ -576,19 +543,14 @@ impl Synthesizer {
             }
             let budget = Budget::with_timeout(deadline - now);
             *iterations += 1;
-            obs::counter(self.config.trace, Level::Info, "cegis.iterations", 1);
+            fec_trace::counter!(Level::Info, "cegis.iterations", 1);
             // each iteration is forward progress for the watchdog
             fec_trace::advance();
             let iter_start = Instant::now();
             let synth_verdict = {
                 // "cegis.synth" vs "cegis.verify" span totals in the
                 // metrics report give the synthesis/verification split
-                let _sp = obs::span(
-                    self.config.trace,
-                    Level::Info,
-                    "cegis.synth",
-                    &[("iteration", (*iterations).into())],
-                );
+                let _sp = fec_trace::span!(Level::Info, "cegis.synth", "iteration" => *iterations);
                 state.syn.solve_with_budget(&[], budget)
             };
             let synth_us = iter_start.elapsed().as_micros() as u64;
@@ -599,12 +561,7 @@ impl Synthesizer {
             }
             let candidates: Vec<Generator> =
                 state.syms.iter().map(|s| s.extract(&state.syn)).collect();
-            obs::event(
-                self.config.trace,
-                Level::Debug,
-                "cegis.candidate",
-                &[("iteration", (*iterations).into())],
-            );
+            fec_trace::event!(Level::Debug, "cegis.candidate", "iteration" => *iterations);
             let mut all_verified = true;
             let mut cex_this_iter = 0u64;
             let mut verify_us = 0u64;
@@ -624,12 +581,7 @@ impl Synthesizer {
                 }
                 let verify_started = Instant::now();
                 let verify_verdict = {
-                    let _sp = obs::span(
-                        self.config.trace,
-                        Level::Info,
-                        "cegis.verify",
-                        &[("generator", i.into())],
-                    );
+                    let _sp = fec_trace::span!(Level::Info, "cegis.verify", "generator" => i);
                     ver.solver.solve_with_budget(&assumptions, budget)
                 };
                 verify_us += verify_started.elapsed().as_micros() as u64;
@@ -639,7 +591,7 @@ impl Synthesizer {
                     SmtResult::Sat => {
                         all_verified = false;
                         cex_this_iter += 1;
-                        obs::counter(self.config.trace, Level::Info, "cegis.counterexamples", 1);
+                        fec_trace::counter!(Level::Info, "cegis.counterexamples", 1);
                         // both kinds are sound for every later bound (a
                         // maximal(md) bound only grows), so with
                         // persistence they go to the root
@@ -672,20 +624,17 @@ impl Synthesizer {
             // candidates were synthesized, how many counterexamples
             // came back, and where the time went (synth vs verify)
             let iter_us = iter_start.elapsed().as_micros() as u64;
-            obs::event(
-                self.config.trace,
+            fec_trace::event!(
                 Level::Debug,
                 "cegis.iteration",
-                &[
-                    ("iteration", (*iterations).into()),
-                    ("candidates", candidates.len().into()),
-                    ("counterexamples", cex_this_iter.into()),
-                    ("synth_us", synth_us.into()),
-                    ("verify_us", verify_us.into()),
-                    ("iter_us", iter_us.into()),
-                ],
+                "iteration" => *iterations,
+                "candidates" => candidates.len(),
+                "counterexamples" => cex_this_iter,
+                "synth_us" => synth_us,
+                "verify_us" => verify_us,
+                "iter_us" => iter_us,
             );
-            obs::hist(self.config.trace, Level::Debug, "cegis.iter_us", iter_us);
+            fec_trace::hist!(Level::Debug, "cegis.iter_us", iter_us);
             if all_verified {
                 return CegisOutcome::Found(candidates);
             }
@@ -887,7 +836,7 @@ mod tests {
             "len_d(G0) = 4 && 2 <= len_c(G0) <= 14 && corr(G0) >= 2 && minimal(len_c(G0))",
         )
         .unwrap();
-        let shape = ProblemShape::from_prop(&p, quick_config().default_max_check).unwrap();
+        let shape = ProblemShape::from_prop(&p, DEFAULT_MAX_CHECK).unwrap();
         assert_eq!(shape.gens[0].min_distance, 5);
         let r = Synthesizer::new(quick_config()).run(&p).unwrap();
         let g = &r.generators[0];

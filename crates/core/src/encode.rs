@@ -14,7 +14,7 @@
 
 use fec_gf2::{BitMatrix, BitVec};
 use fec_hamming::Generator;
-use fec_smt::{Lit, SmtSolver, UnaryInt};
+use fec_smt::{Lit, SmtSolver};
 
 /// How CEGIS turns a failed candidate into new synthesizer constraints.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -37,8 +37,8 @@ pub struct SymbolicGenerator {
     max_check: usize,
     /// `cells[y][x]`: coefficient bit at row `y`, check column `x`.
     cells: Vec<Vec<Lit>>,
-    /// Unary check length; its register doubles as column-activity bits.
-    len_c: UnaryInt,
+    /// Column-activity bits: `col_active[j]` ⟺ `len_c ≥ j + 1`, so
+    /// they are also the unary register of the check length.
     col_active: Vec<Lit>,
 }
 
@@ -66,7 +66,6 @@ impl SymbolicGenerator {
             data_len,
             max_check,
             cells,
-            len_c: UnaryInt::from_register(col_active.clone()),
             col_active,
         }
     }
@@ -81,9 +80,11 @@ impl SymbolicGenerator {
         self.max_check
     }
 
-    /// The symbolic check length.
-    pub fn len_c(&self) -> &UnaryInt {
-        &self.len_c
+    /// The symbolic check length as a unary register: `len_c()[j]`
+    /// holds iff `len_c ≥ j + 1`. Bound it with
+    /// `SmtSolver::constrain_register_at_most`/`_at_least`.
+    pub fn len_c(&self) -> &[Lit] {
+        &self.col_active
     }
 
     /// The coefficient cell literal at `(row, col)`.
@@ -98,7 +99,8 @@ impl SymbolicGenerator {
 
     /// Reads the concrete generator out of a satisfying model.
     pub fn extract(&self, s: &SmtSolver) -> Generator {
-        let c = self.len_c.model_value(s).max(1);
+        let active = self.col_active.iter().take_while(|&&a| s.model_lit(a));
+        let c = active.count().max(1);
         let mut p = BitMatrix::zeros(self.data_len, c);
         for y in 0..self.data_len {
             for x in 0..c {
@@ -209,6 +211,12 @@ mod tests {
     use fec_hamming::{distance, standards};
     use fec_smt::SmtResult;
 
+    /// Pins the symbolic check length to `c`.
+    fn fix_len_c(s: &mut SmtSolver, sym: &SymbolicGenerator, c: usize) {
+        s.constrain_register_at_least(sym.len_c(), c);
+        s.constrain_register_at_most(sym.len_c(), c);
+    }
+
     #[test]
     fn extract_round_trips_a_pinned_candidate() {
         let mut s = SmtSolver::new();
@@ -227,7 +235,7 @@ mod tests {
         let mut s = SmtSolver::new();
         let sym = SymbolicGenerator::new(&mut s, 3, 4);
         // force len_c = 2 and a cell in column 3 — must be unsat
-        sym.len_c().assert_eq(&mut s, 2);
+        fix_len_c(&mut s, &sym, 2);
         s.add_clause(&[sym.cell(0, 3)]);
         assert_eq!(s.solve(&[]), SmtResult::Unsat);
     }
@@ -236,7 +244,7 @@ mod tests {
     fn blocking_clause_excludes_exactly_that_candidate() {
         let mut s = SmtSolver::new();
         let sym = SymbolicGenerator::new(&mut s, 4, 3);
-        sym.len_c().assert_eq(&mut s, 3);
+        fix_len_c(&mut s, &sym, 3);
         let g = standards::hamming_7_4();
         let clause = sym.blocking_clause(&s, &g);
         s.add_clause(&clause);
@@ -299,7 +307,7 @@ mod tests {
     fn dataword_counterexample_prunes_offending_matrices() {
         let mut s = SmtSolver::new();
         let sym = SymbolicGenerator::new(&mut s, 3, 3);
-        sym.len_c().assert_eq(&mut s, 3);
+        fix_len_c(&mut s, &sym, 3);
         // counterexample: data word 100 must map to weight ≥ 3 codeword,
         // so row 0 of P needs weight ≥ 2
         let x = BitVec::from_bitstring("100").unwrap();
@@ -318,7 +326,7 @@ mod tests {
         // (6,3) code with md = 3
         let mut syn = SmtSolver::new();
         let sym_s = SymbolicGenerator::new(&mut syn, 3, 3);
-        sym_s.len_c().assert_eq(&mut syn, 3);
+        fix_len_c(&mut syn, &sym_s, 3);
         let mut ver = SmtSolver::new();
         let sym_v = SymbolicGenerator::new(&mut ver, 3, 3);
         let (xs, weight) = sym_v.assert_distance_violation(&mut ver, 3);

@@ -43,7 +43,6 @@
 
 pub mod cegis;
 pub mod encode;
-mod obs;
 pub mod reference;
 pub mod verify;
 pub mod weights;

@@ -8,8 +8,7 @@
 //! (128,120) code this way), plus full property checking where `md`
 //! sub-expressions are resolved by those queries.
 
-use crate::obs;
-use crate::spec::{EvalContext, Prop};
+use crate::spec::{typecheck, EvalContext, Prop};
 use fec_gf2::BitVec;
 use fec_hamming::Generator;
 use fec_smt::{Budget, Lit, PortfolioConfig, SmtResult, SmtSolver};
@@ -94,12 +93,6 @@ pub struct VerifyOptions {
     /// default) is one inline worker, the plain incremental solver.
     /// This is the CLI's `--jobs N` mode.
     pub jobs: usize,
-    /// Per-run trace cap: emission from this run is limited to
-    /// `min(trace, global level)`. The default (`Level::Trace`) defers
-    /// entirely to the globally installed sink level; `Level::Off`
-    /// silences this run even when tracing is on (used by the A/B
-    /// overhead bench).
-    pub trace: Level,
 }
 
 impl Default for VerifyOptions {
@@ -108,7 +101,6 @@ impl Default for VerifyOptions {
             budget: Budget::unlimited(),
             check_certificates: false,
             jobs: 1,
-            trace: Level::Trace,
         }
     }
 }
@@ -149,16 +141,13 @@ pub fn has_codeword_of_weight_at_most_with(
     opts: VerifyOptions,
 ) -> (SmtResult, Option<BitVec>, VerifyStats) {
     let start = Instant::now();
-    let _sp = obs::span(
-        opts.trace,
+    let _sp = fec_trace::span!(
         Level::Info,
         "verify.query",
-        &[
-            ("weight", w.into()),
-            ("data_len", g.data_len().into()),
-            ("check_len", g.check_len().into()),
-            ("jobs", opts.jobs.into()),
-        ],
+        "weight" => w,
+        "data_len" => g.data_len(),
+        "check_len" => g.check_len(),
+        "jobs" => opts.jobs,
     );
     let mut s = opts.solver();
     let k = g.data_len();
@@ -190,23 +179,16 @@ pub fn has_codeword_of_weight_at_most_with(
         })
         .into_iter()
         .collect();
-    obs::event(
-        opts.trace,
+    fec_trace::event!(
         Level::Info,
         "verify.verdict",
-        &[
-            ("weight", w.into()),
-            (
-                "result",
-                match result {
-                    SmtResult::Sat => "sat",
-                    SmtResult::Unsat => "unsat",
-                    SmtResult::Unknown => "unknown",
-                }
-                .into(),
-            ),
-            ("conflicts", s.stats().conflicts.into()),
-        ],
+        "weight" => w,
+        "result" => match result {
+            SmtResult::Sat => "sat",
+            SmtResult::Unsat => "unsat",
+            SmtResult::Unknown => "unknown",
+        },
+        "conflicts" => s.stats().conflicts,
     );
     let stats = VerifyStats {
         elapsed: start.elapsed(),
@@ -308,14 +290,11 @@ pub fn sat_min_distance(g: &Generator, budget: Budget) -> (Option<usize>, Verify
 
 /// [`sat_min_distance`] with full [`VerifyOptions`].
 pub fn sat_min_distance_with(g: &Generator, opts: VerifyOptions) -> (Option<usize>, VerifyStats) {
-    let _sp = obs::span(
-        opts.trace,
+    let _sp = fec_trace::span!(
         Level::Info,
         "verify.min_distance",
-        &[
-            ("data_len", g.data_len().into()),
-            ("check_len", g.check_len().into()),
-        ],
+        "data_len" => g.data_len(),
+        "check_len" => g.check_len(),
     );
     let mut stats = VerifyStats::default();
     for w in 1..=g.codeword_len() {
@@ -330,95 +309,9 @@ pub fn sat_min_distance_with(g: &Generator, opts: VerifyOptions) -> (Option<usiz
     (None, stats)
 }
 
-/// [`sat_min_distance`], incrementally: the φ_md circuit *and* a
-/// single unary counting register over the codeword bits are encoded
-/// once, and every iterative-deepening weight bound is then just one
-/// assumption (`weight ≤ w` ⟺ `¬reg[w]`). Queries after the first ship
-/// zero clauses, so the solver's learned clauses, branching
-/// activities, and saved phases carry over undisturbed — and with
-/// `opts.jobs > 1` the whole session runs on one resident warm
-/// portfolio pool, instead of spawning (and re-shipping the circuit
-/// to) a fresh portfolio per weight.
-pub fn sat_min_distance_incremental_with(
-    g: &Generator,
-    opts: VerifyOptions,
-) -> (Option<usize>, VerifyStats) {
-    let start = Instant::now();
-    let _sp = obs::span(
-        opts.trace,
-        Level::Info,
-        "verify.min_distance_incremental",
-        &[
-            ("data_len", g.data_len().into()),
-            ("check_len", g.check_len().into()),
-            ("jobs", opts.jobs.into()),
-        ],
-    );
-    let mut s = opts.solver();
-    let k = g.data_len();
-    let xs: Vec<Lit> = (0..k).map(|_| s.fresh_lit()).collect();
-    s.add_clause(&xs); // non-zero data word
-    let mut all = xs.clone();
-    for j in 0..g.check_len() {
-        let selected: Vec<Lit> = (0..k)
-            .filter(|&y| g.coefficients().get(y, j))
-            .map(|y| xs[y])
-            .collect();
-        let parity = s.xor_all(&selected);
-        all.push(parity);
-    }
-    // reg[j] ⟺ at least j+1 codeword bits are true. The lightest
-    // row's codeword bounds the distance, so the loop below stops by
-    // that weight and the register need count no further.
-    let lightest = (0..k)
-        .map(|y| 1 + g.coefficients().row(y).count_ones())
-        .min()
-        .unwrap_or(all.len());
-    let reg = s.counting_register(&all, lightest + 1);
-    let mut answer = None;
-    let mut portfolio = Vec::new();
-    for w in 1..=g.codeword_len() {
-        let assumptions: Vec<Lit> = (w < reg.len()).then(|| !reg[w]).into_iter().collect();
-        let r = s.solve_with_budget(&assumptions, opts.budget);
-        if let Some(run) = s.last_portfolio() {
-            portfolio.push(PortfolioRunSummary {
-                workers: run.workers.len(),
-                winner: run.winner,
-                per_worker_conflicts: run.workers.iter().map(|w| w.conflicts).collect(),
-                exported: run.total.exported_clauses,
-                imported: run.total.imported_clauses,
-                rejected: run.total.rejected_clauses,
-            });
-        }
-        match r {
-            SmtResult::Sat => {
-                answer = Some(w);
-                break;
-            }
-            SmtResult::Unknown => break,
-            // every codeword is heavier than w: a fact from here on
-            SmtResult::Unsat => {
-                s.add_clause(&[reg[w]]);
-            }
-        }
-    }
-    let cert = s.certificate_stats().unwrap_or_default();
-    let stats = VerifyStats {
-        elapsed: start.elapsed(),
-        conflicts: s.stats().conflicts,
-        propagations: s.stats().propagations,
-        solve_calls: s.stats().solve_calls,
-        lemmas_checked: cert.lemmas_checked,
-        models_validated: cert.models_validated,
-        unsat_certified: cert.unsat_certified,
-        portfolio,
-    };
-    (answer, stats)
-}
-
 /// Verifies an arbitrary property of concrete generators, resolving
-/// `md(Gi)` sub-expressions with SAT queries (so it works for codes far
-/// beyond exhaustive range, like (128,120)).
+/// `md(Gi)` and `corr(Gi)` sub-expressions with SAT queries (so it
+/// works for codes far beyond exhaustive range, like (128,120)).
 ///
 /// `minimal`/`maximal` directives are ignored, as in the paper's
 /// verifier mode.
@@ -444,10 +337,10 @@ pub fn verify_props_with(
     opts: VerifyOptions,
 ) -> (VerifyOutcome, VerifyStats) {
     let mut stats = VerifyStats::default();
-    // Resolve every generator's md up front if the property mentions md.
-    let needs_md = format!("{prop}").contains("md(");
+    // resolve every generator's md up front if the property reads some
+    // md(Gi) or corr(Gi), or may (an ill-typed one: eval reports it)
     let mut ctx = EvalContext::from_generators(generators.to_vec());
-    if needs_md {
+    if typecheck(prop).map_or(true, |summary| summary.uses_distance) {
         let mut mds = Vec::with_capacity(generators.len());
         for g in generators {
             let (md, s) = sat_min_distance_with(g, opts);
@@ -506,50 +399,6 @@ mod tests {
             let (sat, _) = sat_min_distance(&g, Budget::unlimited());
             assert_eq!(sat, Some(exhaustive), "{g:?}");
         }
-    }
-
-    #[test]
-    fn incremental_min_distance_agrees_with_oneshot() {
-        // the warm single-solver session and the warm-pool session must
-        // both match the fresh-solver-per-weight reference
-        for g in [
-            standards::hamming_7_4(),
-            standards::hamming_extended_8_4(),
-            standards::parity_code(12),
-            standards::paper_g4_5(),
-        ] {
-            let (expected, _) = sat_min_distance(&g, Budget::unlimited());
-            let (warm, stats) = sat_min_distance_incremental_with(&g, VerifyOptions::default());
-            assert_eq!(warm, expected, "{g:?}");
-            assert!(stats.solve_calls >= expected.unwrap() as u64);
-            let pooled = VerifyOptions {
-                jobs: 2,
-                ..VerifyOptions::default()
-            };
-            let (warm_pool, stats) = sat_min_distance_incremental_with(&g, pooled);
-            assert_eq!(warm_pool, expected, "pooled {g:?}");
-            // every weight query went through the resident pool
-            assert_eq!(stats.portfolio.len(), expected.unwrap());
-            for run in &stats.portfolio {
-                assert_eq!(run.workers, 2);
-            }
-        }
-    }
-
-    #[test]
-    fn certified_incremental_min_distance() {
-        // stitched per-query DRAT segments keep the warm session
-        // certifiable: each UNSAT weight bound carries a certificate
-        let g = standards::hamming_7_4();
-        let opts = VerifyOptions {
-            check_certificates: true,
-            jobs: 2,
-            ..VerifyOptions::default()
-        };
-        let (d, stats) = sat_min_distance_incremental_with(&g, opts);
-        assert_eq!(d, Some(3));
-        assert!(stats.unsat_certified >= 2, "{stats:?}");
-        assert!(stats.models_validated >= 1, "{stats:?}");
     }
 
     #[test]

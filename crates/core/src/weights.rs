@@ -35,7 +35,6 @@
 //! each matrix sub-run gets only the time that is left.
 
 use crate::cegis::{GenShape, ProblemShape, SynthError, SynthesisConfig, Synthesizer};
-use crate::obs;
 use fec_hamming::robustness::choose_times_pow;
 use fec_hamming::Generator;
 use fec_trace::Level;
@@ -123,12 +122,12 @@ pub fn synthesize_weighted(
                 )?),
             };
             let Some(g) = matrix else {
-                trace_split(config, &counts, sum_w, &format!("infeasible G{i}"));
+                trace_split(&counts, sum_w, &format!("infeasible G{i}"));
                 continue 'vectors;
             };
             generators.push(g.clone());
         }
-        trace_split(config, &counts, sum_w, "chosen");
+        trace_split(&counts, sum_w, "chosen");
         return Ok(WeightedResult {
             generators,
             map,
@@ -229,17 +228,13 @@ fn synthesize_matrix(
 }
 
 /// One `synth.split` event per visited count vector.
-fn trace_split(config: &SynthesisConfig, counts: &[usize], sum_w: f64, outcome: &str) {
-    let counts: Vec<String> = counts.iter().map(usize::to_string).collect();
-    obs::event(
-        config.trace,
+fn trace_split(counts: &[usize], sum_w: f64, outcome: &str) {
+    fec_trace::event!(
         Level::Info,
         "synth.split",
-        &[
-            ("counts", counts.join("/").into()),
-            ("sum_w", sum_w.into()),
-            ("outcome", outcome.into()),
-        ],
+        "counts" => counts.iter().map(usize::to_string).collect::<Vec<_>>().join("/"),
+        "sum_w" => sum_w,
+        "outcome" => outcome,
     );
 }
 

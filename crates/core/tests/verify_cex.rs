@@ -135,3 +135,26 @@ fn at_least_failure_witness_matches_encode() {
     };
     assert_valid_witness(&g, &x, exhaustive + 1);
 }
+
+/// A [32, 21] code with md 5: past the k ≤ 20 window where
+/// `distance::min_distance` is exact.
+const K21_MD5: &str = "10010100010/00101001111/01011010001/00101010110/11001100000/\
+11111001000/11010111000/10100010101/00110011000/10001010100/10100001110/\
+01001110111/01011011010/11100000011/11000110010/10011111101/01010001001/\
+01010110101/11011100110/11000011100/01100111011";
+
+#[test]
+fn corr_resolves_by_sat_beyond_exhaustive_range() {
+    // `corr` alone must trigger the SAT distance queries: the column
+    // analysis for k > 20 only knows md ≥ 4, which would read as
+    // corr = 1
+    let g = fec_hamming::Generator::from_coeff_str(&K21_MD5.replace('/', "\n")).unwrap();
+    assert_eq!(g.data_len(), 21);
+    assert_eq!(fec_hamming::distance::min_distance_exhaustive(&g), 5);
+    let holds = parse_property("corr(G0) = 2").unwrap();
+    let (o, _) = verify_props(std::slice::from_ref(&g), &holds, Budget::unlimited());
+    assert_eq!(o, VerifyOutcome::Holds);
+    let fails = parse_property("corr(G0) = 3").unwrap();
+    let (o, _) = verify_props(&[g], &fails, Budget::unlimited());
+    assert_eq!(o, VerifyOutcome::Fails { witness: None });
+}

@@ -52,8 +52,6 @@ use fec_sat::{PhaseInit, RestartPolicy, SolverConfig};
 pub struct PortfolioConfig {
     /// Number of workers. `1` means plain single-threaded solving.
     pub jobs: usize,
-    /// Base seed; worker `i` derives its own seed from it.
-    pub seed: u64,
     /// Log a DRAT stream in every worker and return each worker's new
     /// steps with every query.
     pub certify: bool,
@@ -63,7 +61,6 @@ impl Default for PortfolioConfig {
     fn default() -> Self {
         PortfolioConfig {
             jobs: 1,
-            seed: 0,
             certify: false,
         }
     }
@@ -80,7 +77,7 @@ impl PortfolioConfig {
 }
 
 /// The diversification schedule: the solver configuration of worker
-/// `worker` under base seed `seed`.
+/// `worker`.
 ///
 /// Worker 0 always runs the stock default configuration, so a 1-job
 /// portfolio is exactly the plain solver. Workers 1.. cycle through six
@@ -88,20 +85,18 @@ impl PortfolioConfig {
 /// polarity × tie-break randomization) with per-worker seeds, repeating
 /// with different seeds past worker 6 — more workers never repeat an
 /// identical search.
-pub fn diversify(worker: usize, seed: u64) -> SolverConfig {
+pub fn diversify(worker: usize) -> SolverConfig {
     // distinct, deterministic per-worker seed (splitmix-style mixing)
-    let wseed =
-        (seed ^ (worker as u64).wrapping_mul(0x9E3779B97F4A7C15)).wrapping_add(0xD1B54A32D192ED03);
-    if worker == 0 {
-        return SolverConfig {
-            seed: wseed,
-            ..SolverConfig::default()
-        };
-    }
+    let wseed = (worker as u64)
+        .wrapping_mul(0x9E3779B97F4A7C15)
+        .wrapping_add(0xD1B54A32D192ED03);
     let base = SolverConfig {
         seed: wseed,
         ..SolverConfig::default()
     };
+    if worker == 0 {
+        return base;
+    }
     match (worker - 1) % 6 {
         0 => SolverConfig {
             // deep dives: slow geometric restarts
@@ -162,7 +157,7 @@ mod tests {
 
     #[test]
     fn worker_zero_is_stock_config() {
-        let c = diversify(0, 7);
+        let c = diversify(0);
         let d = SolverConfig::default();
         assert_eq!(c.var_decay, d.var_decay);
         assert_eq!(c.restart, d.restart);
@@ -172,10 +167,10 @@ mod tests {
 
     #[test]
     fn diversification_is_distinct_and_deterministic() {
-        let configs: Vec<SolverConfig> = (0..8).map(|i| diversify(i, 42)).collect();
+        let configs: Vec<SolverConfig> = (0..8).map(diversify).collect();
         // deterministic
         for (i, c) in configs.iter().enumerate() {
-            assert_eq!(*c, diversify(i, 42));
+            assert_eq!(*c, diversify(i));
         }
         // pairwise distinct (seeds differ even when knobs repeat)
         for i in 0..configs.len() {
@@ -183,9 +178,44 @@ mod tests {
                 assert_ne!(configs[i], configs[j], "workers {i} and {j} identical");
             }
         }
-        // a different base seed changes every worker
-        for i in 0..8 {
-            assert_ne!(diversify(i, 42).seed, diversify(i, 43).seed);
+    }
+
+    #[test]
+    fn diversification_schedule_is_pinned() {
+        // every field of the first 14 workers' configurations: the
+        // schedule is part of the portfolio's search, so a refactor of
+        // `diversify` must leave each worker's config unchanged
+        use PhaseInit::{AllFalse, AllTrue, Random};
+        let geo = |base, factor| RestartPolicy::Geometric { base, factor };
+        let luby = |base| RestartPolicy::Luby { base };
+        let pinned: [(f64, RestartPolicy, PhaseInit, bool, u64); 14] = [
+            (0.95, luby(100), AllFalse, false, 0xd1b54a32d192ed03),
+            (0.95, geo(100, 1.5), AllFalse, false, 0x6fecc3ec50dd6918),
+            (0.90, luby(100), AllTrue, false, 0x0e243da5d027e52d),
+            (0.99, geo(128, 1.3), Random, true, 0xac5bb75f4f726142),
+            (0.95, luby(256), Random, true, 0x4a933118cebcdd57),
+            (0.97, geo(100, 2.0), AllFalse, true, 0xe8caaad24e07596c),
+            (0.85, luby(50), Random, true, 0x8702248bcd51d581),
+            (0.95, geo(100, 1.5), AllFalse, false, 0x25399e454c9c5196),
+            (0.90, luby(100), AllTrue, false, 0xc37117fecbe6cdab),
+            (0.99, geo(128, 1.3), Random, true, 0x61a891b84b3149c0),
+            (0.95, luby(256), Random, true, 0xffe00b71ca7bc5d5),
+            (0.97, geo(100, 2.0), AllFalse, true, 0x9e17852b49c641ea),
+            (0.85, luby(50), Random, true, 0x3c4efee4c910bdff),
+            (0.95, geo(100, 1.5), AllFalse, false, 0xda86789e485b3a14),
+        ];
+        for (i, (var_decay, restart, phase_init, randomize_order, seed)) in
+            pinned.into_iter().enumerate()
+        {
+            let expected = SolverConfig {
+                var_decay,
+                clause_decay: 0.999,
+                restart,
+                phase_init,
+                randomize_order,
+                seed,
+            };
+            assert_eq!(diversify(i), expected, "worker {i}");
         }
     }
 

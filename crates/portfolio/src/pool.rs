@@ -359,7 +359,7 @@ impl Worker {
     /// Builds diversified worker `i` over an empty formula and, when it
     /// has peers, wires it into the sharing mesh through `mesh`.
     fn new(i: usize, config: &PortfolioConfig, mesh: Option<MeshEnds>) -> Worker {
-        let mut solver = Solver::with_config(diversify(i, config.seed));
+        let mut solver = Solver::with_config(diversify(i));
         if config.certify {
             // enabled before any clause arrives, so the stream records
             // the whole input formula

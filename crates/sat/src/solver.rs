@@ -214,8 +214,9 @@ pub struct Solver {
     lbd_hist: [u64; 16],
     // portion of lbd_hist already flushed to the trace histogram
     lbd_flushed: [u64; 16],
-    // (time, conflict count) at the previous snapshot, for rates/gaps
-    last_snapshot: Option<(Instant, u64)>,
+    // (time, conflict count) at the previous effort flush: a restart
+    // or the start of the current solve
+    last_flush: (Instant, u64),
 }
 
 impl Default for Solver {
@@ -266,7 +267,7 @@ impl Solver {
             import: None,
             lbd_hist: [0; 16],
             lbd_flushed: [0; 16],
-            last_snapshot: None,
+            last_flush: (Instant::now(), 0),
         }
     }
 
@@ -395,15 +396,16 @@ impl Solver {
 
     /// Sampled hot-loop observability: one `sat.snapshot` event per
     /// restart boundary (never inside the propagation loop), carrying
-    /// cumulative totals, the conflict rate, and the LBD histogram —
-    /// plus gauge/histogram instrument flushes: learned-DB size and
-    /// trail depth gauges, per-restart conflict-gap samples, and the
-    /// LBD counts accumulated since the previous snapshot.
-    fn emit_snapshot(&mut self, start: Instant) {
+    /// cumulative totals, this solve's conflict rate, and the LBD
+    /// histogram — plus gauge/histogram instrument flushes: learned-DB
+    /// size and trail depth gauges, per-restart conflict-gap samples,
+    /// and the effort since the previous flush ([`Self::flush_effort`]).
+    /// `start` and `start_conflicts` are the solve's own start.
+    fn emit_snapshot(&mut self, start: Instant, start_conflicts: u64) {
         let now = Instant::now();
         let secs = (now - start).as_secs_f64();
         let rate = if secs > 0.0 {
-            self.stats.conflicts as f64 / secs
+            (self.stats.conflicts - start_conflicts) as f64 / secs
         } else {
             0.0
         };
@@ -433,19 +435,27 @@ impl Solver {
             .saturating_sub(self.stats.deleted_clauses);
         fec_trace::gauge!(Debug, "sat.learnt_db", live_learnt);
         fec_trace::gauge!(Debug, "sat.trail_depth", self.trail.len());
-        // deltas since the previous snapshot: the conflict counter (for
-        // watchdog/TTY rate displays), the mean conflict-to-conflict
-        // gap over the interval (one batched histogram record — the
-        // conflict loop itself never reads the clock), and the fresh
-        // portion of the LBD distribution
-        let (since, base) = self
-            .last_snapshot
-            .map_or((now - start, 0), |(at, c)| (now - at, c));
+        // the mean conflict-to-conflict gap since the previous flush,
+        // as one batched histogram record (the conflict loop itself
+        // never reads the clock)
+        let (at, base) = self.last_flush;
         let new_conflicts = self.stats.conflicts - base;
+        if let Some(gap_us) = ((now - at).as_micros() as u64).checked_div(new_conflicts) {
+            fec_trace::hist!(Debug, "sat.conflict_gap_us", gap_us, new_conflicts);
+        }
+        self.flush_effort(now);
+    }
+
+    /// Flushes the effort since the previous flush: the `sat.conflicts`
+    /// counter delta (for watchdog/TTY rate displays and the metrics
+    /// report) and the fresh portion of the LBD distribution. Runs at
+    /// every restart and at the end of every solve, so short queries
+    /// that never restart still report their conflicts.
+    fn flush_effort(&mut self, now: Instant) {
+        use fec_trace::Level::Debug;
+        let new_conflicts = self.stats.conflicts - self.last_flush.1;
         if new_conflicts > 0 {
             fec_trace::counter!(Debug, "sat.conflicts", new_conflicts);
-            let gap_us = since.as_micros() as u64 / new_conflicts;
-            fec_trace::hist!(Debug, "sat.conflict_gap_us", gap_us, new_conflicts);
         }
         for (lbd, (&total, flushed)) in self
             .lbd_hist
@@ -456,7 +466,7 @@ impl Solver {
             fec_trace::hist!(Debug, "sat.lbd", lbd as u64, total - *flushed);
             *flushed = total;
         }
-        self.last_snapshot = Some((now, self.stats.conflicts));
+        self.last_flush = (now, self.stats.conflicts);
     }
 
     /// `false` once the clause set is known unsatisfiable outright
@@ -1001,7 +1011,11 @@ impl Solver {
             self.sweep_satisfied();
         }
         let start = Instant::now();
-        let conflict_budget = self.stats.conflicts.saturating_add(budget.max_conflicts);
+        let start_conflicts = self.stats.conflicts;
+        // rates and gaps count from this solve's start, not from an
+        // earlier solve's last flush
+        self.last_flush = (start, start_conflicts);
+        let conflict_budget = start_conflicts.saturating_add(budget.max_conflicts);
         let mut restart_idx = 0u64;
         let result = loop {
             if self.should_stop() {
@@ -1022,7 +1036,7 @@ impl Solver {
                     // every restart is forward progress for the watchdog
                     fec_trace::advance();
                     if fec_trace::enabled(fec_trace::Level::Debug) {
-                        self.emit_snapshot(start);
+                        self.emit_snapshot(start, start_conflicts);
                     }
                     continue;
                 }
@@ -1030,6 +1044,9 @@ impl Solver {
             }
         };
         self.backtrack(0);
+        if fec_trace::enabled(fec_trace::Level::Debug) {
+            self.flush_effort(Instant::now());
+        }
         result
     }
 

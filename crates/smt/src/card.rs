@@ -24,13 +24,6 @@ impl SmtSolver {
         reg
     }
 
-    /// Asserts `Σ lits = k`.
-    pub fn exactly_k(&mut self, lits: &[Lit], k: usize) {
-        let reg = self.counting_register(lits, k + 1);
-        self.constrain_register_at_most(&reg, k);
-        self.constrain_register_at_least(&reg, k);
-    }
-
     /// Asserts `Σ lits ≤ k`.
     pub fn at_most_k(&mut self, lits: &[Lit], k: usize) {
         if k >= lits.len() {
@@ -79,25 +72,6 @@ impl SmtSolver {
             assert!(k <= reg.len(), "register too short for ≥ {k}");
             self.add_clause(&[reg[k - 1]]);
         }
-    }
-
-    /// Pairwise at-most-one (efficient for small n, used for selector
-    /// variables like the paper's `map(j)` assignment).
-    pub fn at_most_one_pairwise(&mut self, lits: &[Lit]) {
-        let mark = self.enc_begin();
-        for i in 0..lits.len() {
-            for j in (i + 1)..lits.len() {
-                self.add_clause(&[!lits[i], !lits[j]]);
-            }
-        }
-        self.enc_end("pairwise", mark);
-    }
-
-    /// Exactly-one via pairwise AMO plus the covering clause.
-    pub fn exactly_one(&mut self, lits: &[Lit]) {
-        assert!(!lits.is_empty(), "exactly_one of nothing");
-        self.add_clause(lits);
-        self.at_most_one_pairwise(lits);
     }
 
     // --- totalizer ------------------------------------------------------
@@ -208,15 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn exactly_k_exhaustive() {
-        for n in 1..=5 {
-            for k in 0..=n {
-                check_card(n, k, |s, xs, k| s.exactly_k(xs, k), |count, k| count == k);
-            }
-        }
-    }
-
-    #[test]
     fn capped_register_counts_up_to_its_cap() {
         for n in 1..=6 {
             for cap in 1..=n + 1 {
@@ -247,8 +212,27 @@ mod tests {
     }
 
     #[test]
-    fn exactly_one_exhaustive() {
-        check_card(4, 0, |s, xs, _| s.exactly_one(xs), |count, _| count == 1);
+    fn register_bounds_constrain_the_count() {
+        // an existing register bounded from both sides, then read back
+        let mut s = SmtSolver::new();
+        let xs: Vec<Lit> = (0..5).map(|_| s.fresh_lit()).collect();
+        let reg = s.counting_register(&xs, xs.len());
+        s.constrain_register_at_least(&reg, 2);
+        s.constrain_register_at_most(&reg, 3);
+        assert_eq!(s.solve(&[]), SmtResult::Sat);
+        let count = xs.iter().filter(|&&x| s.model_lit(x)).count();
+        assert!((2..=3).contains(&count), "count {count} outside [2, 3]");
+        // force 2 of 5 true: the register must read 2 ...
+        s.add_clause(&[xs[0]]);
+        s.add_clause(&[xs[3]]);
+        for i in [1, 2, 4] {
+            s.add_clause(&[!xs[i]]);
+        }
+        assert_eq!(s.solve(&[]), SmtResult::Sat);
+        assert_eq!(reg.iter().take_while(|&&r| s.model_lit(r)).count(), 2);
+        // ... and a bound of ≥ 3 must now fail
+        s.constrain_register_at_least(&reg, 3);
+        assert_eq!(s.solve(&[]), SmtResult::Unsat);
     }
 
     #[test]

@@ -18,36 +18,6 @@ impl SmtSolver {
         o
     }
 
-    /// A literal equal to the conjunction of `lits` (true for empty).
-    pub fn and_all(&mut self, lits: &[Lit]) -> Lit {
-        match lits {
-            [] => self.lit_true(),
-            [l] => *l,
-            _ => {
-                let o = self.fresh_lit();
-                let mut long = Vec::with_capacity(lits.len() + 1);
-                long.push(o);
-                for &l in lits {
-                    self.add_clause(&[!o, l]);
-                    long.push(!l);
-                }
-                self.add_clause(&long);
-                o
-            }
-        }
-    }
-
-    /// A literal equal to `a ∨ b`.
-    pub fn or2(&mut self, a: Lit, b: Lit) -> Lit {
-        !self.and2(!a, !b)
-    }
-
-    /// A literal equal to the disjunction of `lits` (false for empty).
-    pub fn or_all(&mut self, lits: &[Lit]) -> Lit {
-        let negs: Vec<Lit> = lits.iter().map(|&l| !l).collect();
-        !self.and_all(&negs)
-    }
-
     /// A literal equal to `a ⊕ b`.
     pub fn xor2(&mut self, a: Lit, b: Lit) -> Lit {
         let o = self.fresh_lit();
@@ -83,11 +53,6 @@ impl SmtSolver {
                 layer[0]
             }
         }
-    }
-
-    /// A literal equal to `a ↔ b`.
-    pub fn iff(&mut self, a: Lit, b: Lit) -> Lit {
-        !self.xor2(a, b)
     }
 }
 
@@ -125,34 +90,8 @@ mod tests {
     }
 
     #[test]
-    fn or2_truth_table() {
-        check_gadget(|s, [a, b]| s.or2(a, b), |[a, b]| a || b);
-    }
-
-    #[test]
     fn xor2_truth_table() {
         check_gadget(|s, [a, b]| s.xor2(a, b), |[a, b]| a ^ b);
-    }
-
-    #[test]
-    fn iff_truth_table() {
-        check_gadget(|s, [a, b]| s.iff(a, b), |[a, b]| a == b);
-    }
-
-    #[test]
-    fn and_all_truth_table() {
-        check_gadget(
-            |s, ins: [Lit; 4]| s.and_all(&ins),
-            |vals| vals.iter().all(|&v| v),
-        );
-    }
-
-    #[test]
-    fn or_all_truth_table() {
-        check_gadget(
-            |s, ins: [Lit; 4]| s.or_all(&ins),
-            |vals| vals.iter().any(|&v| v),
-        );
     }
 
     #[test]
@@ -166,12 +105,8 @@ mod tests {
     #[test]
     fn empty_gadgets() {
         let mut s = SmtSolver::new();
-        let t = s.and_all(&[]);
-        let f = s.or_all(&[]);
         let x = s.xor_all(&[]);
         assert_eq!(s.solve(&[]), SmtResult::Sat);
-        assert!(s.model_lit(t));
-        assert!(!s.model_lit(f));
         assert!(!s.model_lit(x));
     }
 

@@ -12,10 +12,12 @@
 //!   CDCL solver) by default, racing worker threads with `jobs > 1` —
 //!   and certification (`PortfolioConfig::certify`) replays each
 //!   worker's DRAT stream through one `fec-drat` checker per worker;
-//! - boolean gadgets (Tseitin `and`/`or`/`xor`/`iff`);
-//! - cardinality constraints (the totalizer encoding);
-//! - [`UnaryInt`]: small bounded integers in monotone unary encoding
-//!   (used for symbolic check-bit counts `len_c`).
+//! - Tseitin gadgets: `and2`, `xor2` and the balanced `xor_all` tree
+//!   of the GF(2) products;
+//! - cardinality constraints (the totalizer encoding): `at_most_k`,
+//!   `at_least_k`, and unary counting registers bounded by
+//!   `constrain_register_at_most`/`_at_least` (a symbolic `len_c` is
+//!   such a register).
 //!
 //! # Example: at most 2 of 4 flags
 //!
@@ -35,10 +37,8 @@
 
 mod card;
 mod gadgets;
-mod int;
 mod solver;
 
-pub use int::UnaryInt;
 pub use solver::{CertificateStats, SmtResult, SmtSolver, SolveBackend};
 
 pub use fec_portfolio::{PortfolioConfig, PortfolioStats};

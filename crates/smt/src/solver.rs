@@ -301,15 +301,6 @@ impl SmtSolver {
         !self.lit_true()
     }
 
-    /// Converts a constant to a literal.
-    pub fn lit_const(&mut self, b: bool) -> Lit {
-        if b {
-            self.lit_true()
-        } else {
-            self.lit_false()
-        }
-    }
-
     /// Adds a clause in the current scope. With no open scope, the
     /// clause is permanent.
     pub fn add_clause(&mut self, lits: &[Lit]) {
@@ -356,11 +347,6 @@ impl SmtSolver {
     pub fn pop(&mut self) {
         let g = self.guards.pop().expect("pop without matching push");
         self.raw_add_clause(&[!g]);
-    }
-
-    /// Number of open scopes.
-    pub fn scope_depth(&self) -> usize {
-        self.guards.len()
     }
 
     /// Solves under the active scopes plus `extra` assumption literals,
@@ -472,7 +458,6 @@ mod tests {
         assert_eq!(s.solve(&[]), SmtResult::Sat);
         assert!(s.model_lit(x));
         s.pop();
-        assert_eq!(s.scope_depth(), 0);
     }
 
     #[test]
@@ -509,7 +494,6 @@ mod tests {
         assert_eq!(s.solve(&[]), SmtResult::Sat);
         assert!(s.model_lit(t));
         assert!(!s.model_lit(f));
-        assert_eq!(s.lit_const(true), t);
     }
 
     #[test]
@@ -645,8 +629,8 @@ mod tests {
     /// flips a verdict.
     fn scripted_session(s: &mut SmtSolver) -> Vec<SmtResult> {
         let xs: Vec<Lit> = (0..8).map(|_| s.fresh_lit()).collect();
-        let count = crate::UnaryInt::from_register(s.counting_register(&xs, xs.len()));
-        count.assert_le(s, 5);
+        let count = s.counting_register(&xs, xs.len());
+        s.constrain_register_at_most(&count, 5);
         for w in xs.windows(2) {
             s.add_clause(&[!w[0], w[1]]); // x_i → x_{i+1}
         }
@@ -659,7 +643,7 @@ mod tests {
         verdicts.push(s.solve(&[xs[2]]));
         // nested scope 2: a bound of three contradicts scope 1
         s.push();
-        count.assert_le(s, 3);
+        s.constrain_register_at_most(&count, 3);
         verdicts.push(s.solve(&[]));
         s.pop();
         verdicts.push(s.solve(&[]));

@@ -27,11 +27,12 @@ use fec_synth::cegis::{SynthError, SynthesisConfig};
 use fec_synth::weights::{synthesize_weighted, WeightedGenSpec};
 use std::time::Duration;
 
+/// Data word length of the adapted code (the §4.3 examples use 16).
+const WORD_LEN: usize = 16;
+
 /// Tunables for one adaptation step.
 #[derive(Clone, Debug)]
 pub struct AdaptConfig {
-    /// Data word length of the adapted code (the §4.3 examples use 16).
-    pub word_len: usize,
     /// Fountain generation size the adapted phase will run with.
     pub gen_size: usize,
     /// Wall-clock budget for the whole weighted synthesis: the map
@@ -44,7 +45,6 @@ pub struct AdaptConfig {
 impl Default for AdaptConfig {
     fn default() -> AdaptConfig {
         AdaptConfig {
-            word_len: 16,
             gen_size: 16,
             timeout: Duration::from_secs(20),
             jobs: 1,
@@ -87,7 +87,7 @@ pub fn synthesize_adapted(
             min_distance: 2,
         },
     ];
-    let problem = profile.to_weighted_problem(cfg.word_len, gens);
+    let problem = profile.to_weighted_problem(WORD_LEN, gens);
     let synth_cfg = SynthesisConfig {
         timeout: cfg.timeout,
         jobs: cfg.jobs,
@@ -147,7 +147,7 @@ pub fn synthesize_adapted(
         "stream.adapt",
         "sum_w" => result.sum_w,
         "iterations" => result.iterations,
-        "word_len" => cfg.word_len,
+        "word_len" => WORD_LEN,
         "depth" => depth,
         "repair" => repair,
         "design_ber" => problem.bit_error_rate,

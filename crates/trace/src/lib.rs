@@ -81,7 +81,7 @@ pub use metrics::{MetricsReport, SpanAgg};
 pub use sink::validate_jsonl;
 
 use sink::{ChromeSink, JsonlSink, Sink, StderrSink};
-use std::io::Write;
+use std::io::{IsTerminal, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -280,15 +280,6 @@ pub fn enabled(level: Level) -> bool {
     l != 0 && l <= MAX_LEVEL.load(Ordering::Relaxed)
 }
 
-/// [`enabled`] with an additional per-run cap: a record passes only if
-/// it is within both the global sink level *and* `cap`. Lets one
-/// configuration (e.g. a baseline run in an A/B bench) silence its own
-/// instrumentation while another run traces fully.
-#[inline]
-pub fn enabled_at(cap: Level, level: Level) -> bool {
-    level <= cap && enabled(level)
-}
-
 struct Collector {
     sinks: Vec<SinkEntry>,
     metrics: metrics::Registry,
@@ -311,7 +302,6 @@ pub struct TraceConfig {
     metrics_out: Option<PathBuf>,
     progress_every: Option<Duration>,
     stall_after: Duration,
-    progress_tty: bool,
 }
 
 impl TraceConfig {
@@ -327,7 +317,6 @@ impl TraceConfig {
             metrics_out: None,
             progress_every: None,
             stall_after: Duration::from_secs(30),
-            progress_tty: false,
         }
     }
 
@@ -370,8 +359,9 @@ impl TraceConfig {
 
     /// Starts the progress watchdog: a background thread that every
     /// `interval` emits a `progress` record to the active sinks (and
-    /// flushes them, so live consumers see it) and checks the global
-    /// [`advance`] counter for stalls.
+    /// flushes them, so live consumers see it), checks the global
+    /// [`advance`] counter for stalls, and, when stderr is a terminal,
+    /// redraws a one-line status there (carriage-return overwrite).
     pub fn progress_every(mut self, interval: Duration) -> Self {
         self.progress_every = Some(interval);
         self
@@ -383,14 +373,6 @@ impl TraceConfig {
     /// and escalated once per episode as a `progress.stall` warning.
     pub fn stall_after(mut self, window: Duration) -> Self {
         self.stall_after = window;
-        self
-    }
-
-    /// Renders a live single-line progress display on stderr
-    /// (carriage-return overwrite) from the watchdog thread. Meant for
-    /// interactive runs; leave off when stderr is piped.
-    pub fn progress_tty(mut self, on: bool) -> Self {
-        self.progress_tty = on;
         self
     }
 }
@@ -443,7 +425,7 @@ pub fn install(config: TraceConfig) {
     MAX_LEVEL.store(max as u8, Ordering::Relaxed);
     drop(guard);
     if let Some(interval) = config.progress_every {
-        start_watchdog(interval, config.stall_after, config.progress_tty);
+        start_watchdog(interval, config.stall_after);
     }
 }
 
@@ -604,19 +586,21 @@ fn stop_watchdog() {
     }
 }
 
-fn start_watchdog(interval: Duration, stall_after: Duration, tty: bool) {
+fn start_watchdog(interval: Duration, stall_after: Duration) {
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = Arc::clone(&stop);
     let thread = std::thread::Builder::new()
         .name("trace-watchdog".into())
-        .spawn(move || watchdog_loop(interval, stall_after, tty, &stop2))
+        .spawn(move || watchdog_loop(interval, stall_after, &stop2))
         .expect("spawn trace watchdog");
     let mut guard = WATCHDOG.lock().unwrap_or_else(|e| e.into_inner());
     *guard = Some(WatchdogHandle { stop, thread });
 }
 
-fn watchdog_loop(interval: Duration, stall_after: Duration, tty: bool, stop: &AtomicBool) {
+fn watchdog_loop(interval: Duration, stall_after: Duration, stop: &AtomicBool) {
     set_thread_name("trace-watchdog");
+    // the status line's escapes belong on a terminal, never in a pipe
+    let tty = std::io::stderr().is_terminal();
     let mut detector = StallDetector::new(stall_after.as_millis().max(1) as u64);
     let mut last_advance = advance_count();
     let mut was_stalled = false;
@@ -872,13 +856,6 @@ mod tests {
         // the global default must be fully off: enabled() is the only
         // thing hot paths consult
         assert!(!enabled(Level::Error) || is_installed());
-    }
-
-    #[test]
-    fn enabled_at_caps_per_run() {
-        // regardless of global state, a cap below the record level wins
-        assert!(!enabled_at(Level::Info, Level::Debug));
-        assert!(!enabled_at(Level::Off, Level::Error));
     }
 
     #[test]
