@@ -85,11 +85,6 @@ impl PointVerdict {
             PointVerdict::NeedsSearch { .. } => "needs-search",
         }
     }
-
-    /// `true` when the verdict decides the point without a solver.
-    pub fn is_decided(&self) -> bool {
-        !matches!(self, PointVerdict::NeedsSearch { .. })
-    }
 }
 
 /// The volume `Σ_{i=0}^{t} C(n, i)` of a radius-`t` Hamming ball in

@@ -1,21 +1,28 @@
 //! Canonical normal form for parsed properties.
 //!
 //! Two specs that mean the same thing should *look* the same thing:
-//! the canonicalizer constant-folds pure arithmetic, normalizes
-//! comparisons (measurement left, constant right, strict integer
-//! comparisons widened to inclusive ones), narrows repeated bounds on
-//! the same measurement to their tightest interval, drops dead
-//! conjuncts, sorts the surviving conjuncts into a fixed order, and
-//! hashes the result. The hash is content-addressed: any spec equal
-//! modulo whitespace, conjunct order, redundant bounds, or foldable
-//! arithmetic maps to the same `fecspec-v1:` key, which `fecsynth
-//! analyze` prints beside the canonical form.
+//! the canonicalizer constant-folds pure arithmetic (an integral
+//! result, `4.0` included, becomes an integer), normalizes comparisons
+//! (measurement left, constant right, strict integer comparisons
+//! widened to inclusive ones), narrows repeated bounds on the same
+//! measurement to their tightest interval, drops dead conjuncts, sorts
+//! the surviving conjuncts into a fixed order, and hashes the result.
+//! The hash is content-addressed: any spec equal modulo whitespace,
+//! conjunct order, redundant bounds, or foldable arithmetic maps to the
+//! same `fecspec-v1:` key, which `fecsynth analyze` prints beside the
+//! canonical form.
+//!
+//! This is the only code that folds, flips, widens or narrows a
+//! comparison: [`ProblemShape::from_prop`](crate::ProblemShape::from_prop)
+//! reads the canonical form, so `fecsynth analyze` and `fecsynth synth`
+//! give a spec one meaning whatever the order of its conjuncts.
 //!
 //! Every rewrite that discards or tightens user-written text is
 //! reported as a typed [`Lint`] and mirrored to `fec-trace` as an
-//! `analyze.lint` warning event.
+//! `analyze.lint` warning event. A `contradiction` or
+//! `duplicate-directive` lint makes the spec an error for the shape
+//! builder.
 
-use crate::shape::flip;
 use crate::spec::{CmpOp, Expr, GenFn, Prop};
 use fec_trace::Level;
 use std::collections::BTreeMap;
@@ -109,25 +116,10 @@ pub fn canonical_hash(prop: &Prop) -> String {
 }
 
 /// Constant-folds pure-arithmetic subtrees; integral results become
-/// `Int`, others `Real`.
+/// `Int` (so `4.0` bounds a measurement as `4` does), others `Real`.
 fn fold_expr(e: &Expr) -> Expr {
-    fn fold(e: &Expr) -> Option<f64> {
-        Some(match e {
-            Expr::Int(n) => *n as f64,
-            Expr::Real(r) => *r,
-            Expr::Add(a, b) => fold(a)? + fold(b)?,
-            Expr::Sub(a, b) => fold(a)? - fold(b)?,
-            Expr::Mul(a, b) => fold(a)? * fold(b)?,
-            Expr::Neg(a) => -fold(a)?,
-            _ => return None,
-        })
-    }
-    if let Some(v) = fold(e) {
+    if let Some(v) = e.constant() {
         if v.fract() == 0.0 && v.abs() < i64::MAX as f64 {
-            // keep an already-minimal literal untouched
-            if let Expr::Real(_) = e {
-                return Expr::Real(v);
-            }
             return Expr::Int(v as i64);
         }
         return Expr::Real(v);
@@ -389,7 +381,7 @@ fn canon_conjunct(p: &Prop, lints: &mut Vec<Lint>) -> Option<Prop> {
             let (mut lhs, mut rhs) = (fold_expr(lhs), fold_expr(rhs));
             let mut op = *op;
             // both sides constant: the conjunct is decided
-            if let (Some(a), Some(b)) = (const_f64(&lhs), const_f64(&rhs)) {
+            if let (Some(a), Some(b)) = (lhs.constant(), rhs.constant()) {
                 let holds = match op {
                     CmpOp::Eq => a == b,
                     CmpOp::Ne => a != b,
@@ -413,7 +405,7 @@ fn canon_conjunct(p: &Prop, lints: &mut Vec<Lint>) -> Option<Prop> {
                 };
             }
             // measurement left, constant right
-            if const_f64(&lhs).is_some() && const_f64(&rhs).is_none() {
+            if lhs.constant().is_some() && rhs.constant().is_none() {
                 std::mem::swap(&mut lhs, &mut rhs);
                 op = flip(op);
             }
@@ -458,11 +450,13 @@ fn fold_prop(p: &Prop) -> Prop {
     }
 }
 
-fn const_f64(e: &Expr) -> Option<f64> {
-    match e {
-        Expr::Int(n) => Some(*n as f64),
-        Expr::Real(r) => Some(*r),
-        _ => None,
+fn flip(op: CmpOp) -> CmpOp {
+    match op {
+        CmpOp::Lt => CmpOp::Gt,
+        CmpOp::Gt => CmpOp::Lt,
+        CmpOp::Le => CmpOp::Ge,
+        CmpOp::Ge => CmpOp::Le,
+        other => other,
     }
 }
 
@@ -507,6 +501,15 @@ mod tests {
             "{}",
             a.canonical_text()
         );
+    }
+
+    #[test]
+    fn integral_reals_bound_as_integers() {
+        let a = canon("len_c(G0) < 4.0 && len_d(G0) = 4.0");
+        assert_eq!(a.hash, canon("len_c(G0) <= 3 && len_d(G0) = 4").hash);
+        // the fractional bound is kept as written
+        let r = canon("len_c(G0) < 4.5");
+        assert_eq!(r.canonical_text(), "len_c(G[0]) < 4.5");
     }
 
     #[test]

@@ -6,12 +6,15 @@
 //! - [`spec`] — the Fig. 3 property language (syntax, parser,
 //!   typechecker, concrete evaluator), moved here from `fec-synth` so
 //!   the analyzer and the synthesizer share one definition of meaning.
-//! - [`canon`] — the canonicalizer: constant folding, comparison
-//!   normalization, interval narrowing, dead-conjunct lints, and a
+//! - [`canon`] — the canonicalizer, the one front end a spec's meaning
+//!   goes through: constant folding, comparison normalization,
+//!   interval narrowing, dead-conjunct and contradiction lints, and a
 //!   stable `fecspec-v1:` content hash, which `fecsynth analyze`
 //!   prints beside the canonical form.
 //! - [`shape`] — structural extraction of per-generator constraints
-//!   ([`ProblemShape::from_prop`]), shared with the synthesizer.
+//!   from the canonical form ([`ProblemShape::from_prop`]), shared
+//!   with the synthesizer: `fecsynth analyze` and `fecsynth synth`
+//!   read every spec, and reject every contradictory one, alike.
 //! - [`bounds`] — the coding-bounds feasibility engine: Singleton,
 //!   sphere-packing, Plotkin, and Griesmer exclusions (refined through
 //!   shortening/residual maps) with arithmetic certificates, plus the
@@ -95,7 +98,9 @@ impl Analysis {
 }
 
 /// Runs the full static pipeline on a parsed property: canonicalize,
-/// extract the problem shape, and run the bounds engine per generator.
+/// extract the problem shape from the canonical form (the shape
+/// [`ProblemShape::from_prop`] gives synthesis), and run the bounds
+/// engine per generator.
 ///
 /// `default_max_check` bounds the check-length window when the property
 /// leaves it open (synthesis uses [`shape::DEFAULT_MAX_CHECK`]). Verdicts are
@@ -107,7 +112,7 @@ impl Analysis {
 /// shapes are downgraded to `NeedsSearch`.
 pub fn analyze(prop: &Prop, default_max_check: usize) -> Result<Analysis, SpecError> {
     let canon = canonicalize(prop);
-    let shape = ProblemShape::from_prop(&canon.prop, default_max_check)?;
+    let shape = ProblemShape::from_canon(&canon, default_max_check)?;
     let gens = shape
         .gens
         .iter()

@@ -1,8 +1,17 @@
 //! Structural extraction: compiling a parsed property into the
 //! per-generator constraints CEGIS solves (`initSolvers`' analysis
-//! phase). Moved here from `fec-synth::cegis` so the static analyzer
-//! and the synthesizer agree, by construction, on what a spec means.
+//! phase).
+//!
+//! The one builder, `ProblemShape::from_canon`, reads a spec's
+//! canonical form ([`crate::canon`]), in which every comparison is
+//! already folded, normalized and narrowed to one bound of each kind
+//! per measurement. `fecsynth analyze` and `fecsynth synth` both build
+//! their shape here, so they agree, by construction, on what a spec
+//! means: a contradiction the canonicalizer finds is
+//! [`SpecError::Inconsistent`], and `corr(Gi) ⋈ t` next to a fixed
+//! `md(Gi) = d` is checked as `⌊(d − 1)/2⌋ ⋈ t`.
 
+use crate::canon::{canonicalize, CanonReport, LintClass};
 use crate::spec::{CmpOp, Expr, GenFn, Prop};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -86,33 +95,39 @@ pub enum Objective {
 }
 
 impl ProblemShape {
-    /// Compiles a parsed property into structural constraints.
-    /// `default_max_check` bounds the check length when the property
-    /// gives no upper bound.
+    /// Compiles a parsed property into structural constraints by way
+    /// of its canonical form. `default_max_check` bounds the check
+    /// length when the property gives no upper bound.
     pub fn from_prop(prop: &Prop, default_max_check: usize) -> Result<ProblemShape, SpecError> {
-        // fold only *pure arithmetic* — measurements like len_G are
-        // symbolic here even though EvalContext could evaluate them
-        fn fold(e: &Expr) -> Option<f64> {
-            Some(match e {
-                Expr::Int(n) => *n as f64,
-                Expr::Real(r) => *r,
-                Expr::Add(a, b) => fold(a)? + fold(b)?,
-                Expr::Sub(a, b) => fold(a)? - fold(b)?,
-                Expr::Mul(a, b) => fold(a)? * fold(b)?,
-                Expr::Neg(a) => -fold(a)?,
-                _ => return None,
-            })
+        ProblemShape::from_canon(&canonicalize(prop), default_max_check)
+    }
+
+    /// Reads a canonical form: every comparison has its measurement on
+    /// the left and a folded constant on the right, strict bounds are
+    /// widened, and each measurement carries either one equality or at
+    /// most one bound of each direction, so each arm below only
+    /// records. A distance stays a lower bound: `md(Gi) = d` asks for
+    /// `md ≥ d`, and `md(Gi) <= d` is unsupported unless an equality
+    /// subsumes it.
+    pub(crate) fn from_canon(
+        canon: &CanonReport,
+        default_max_check: usize,
+    ) -> Result<ProblemShape, SpecError> {
+        let lint = |class| canon.lints.iter().find(|l| l.class == class);
+        if let Some(l) = lint(LintClass::Contradiction) {
+            return Err(SpecError::Inconsistent(l.message.clone()));
         }
-        let fold_idx = |e: &Expr| {
-            let v = fold(e)?;
-            (v >= 0.0 && v.fract() == 0.0).then_some(v as usize)
-        };
+        if let Some(l) = lint(LintClass::DuplicateDirective) {
+            return Err(SpecError::Unsupported(l.message.clone()));
+        }
 
         let mut len_g: Option<usize> = None;
         #[derive(Default)]
-        struct Partial {
+        struct Partial<'a> {
             data_len: Option<usize>,
-            md: Option<usize>,
+            /// `md = d` (fixed) or `md >= d`.
+            md: Option<(CmpOp, usize)>,
+            corr: Vec<(&'a Prop, CmpOp, usize)>,
             c_lo: Option<usize>,
             c_hi: Option<usize>,
             ones_lo: Option<usize>,
@@ -124,126 +139,57 @@ impl ProblemShape {
         let mut partials: BTreeMap<usize, Partial> = BTreeMap::new();
         let mut objective: Option<Objective> = None;
 
-        for conj in prop.conjuncts() {
+        for conj in canon.prop.conjuncts() {
             match conj {
                 Prop::True => {}
-                Prop::False => {
-                    return Err(SpecError::Inconsistent("property contains false".into()))
-                }
-                Prop::Minimal(e) | Prop::Maximal(e) => {
+                Prop::Minimal(Expr::GenFn(func, g)) | Prop::Maximal(Expr::GenFn(func, g)) => {
+                    let i = natural(g).ok_or_else(|| unsupported(conj))?;
                     let is_min = matches!(conj, Prop::Minimal(_));
-                    let obj = match e {
-                        Expr::GenFn(GenFn::LenC, g) => {
-                            let i = fold_idx(g).ok_or_else(|| unsupported(conj))?;
-                            if is_min {
-                                Objective::MinCheckLen(i)
-                            } else {
-                                Objective::MaxCheckLen(i)
-                            }
-                        }
-                        Expr::GenFn(GenFn::LenOnes, g) => {
-                            let i = fold_idx(g).ok_or_else(|| unsupported(conj))?;
-                            if is_min {
-                                Objective::MinOnes(i)
-                            } else {
-                                Objective::MaxOnes(i)
-                            }
-                        }
-                        Expr::GenFn(GenFn::Md, g) if !is_min => {
-                            let i = fold_idx(g).ok_or_else(|| unsupported(conj))?;
-                            Objective::MaxDistance(i)
-                        }
+                    objective = Some(match (func, is_min) {
+                        (GenFn::LenC, true) => Objective::MinCheckLen(i),
+                        (GenFn::LenC, false) => Objective::MaxCheckLen(i),
+                        (GenFn::LenOnes, true) => Objective::MinOnes(i),
+                        (GenFn::LenOnes, false) => Objective::MaxOnes(i),
+                        (GenFn::Md, false) => Objective::MaxDistance(i),
                         _ => return Err(unsupported(conj)),
-                    };
-                    if objective.replace(obj).is_some() {
-                        return Err(SpecError::Unsupported(
-                            "multiple optimization directives".into(),
-                        ));
-                    }
+                    });
                 }
-                Prop::Cmp(op, lhs, rhs) => {
-                    // normalize: measurement on the left, constant right
-                    let (op, measure, value) = match (fold(lhs), fold(rhs)) {
-                        (None, Some(v)) => (*op, lhs, v),
-                        (Some(v), None) => (flip(*op), rhs, v),
-                        _ => return Err(unsupported(conj)),
-                    };
+                Prop::Cmp(op, measure, bound) => {
+                    let value = bound.constant().ok_or_else(|| unsupported(conj))?;
                     if value < 0.0 || value.fract() != 0.0 {
                         return Err(SpecError::Inconsistent(format!(
                             "non-natural bound in {conj}"
                         )));
                     }
                     let v = value as usize;
-                    match measure {
-                        Expr::LenG => match op {
-                            CmpOp::Eq => {
-                                if len_g.replace(v).is_some_and(|old| old != v) {
-                                    return Err(SpecError::Inconsistent(
-                                        "conflicting len_G".into(),
-                                    ));
-                                }
-                            }
-                            _ => return Err(unsupported(conj)),
-                        },
-                        Expr::GenFn(func, g) => {
-                            let i = fold_idx(g).ok_or_else(|| unsupported(conj))?;
+                    match (measure, op) {
+                        (Expr::LenG, CmpOp::Eq) => len_g = Some(v),
+                        (Expr::GenFn(func, g), op) => {
+                            let i = natural(g).ok_or_else(|| unsupported(conj))?;
                             let p = partials.entry(i).or_default();
                             match (func, op) {
-                                (GenFn::LenD, CmpOp::Eq) => {
-                                    if p.data_len.replace(v).is_some_and(|o| o != v) {
-                                        return Err(SpecError::Inconsistent(format!(
-                                            "conflicting len_d(G{i})"
-                                        )));
-                                    }
+                                (GenFn::LenD, CmpOp::Eq) => p.data_len = Some(v),
+                                (GenFn::Md, CmpOp::Eq | CmpOp::Ge) => p.md = Some((*op, v)),
+                                (GenFn::Corr, CmpOp::Eq | CmpOp::Ge | CmpOp::Le) => {
+                                    p.corr.push((conj, *op, v))
                                 }
-                                (GenFn::Md, CmpOp::Eq) => {
-                                    if p.md.replace(v).is_some_and(|o| o != v) {
-                                        return Err(SpecError::Inconsistent(format!(
-                                            "conflicting md(G{i})"
-                                        )));
-                                    }
-                                }
-                                (GenFn::Md, CmpOp::Ge) => {
-                                    p.md = Some(p.md.map_or(v, |o| o.max(v)));
-                                }
-                                // §6 extension: corr(G) ⋈ t lowers to a
-                                // minimum-distance requirement md ≥ 2t+1
-                                // (nearest-syndrome decoding corrects t
-                                // errors iff md ≥ 2t+1)
-                                (GenFn::Corr, CmpOp::Eq) | (GenFn::Corr, CmpOp::Ge) => {
-                                    let need = 2 * v + 1;
-                                    p.md = Some(p.md.map_or(need, |o| o.max(need)));
-                                }
-                                (GenFn::LenC, CmpOp::Eq) => {
-                                    p.c_lo = Some(v);
-                                    p.c_hi = Some(v);
-                                }
-                                (GenFn::LenC, CmpOp::Le) => set_min(&mut p.c_hi, v),
-                                (GenFn::LenC, CmpOp::Lt) => {
-                                    set_min(&mut p.c_hi, v.saturating_sub(1))
-                                }
-                                (GenFn::LenC, CmpOp::Ge) => set_max(&mut p.c_lo, v),
-                                (GenFn::LenC, CmpOp::Gt) => set_max(&mut p.c_lo, v + 1),
+                                (GenFn::LenC, CmpOp::Eq) => (p.c_lo, p.c_hi) = (Some(v), Some(v)),
+                                (GenFn::LenC, CmpOp::Le) => p.c_hi = Some(v),
+                                (GenFn::LenC, CmpOp::Ge) => p.c_lo = Some(v),
                                 (GenFn::LenOnes, CmpOp::Eq) => {
-                                    p.ones_lo = Some(v);
-                                    p.ones_hi = Some(v);
+                                    (p.ones_lo, p.ones_hi) = (Some(v), Some(v))
                                 }
-                                (GenFn::LenOnes, CmpOp::Le) => set_min(&mut p.ones_hi, v),
-                                (GenFn::LenOnes, CmpOp::Lt) => {
-                                    set_min(&mut p.ones_hi, v.saturating_sub(1))
-                                }
-                                (GenFn::LenOnes, CmpOp::Ge) => set_max(&mut p.ones_lo, v),
-                                (GenFn::LenOnes, CmpOp::Gt) => set_max(&mut p.ones_lo, v + 1),
+                                (GenFn::LenOnes, CmpOp::Le) => p.ones_hi = Some(v),
+                                (GenFn::LenOnes, CmpOp::Ge) => p.ones_lo = Some(v),
                                 _ => return Err(unsupported(conj)),
                             }
                         }
-                        Expr::Cell { gen, row, col } => {
-                            let (CmpOp::Eq, 0 | 1) = (op, v) else {
+                        (Expr::Cell { gen, row, col }, CmpOp::Eq) if v <= 1 => {
+                            let (Some(i), Some(r), Some(c)) =
+                                (natural(gen), natural(row), natural(col))
+                            else {
                                 return Err(unsupported(conj));
                             };
-                            let i = fold_idx(gen).ok_or_else(|| unsupported(conj))?;
-                            let r = fold_idx(row).ok_or_else(|| unsupported(conj))?;
-                            let c = fold_idx(col).ok_or_else(|| unsupported(conj))?;
                             partials.entry(i).or_default().cells.push((r, c, v == 1));
                         }
                         _ => return Err(unsupported(conj)),
@@ -271,6 +217,31 @@ impl ProblemShape {
             let data_len = p.data_len.ok_or_else(|| {
                 SpecError::Unsupported(format!("len_d(G{i}) must be fixed by the property"))
             })?;
+            let mut min_distance = p.md.map_or(1, |(_, d)| d);
+            for (conj, op, t) in p.corr {
+                match p.md {
+                    // a fixed md decides corr = ⌊(md − 1)/2⌋
+                    Some((CmpOp::Eq, d)) => {
+                        let corr = d.saturating_sub(1) / 2;
+                        let holds = match op {
+                            CmpOp::Eq => corr == t,
+                            CmpOp::Ge => corr >= t,
+                            _ => corr <= t,
+                        };
+                        if !holds {
+                            return Err(SpecError::Inconsistent(format!(
+                                "{conj} contradicts md(G[{i}]) = {d}"
+                            )));
+                        }
+                    }
+                    // §6 extension: nearest-syndrome decoding corrects
+                    // t errors iff md ≥ 2t + 1
+                    _ if op != CmpOp::Le => {
+                        min_distance = min_distance.max(t.saturating_mul(2).saturating_add(1));
+                    }
+                    _ => return Err(unsupported(conj)),
+                }
+            }
             let check_hi = p.c_hi.unwrap_or(default_max_check).max(1);
             let check_lo = p.c_lo.unwrap_or(1).max(1);
             if check_lo > check_hi {
@@ -305,7 +276,7 @@ impl ProblemShape {
             }
             gens.push(GenShape {
                 data_len,
-                min_distance: p.md.unwrap_or(1),
+                min_distance,
                 check_lo,
                 check_hi,
                 ones_lo: p.ones_lo,
@@ -321,22 +292,11 @@ fn unsupported(p: &Prop) -> SpecError {
     SpecError::Unsupported(p.to_string())
 }
 
-pub(crate) fn flip(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Ge => CmpOp::Le,
-        other => other,
-    }
-}
-
-fn set_min(slot: &mut Option<usize>, v: usize) {
-    *slot = Some(slot.map_or(v, |o| o.min(v)));
-}
-
-fn set_max(slot: &mut Option<usize>, v: usize) {
-    *slot = Some(slot.map_or(v, |o| o.max(v)));
+/// The value of a folded index or bound that is a natural number.
+fn natural(e: &Expr) -> Option<usize> {
+    e.constant()
+        .filter(|v| *v >= 0.0 && v.fract() == 0.0)
+        .map(|v| v as usize)
 }
 
 #[cfg(test)]
@@ -433,6 +393,70 @@ mod tests {
             ProblemShape::from_prop(&p, MAX_CHECK),
             Err(SpecError::Inconsistent(_))
         ));
+    }
+
+    #[test]
+    fn contradictions_are_inconsistent_in_any_order() {
+        for src in [
+            "len_d(G0) = 4 && len_c(G0) = 4 && len_c(G0) = 5",
+            "len_d(G0) = 4 && len_1(G0) = 3 && len_1(G0) = 9",
+            "len_d(G0) = 4 && md(G0) = 3 && md(G0) >= 5",
+            "len_d(G0) = 4 && 2 < 1",
+        ] {
+            let p = parse_property(src).unwrap();
+            let mut conjuncts = p.conjuncts();
+            conjuncts.reverse();
+            let reversed = conjuncts
+                .into_iter()
+                .cloned()
+                .reduce(|a, b| Prop::And(Box::new(a), Box::new(b)))
+                .unwrap();
+            for p in [p.clone(), reversed] {
+                assert!(
+                    matches!(
+                        ProblemShape::from_prop(&p, MAX_CHECK),
+                        Err(SpecError::Inconsistent(_))
+                    ),
+                    "{p}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn corr_is_checked_against_a_fixed_distance() {
+        let shape = |src: &str| ProblemShape::from_prop(&parse_property(src).unwrap(), MAX_CHECK);
+        // ⌊(4 − 1)/2⌋ = 1: corr = 1, corr >= 1 and corr <= 1 all hold
+        for corr in ["corr(G0) = 1", "corr(G0) >= 1", "corr(G0) <= 1"] {
+            let s = shape(&format!("len_d(G0) = 4 && {corr} && md(G0) = 4")).unwrap();
+            assert_eq!(s.gens[0].min_distance, 4, "{corr}");
+        }
+        for corr in ["corr(G0) = 2", "corr(G0) >= 2", "corr(G0) <= 0"] {
+            let e = shape(&format!("len_d(G0) = 4 && md(G0) = 4 && {corr}")).unwrap_err();
+            assert!(matches!(e, SpecError::Inconsistent(_)), "{corr}: {e}");
+        }
+        // without a fixed md, corr >= t lowers to md >= 2t + 1
+        let s = shape("len_d(G0) = 4 && md(G0) >= 3 && corr(G0) >= 2").unwrap();
+        assert_eq!(s.gens[0].min_distance, 5);
+        let e = shape("len_d(G0) = 4 && corr(G0) <= 2").unwrap_err();
+        assert!(matches!(e, SpecError::Unsupported(_)), "{e}");
+    }
+
+    #[test]
+    fn one_directive_at_most() {
+        for src in [
+            "len_d(G0) = 4 && minimal(len_c(G0)) && maximal(len_1(G0))",
+            "minimal(len_c(G0)) && len_d(G0) = 4 && maximal(md(G0))",
+        ] {
+            let p = parse_property(src).unwrap();
+            let e = ProblemShape::from_prop(&p, MAX_CHECK).unwrap_err();
+            assert!(e.to_string().contains("optimization directives"), "{e}");
+        }
+        // a repeated directive is one directive
+        let p =
+            parse_property("len_d(G0) = 4 && minimal(len_c(G0)) && minimal(len_c(G0))").unwrap();
+        let shape = ProblemShape::from_prop(&p, MAX_CHECK).unwrap();
+        assert_eq!(shape.objective, Some(Objective::MinCheckLen(0)));
     }
 
     #[test]

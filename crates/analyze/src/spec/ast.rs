@@ -98,13 +98,23 @@ impl Prop {
         walk(self, &mut out);
         out
     }
+}
 
-    /// All `minimal`/`maximal` directives in the property, in order.
-    pub fn optimization_directives(&self) -> Vec<&Prop> {
-        self.conjuncts()
-            .into_iter()
-            .filter(|p| matches!(p, Prop::Minimal(_) | Prop::Maximal(_)))
-            .collect()
+impl Expr {
+    /// The value of a pure-arithmetic expression: literals under `+`,
+    /// `-`, `*` and negation. `None` once it reads a measurement, even
+    /// one (like `len_G`) a concrete context could evaluate. This is
+    /// the language's one constant folder.
+    pub fn constant(&self) -> Option<f64> {
+        Some(match self {
+            Expr::Int(n) => *n as f64,
+            Expr::Real(r) => *r,
+            Expr::Add(a, b) => a.constant()? + b.constant()?,
+            Expr::Sub(a, b) => a.constant()? - b.constant()?,
+            Expr::Mul(a, b) => a.constant()? * b.constant()?,
+            Expr::Neg(a) => -a.constant()?,
+            _ => return None,
+        })
     }
 }
 
@@ -177,7 +187,14 @@ mod tests {
         );
         let cs = p.conjuncts();
         assert_eq!(cs.len(), 3);
-        assert_eq!(p.optimization_directives().len(), 1);
+    }
+
+    #[test]
+    fn constants_fold_and_measurements_do_not() {
+        let two = Box::new(Expr::Int(2));
+        let sum = Expr::Add(two.clone(), Box::new(Expr::Real(0.5)));
+        assert_eq!(Expr::Neg(Box::new(sum)).constant(), Some(-2.5));
+        assert_eq!(Expr::Mul(two, Box::new(Expr::LenG)).constant(), None);
     }
 
     #[test]

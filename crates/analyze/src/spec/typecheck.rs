@@ -7,11 +7,14 @@
 //! a generator function against a negative bound, and so on. The
 //! paper's tool asserts such properties straight into Z3 where they
 //! fail obscurely; this checker reports them up front, and also
-//! returns a [`PropertySummary`] (which generators and features a
-//! property touches) that callers use for solver sizing.
+//! returns a [`PropertySummary`] of what a property needs to be
+//! evaluated.
+//!
+//! What a spec *means* for synthesis (its bounds, contradictions, and
+//! the single optimization directive it may carry) is the
+//! canonicalizer's business, not this checker's.
 
 use super::ast::{CmpOp, Expr, GenFn, Prop};
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// The two numeric types of the language.
@@ -33,32 +36,17 @@ impl fmt::Display for TypeError {
 
 impl std::error::Error for TypeError {}
 
-/// What a property refers to — used by callers to size solvers.
+/// What evaluating a property takes.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PropertySummary {
-    /// Constant generator indices mentioned (e.g. `G0`, `G3`).
-    pub generators: BTreeSet<usize>,
-    /// `true` when any generator index is a non-constant expression.
-    pub dynamic_generator_indices: bool,
-    /// Mentions of `w(_)`, `len_w`, or `sum_w`.
-    pub uses_weights: bool,
     /// Mentions of `md(_)` or `corr(_)` (needs a distance verifier).
     pub uses_distance: bool,
-    /// Number of `minimal`/`maximal` directives.
-    pub optimization_directives: usize,
 }
 
 /// Checks a property; returns its summary or the first error.
 pub fn typecheck(prop: &Prop) -> Result<PropertySummary, TypeError> {
     let mut summary = PropertySummary::default();
     check_prop(prop, &mut summary)?;
-    if summary.optimization_directives > 1 {
-        return Err(TypeError(format!(
-            "{} optimization directives — synthesis accepts at most one \
-             minimal/maximal goal",
-            summary.optimization_directives
-        )));
-    }
     Ok(summary)
 }
 
@@ -71,8 +59,7 @@ fn check_prop(p: &Prop, s: &mut PropertySummary) -> Result<(), TypeError> {
             check_prop(b, s)
         }
         Prop::Minimal(e) | Prop::Maximal(e) => {
-            s.optimization_directives += 1;
-            if const_value(e).is_some() {
+            if e.constant().is_some() {
                 return Err(TypeError(format!(
                     "optimization target {e} is a constant — nothing to optimize"
                 )));
@@ -88,7 +75,7 @@ fn check_prop(p: &Prop, s: &mut PropertySummary) -> Result<(), TypeError> {
             // lint: generator measurements are non-negative integers
             for (lhs, rhs) in [(a, b), (b, a)] {
                 if let Expr::GenFn(func, _) = lhs {
-                    if let Some(v) = const_value(rhs) {
+                    if let Some(v) = rhs.constant() {
                         let lower_ok = match op {
                             CmpOp::Eq => v >= 0.0,
                             _ => true,
@@ -128,22 +115,13 @@ fn check_expr(e: &Expr, s: &mut PropertySummary) -> Result<Type, TypeError> {
             })
         }
         Expr::Neg(a) => check_expr(a, s),
-        Expr::LenG => Ok(Type::Int),
-        Expr::LenW => {
-            s.uses_weights = true;
-            Ok(Type::Int)
-        }
-        Expr::SumW => {
-            s.uses_weights = true;
-            Ok(Type::Real)
-        }
+        Expr::LenG | Expr::LenW => Ok(Type::Int),
+        Expr::SumW => Ok(Type::Real),
         Expr::Weight(idx) => {
-            s.uses_weights = true;
             require_index(idx, s, "weight index")?;
             Ok(Type::Real)
         }
         Expr::Cell { gen, row, col } => {
-            note_generator(gen, s);
             require_index(gen, s, "generator index")?;
             require_index(row, s, "cell row")?;
             require_index(col, s, "cell column")?;
@@ -153,7 +131,6 @@ fn check_expr(e: &Expr, s: &mut PropertySummary) -> Result<Type, TypeError> {
             if matches!(func, GenFn::Md | GenFn::Corr) {
                 s.uses_distance = true;
             }
-            note_generator(gen, s);
             require_index(gen, s, "generator index")?;
             Ok(Type::Int)
         }
@@ -166,34 +143,12 @@ fn require_index(e: &Expr, s: &mut PropertySummary, what: &str) -> Result<(), Ty
     if t != Type::Int {
         return Err(TypeError(format!("{what} {e} must be an integer")));
     }
-    if let Some(v) = const_value(e) {
+    if let Some(v) = e.constant() {
         if v < 0.0 || v.fract() != 0.0 {
             return Err(TypeError(format!("{what} {e} must be a natural number")));
         }
     }
     Ok(())
-}
-
-fn note_generator(gen: &Expr, s: &mut PropertySummary) {
-    match const_value(gen) {
-        Some(v) if v >= 0.0 && v.fract() == 0.0 => {
-            s.generators.insert(v as usize);
-        }
-        _ => s.dynamic_generator_indices = true,
-    }
-}
-
-/// Pure-arithmetic constant folding (mirrors `cegis`'s folder).
-fn const_value(e: &Expr) -> Option<f64> {
-    Some(match e {
-        Expr::Int(n) => *n as f64,
-        Expr::Real(r) => *r,
-        Expr::Add(a, b) => const_value(a)? + const_value(b)?,
-        Expr::Sub(a, b) => const_value(a)? - const_value(b)?,
-        Expr::Mul(a, b) => const_value(a)? * const_value(b)?,
-        Expr::Neg(a) => -const_value(a)?,
-        _ => return None,
-    })
 }
 
 #[cfg(test)]
@@ -212,25 +167,14 @@ mod tests {
              && minimal(len_c(G0))",
         )
         .unwrap();
-        assert_eq!(s.generators.iter().copied().collect::<Vec<_>>(), [0]);
         assert!(s.uses_distance);
-        assert!(!s.uses_weights);
-        assert_eq!(s.optimization_directives, 1);
-        assert!(!s.dynamic_generator_indices);
+        let s = check("len_c(G2) = 1 && sum_w < 100 && w(3) > 0").unwrap();
+        assert!(!s.uses_distance);
     }
 
     #[test]
-    fn collects_multiple_generators_and_weights() {
-        let s = check("md(G0) = 3 && len_c(G2) = 1 && sum_w < 100 && w(3) > 0").unwrap();
-        assert_eq!(s.generators.iter().copied().collect::<Vec<_>>(), [0, 2]);
-        assert!(s.uses_weights);
-    }
-
-    #[test]
-    fn flags_dynamic_generator_indices() {
-        let s = check("md(G[len_G - 1]) = 3").unwrap();
-        assert!(s.dynamic_generator_indices);
-        assert!(s.generators.is_empty());
+    fn accepts_dynamic_generator_indices() {
+        assert!(check("md(G[len_G - 1]) = 3").is_ok());
     }
 
     #[test]
@@ -266,22 +210,7 @@ mod tests {
     #[test]
     fn allows_real_comparisons_and_corr() {
         let s = check("sum_w < 192.58 && corr(G0) >= 2").unwrap();
-        assert!(s.uses_weights);
         assert!(s.uses_distance);
-    }
-
-    #[test]
-    fn rejects_duplicate_optimization_directives() {
-        for src in [
-            "len_d(G0) = 4 && minimal(len_c(G0)) && minimal(len_c(G0))",
-            "len_d(G0) = 4 && minimal(len_c(G0)) && maximal(len_1(G0))",
-            "minimal(len_c(G0)) && md(G0) = 3 && maximal(md(G0))",
-        ] {
-            let e = check(src).unwrap_err();
-            assert!(e.0.contains("optimization directives"), "{src:?}: {e}");
-        }
-        // a single directive stays fine
-        assert!(check("len_d(G0) = 4 && minimal(len_c(G0))").is_ok());
     }
 
     #[test]

@@ -8,9 +8,13 @@
 //! of failing on the first byte. Edits may split a UTF-8 sequence; the
 //! bytes are then read as text the way a command line or file reader
 //! would, with U+FFFD for what is not UTF-8.
+//!
+//! The same specs, unmutated, also check that a spec has one meaning:
+//! its shape (or error kind) does not depend on the order of its
+//! conjuncts, and `analyze` reads it exactly as synthesis does.
 
-use fec_analyze::spec::{parse_property, typecheck};
-use fec_analyze::{analyze, ProblemShape};
+use fec_analyze::spec::{parse_property, typecheck, Prop};
+use fec_analyze::{analyze, ProblemShape, SpecError};
 use fec_hamming::Generator;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -129,8 +133,53 @@ fn mutated(
     })
 }
 
+/// The shape's `{:?}`, or the error's kind: what two readings of one
+/// spec must agree on.
+fn reading(shape: Result<ProblemShape, SpecError>) -> String {
+    match shape {
+        Ok(s) => format!("{s:?}"),
+        Err(SpecError::Unsupported(_)) => "unsupported".into(),
+        Err(SpecError::Inconsistent(_)) => "inconsistent".into(),
+    }
+}
+
+/// `prop` with its top-level conjuncts in reverse order.
+fn reversed(prop: &Prop) -> Prop {
+    prop.conjuncts()
+        .into_iter()
+        .cloned()
+        .reduce(|acc, c| Prop::And(Box::new(c), Box::new(acc)))
+        .unwrap_or(Prop::True)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    #[test]
+    fn conjunct_order_does_not_change_the_shape(src in spec()) {
+        if let Ok(prop) = parse_property(&src) {
+            if typecheck(&prop).is_ok() {
+                prop_assert_eq!(
+                    reading(ProblemShape::from_prop(&prop, DEFAULT_MAX_CHECK)),
+                    reading(ProblemShape::from_prop(&reversed(&prop), DEFAULT_MAX_CHECK)),
+                    "{}", src
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn analyze_reads_a_spec_as_synthesis_does(src in spec()) {
+        if let Ok(prop) = parse_property(&src) {
+            if typecheck(&prop).is_ok() {
+                prop_assert_eq!(
+                    reading(analyze(&prop, DEFAULT_MAX_CHECK).map(|a| a.shape)),
+                    reading(ProblemShape::from_prop(&prop, DEFAULT_MAX_CHECK)),
+                    "{}", src
+                );
+            }
+        }
+    }
 
     #[test]
     fn spec_pipeline_never_panics(src in mutated(spec(), SPEC_TOKENS)) {

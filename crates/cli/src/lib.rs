@@ -8,7 +8,8 @@
 //! stream, diagnostics go to the stderr stream as one structured line
 //! `error: kind=<kind> msg="<message>"`, and the exit code encodes the
 //! failure class (0 success, 1 property fails / no solution, 2 usage
-//! or unsupported input, 3 budget/timeout exhausted).
+//! or bad input — parse, type, unsupported, inconsistent, eval —,
+//! 3 budget/timeout exhausted).
 
 #![forbid(unsafe_code)]
 
@@ -18,7 +19,7 @@ use fec_gf2::BitVec;
 use fec_hamming::{distance, Generator};
 use fec_smt::Budget;
 use fec_synth::cegis::{SynthError, SynthesisConfig, Synthesizer};
-use fec_synth::spec::parse_property;
+use fec_synth::spec::{parse_property, typecheck, Prop};
 use fec_synth::verify::{sat_min_distance, verify_props_with, VerifyOptions, VerifyOutcome};
 use fec_trace::{Level, TraceConfig};
 use std::fmt::Write as _;
@@ -74,7 +75,10 @@ shortening/residual refinement; Gilbert–Varshamov for existence).
 Verdicts: INFEASIBLE (printed with its arithmetic certificate, exit 1),
 FEASIBLE (a code provably exists), NEEDS SEARCH (run synth).
 --max-check=N bounds the check length when the property leaves it open
-(default 14, matching synth).
+(default 14, matching synth). synth reads the property through the same
+canonical form: a contradiction (two values for one measurement, an
+empty bound, corr(G0) disagreeing with a fixed md(G0)) exits 2 with
+kind=inconsistent from both commands.
 
 stream simulates the packet-FEC pipeline (fec-stream) over a bursty
 Gilbert–Elliott channel: a deterministic --bytes payload is packetized,
@@ -124,8 +128,11 @@ that takes a value but has none, and a --timeout or --jobs that is not
 a positive integer, is a usage error.
 
 EXIT CODES:
-    0 success / property HOLDS        2 usage, parse, or unsupported input
-    1 property FAILS / no solution    3 solver budget or timeout exhausted
+    0 success / property HOLDS
+    1 property FAILS / no solution
+    2 usage, parse, type, unsupported or inconsistent input, or (verify)
+      a property with no truth value for the code (kind=eval)
+    3 solver budget or timeout exhausted
 
 PROPERTY LANGUAGE (paper Fig. 3 + corr extension):
     len_G = 1 && len_d(G0) = 4 && len_c(G0) <= 4
@@ -410,6 +417,22 @@ fn parse_coeff(args: &[String]) -> Result<Generator, String> {
     Generator::from_coeff_str(&text).ok_or_else(|| format!("malformed coefficient rows {rows:?}"))
 }
 
+/// Reads a property argument the one way `analyze`, `synth` and
+/// `verify` share: a parse error is `kind=parse` and a type error
+/// `kind=type`, each with the usage exit code.
+fn read_property(spec: &str, err: &mut String) -> Result<Prop, i32> {
+    let checked = parse_property(spec)
+        .map_err(|e| ("parse", e.to_string()))
+        .and_then(|p| match typecheck(&p) {
+            Ok(_) => Ok(p),
+            Err(e) => Err(("type", e.to_string())),
+        });
+    checked.map_err(|(kind, msg)| {
+        fail(err, kind, &msg);
+        2
+    })
+}
+
 fn cmd_analyze(args: &[String], out: &mut String, err: &mut String) -> i32 {
     use fec_analyze::{PointVerdict, SpecError};
     let Some(spec) = args.get(1).filter(|s| !s.starts_with("--")) else {
@@ -424,17 +447,10 @@ fn cmd_analyze(args: &[String], out: &mut String, err: &mut String) -> i32 {
         Ok(v) => v,
         Err(e) => return usage(err, &e),
     };
-    let prop = match parse_property(spec) {
+    let prop = match read_property(spec, err) {
         Ok(p) => p,
-        Err(e) => {
-            fail(err, "parse", &e.to_string());
-            return 2;
-        }
+        Err(code) => return code,
     };
-    if let Err(e) = fec_synth::spec::typecheck(&prop) {
-        fail(err, "type", &e.to_string());
-        return 2;
-    }
     let a = match fec_analyze::analyze(&prop, max_check) {
         Ok(a) => a,
         Err(e) => {
@@ -488,12 +504,9 @@ fn cmd_synth(args: &[String], out: &mut String, err: &mut String) -> i32 {
         Ok(v) => v,
         Err(e) => return usage(err, &e),
     };
-    let prop = match parse_property(spec) {
+    let prop = match read_property(spec, err) {
         Ok(p) => p,
-        Err(e) => {
-            fail(err, "parse", &e.to_string());
-            return 2;
-        }
+        Err(code) => return code,
     };
     let config = SynthesisConfig {
         timeout,
@@ -542,19 +555,22 @@ fn cmd_verify(args: &[String], out: &mut String, err: &mut String) -> i32 {
         Ok(v) => v,
         Err(e) => return usage(err, &e),
     };
-    let prop = match parse_property(spec) {
+    let prop = match read_property(spec, err) {
         Ok(p) => p,
-        Err(e) => {
-            fail(err, "parse", &e.to_string());
-            return 2;
-        }
+        Err(code) => return code,
     };
     let opts = VerifyOptions {
         budget: Budget::unlimited(),
         check_certificates: has_flag(args, "check-proofs"),
         jobs,
     };
-    let (outcome, stats) = verify_props_with(&[g], &prop, opts);
+    let (outcome, stats) = match verify_props_with(&[g], &prop, opts) {
+        Ok(r) => r,
+        Err(e) => {
+            fail(err, "eval", &e.to_string());
+            return 2;
+        }
+    };
     if opts.check_certificates {
         out.push_str(&format!(
             "certificates: {} lemmas RUP-checked, {} models validated, {} UNSAT answers certified\n",
@@ -1034,6 +1050,63 @@ mod tests {
         assert!(err.contains("unexpected character 'é'"), "{err}");
         // huge generator indices and counts size nothing: the first
         // generator without a fixed len_d is the error
+        // both commands read a spec the same way: a contradiction is
+        // an error in any conjunct order, corr is checked against a
+        // fixed md, and constant conjuncts fold away
+        for rest in [
+            "len_c(G0) = 4 && len_c(G0) = 5 && md(G0) = 3",
+            "len_1(G0) = 3 && len_1(G0) = 9 && md(G0) = 2 && len_c(G0) = 3",
+            "md(G0) = 3 && md(G0) >= 5 && len_c(G0) <= 8",
+            "md(G0) = 3 && corr(G0) = 2 && len_c(G0) <= 8",
+            "corr(G0) = 2 && md(G0) = 3 && len_c(G0) <= 8",
+            "md(G0) = 3 && 2 < 1",
+        ] {
+            let prop = format!("len_d(G0) = 4 && {rest}");
+            for cmd in ["analyze", "synth"] {
+                let (code, out, err) = run(&argv(&[cmd, &prop]));
+                assert_eq!(code, 2, "{cmd} {rest}: {out}{err}");
+                assert!(
+                    err.contains("error: kind=inconsistent"),
+                    "{cmd} {rest}: {err}"
+                );
+            }
+        }
+        for (rest, analyzed, synthesized) in [
+            (
+                "md(G0) = 4 && corr(G0) >= 1 && len_c(G0) <= 6",
+                "G0: [10, 4] d >= 4",
+                "4) code",
+            ),
+            (
+                "corr(G0) = 1 && md(G0) = 4 && len_c(G0) <= 6",
+                "G0: [10, 4] d >= 4",
+                "4) code",
+            ),
+            (
+                "md(G0) >= 3 && md(G0) = 4 && len_c(G0) <= 6",
+                "G0: [10, 4] d >= 4",
+                "4) code",
+            ),
+            (
+                "md(G0) > 2 && len_c(G0) <= 4",
+                "G0: [8, 4] d >= 3",
+                "4) code",
+            ),
+            ("md(G0) = 3 && 1 < 2", "G0: [18, 4] d >= 3", "4) code"),
+            (
+                "len_c(G0) < 4.0 && md(G0) = 3",
+                "G0: [7, 4] d >= 3",
+                "G0: (7, 4) code",
+            ),
+        ] {
+            let prop = format!("len_d(G0) = 4 && {rest}");
+            let (code, out, err) = run(&argv(&["analyze", &prop]));
+            assert_eq!(code, 0, "analyze {rest}: {out}{err}");
+            assert!(out.contains(analyzed), "analyze {rest}: {out}");
+            let (code, out, err) = run(&argv(&["synth", &prop, "--timeout=10"]));
+            assert_eq!(code, 0, "synth {rest}: {out}{err}");
+            assert!(out.contains(synthesized), "synth {rest}: {out}");
+        }
         let huge_len_g = "len_G = 100000000000 && len_d(G0) = 4";
         for (cmd, prop, missing) in [
             ("analyze", "len_d(G10000000) = 4", "len_d(G0)"),
@@ -1250,6 +1323,32 @@ mod tests {
         let (code, out, _) = run(&argv(&["verify", "md(G0) = 4", "--coeff", coeff]));
         assert_eq!(code, 1);
         assert!(out.contains("FAILS"));
+    }
+
+    #[test]
+    fn verify_reports_spec_errors_not_verdicts() {
+        let coeff = "101/110/111/011";
+        // there is no G1, and no row 9: neither the property nor its
+        // negation has a truth value
+        for prop in ["md(G1) = 3", "!(md(G1) = 3)", "G0(9, 9) = 1"] {
+            let (code, out, err) = run(&argv(&["verify", prop, "--coeff", coeff]));
+            assert_eq!(code, 2, "{prop}: {out}{err}");
+            assert!(err.contains("error: kind=eval"), "{prop}: {err}");
+            assert!(!out.contains("FAILS"), "{prop}: {out}");
+        }
+        // one type error, one answer from every command
+        for args in [
+            &["analyze", "len_d(G0) = 4 && md(G[0.5]) = 3"][..],
+            &["synth", "len_d(G0) = 4 && md(G[0.5]) = 3"],
+            &["verify", "md(G[0.5]) = 3", "--coeff", coeff],
+        ] {
+            let (code, _, err) = run(&argv(args));
+            assert_eq!(code, 2, "{args:?}: {err}");
+            assert!(err.contains("error: kind=type"), "{args:?}: {err}");
+        }
+        let (code, out, err) = run(&argv(&["verify", "md(G0) = 3", "--coeff", coeff]));
+        assert_eq!(code, 0, "{out}{err}");
+        assert!(out.contains("HOLDS"), "{out}");
     }
 
     #[test]

@@ -217,12 +217,12 @@ impl Synthesizer {
         self.run_shape(&shape)
     }
 
-    /// The structural constraints of a parsed property; an open check
+    /// The structural constraints of a parsed property, read from its
+    /// canonical form as `fecsynth analyze` reads them; an open check
     /// window ends at [`DEFAULT_MAX_CHECK`].
     pub(crate) fn shape_of(&self, prop: &Prop) -> Result<ProblemShape, SynthError> {
         crate::spec::typecheck(prop).map_err(|e| SynthError::Unsupported(e.to_string()))?;
-        let shape = ProblemShape::from_prop(prop, DEFAULT_MAX_CHECK)?;
-        Ok(shape)
+        Ok(ProblemShape::from_prop(prop, DEFAULT_MAX_CHECK)?)
     }
 
     /// A solver honoring the configured certification and worker count.
@@ -719,6 +719,51 @@ mod tests {
         let p = parse_property("len_d(G0) = 4 && sum_w < 3").unwrap();
         let e = Synthesizer::new(quick_config()).run(&p).unwrap_err();
         assert_eq!(e.kind(), "unsupported");
+        // a contradiction is an error in any conjunct order, corr is
+        // checked against a fixed md, and strict or constant conjuncts
+        // read as the canonical form normalizes them
+        let spec = |rest: &str| parse_property(&format!("len_d(G0) = 4 && {rest}")).unwrap();
+        for rest in [
+            "len_c(G0) = 4 && len_c(G0) = 5 && md(G0) = 3",
+            "len_1(G0) = 3 && len_1(G0) = 9 && md(G0) = 2 && len_c(G0) = 3",
+            "md(G0) = 3 && md(G0) >= 5 && len_c(G0) <= 8",
+            "md(G0) = 3 && corr(G0) = 2 && len_c(G0) <= 8",
+            "corr(G0) = 2 && md(G0) = 3 && len_c(G0) <= 8",
+            "md(G0) = 3 && 2 < 1",
+        ] {
+            let e = Synthesizer::new(quick_config())
+                .run(&spec(rest))
+                .unwrap_err();
+            assert_eq!(e.kind(), "inconsistent", "{rest}: {e}");
+        }
+        let synth = Synthesizer::new(quick_config());
+        let shape = |rest: &str| synth.shape_of(&spec(rest)).map(|s| format!("{s:?}"));
+        for (rest, same_as) in [
+            (
+                "md(G0) = 4 && corr(G0) >= 1 && len_c(G0) <= 6",
+                "md(G0) >= 4 && len_c(G0) <= 6",
+            ),
+            (
+                "corr(G0) = 1 && md(G0) = 4 && len_c(G0) <= 6",
+                "md(G0) >= 4 && len_c(G0) <= 6",
+            ),
+            (
+                "md(G0) >= 3 && md(G0) = 4 && len_c(G0) <= 6",
+                "md(G0) >= 4 && len_c(G0) <= 6",
+            ),
+            (
+                "md(G0) > 2 && len_c(G0) <= 4",
+                "md(G0) >= 3 && len_c(G0) <= 4",
+            ),
+            ("md(G0) = 3 && 1 < 2", "md(G0) >= 3"),
+            (
+                "len_c(G0) < 4.0 && md(G0) = 3",
+                "md(G0) >= 3 && len_c(G0) <= 3",
+            ),
+        ] {
+            assert_eq!(shape(rest), shape(same_as), "{rest}");
+            assert!(shape(rest).is_ok(), "{rest}");
+        }
     }
 
     #[test]

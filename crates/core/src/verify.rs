@@ -8,7 +8,7 @@
 //! (128,120) code this way), plus full property checking where `md`
 //! sub-expressions are resolved by those queries.
 
-use crate::spec::{typecheck, EvalContext, Prop};
+use crate::spec::{typecheck, EvalContext, EvalError, Prop};
 use fec_gf2::BitVec;
 use fec_hamming::Generator;
 use fec_smt::{Budget, Lit, PortfolioConfig, SmtResult, SmtSolver};
@@ -314,12 +314,14 @@ pub fn sat_min_distance_with(g: &Generator, opts: VerifyOptions) -> (Option<usiz
 /// works for codes far beyond exhaustive range, like (128,120)).
 ///
 /// `minimal`/`maximal` directives are ignored, as in the paper's
-/// verifier mode.
+/// verifier mode. A property that has no truth value for these
+/// generators (`md(G1)` of one generator, a cell past the matrix) is
+/// an [`EvalError`], not a verdict.
 pub fn verify_props(
     generators: &[Generator],
     prop: &Prop,
     budget: Budget,
-) -> (VerifyOutcome, VerifyStats) {
+) -> Result<(VerifyOutcome, VerifyStats), EvalError> {
     verify_props_with(
         generators,
         prop,
@@ -335,7 +337,7 @@ pub fn verify_props_with(
     generators: &[Generator],
     prop: &Prop,
     opts: VerifyOptions,
-) -> (VerifyOutcome, VerifyStats) {
+) -> Result<(VerifyOutcome, VerifyStats), EvalError> {
     let mut stats = VerifyStats::default();
     // resolve every generator's md up front if the property reads some
     // md(Gi) or corr(Gi), or may (an ill-typed one: eval reports it)
@@ -347,16 +349,17 @@ pub fn verify_props_with(
             stats.absorb(&s);
             match md {
                 Some(d) => mds.push(d),
-                None => return (VerifyOutcome::Unknown, stats),
+                None => return Ok((VerifyOutcome::Unknown, stats)),
             }
         }
         ctx.md_overrides = mds;
     }
-    match ctx.eval_prop(prop) {
-        Ok(true) => (VerifyOutcome::Holds, stats),
-        Ok(false) => (VerifyOutcome::Fails { witness: None }, stats),
-        Err(_) => (VerifyOutcome::Fails { witness: None }, stats),
-    }
+    let outcome = if ctx.eval_prop(prop)? {
+        VerifyOutcome::Holds
+    } else {
+        VerifyOutcome::Fails { witness: None }
+    };
+    Ok((outcome, stats))
 }
 
 #[cfg(test)]
@@ -426,7 +429,7 @@ mod tests {
         assert!(stats.models_validated >= 1, "{stats:?}");
 
         let p = parse_property("md(G0) = 3").unwrap();
-        let (o, stats) = verify_props_with(&[g], &p, opts);
+        let (o, stats) = verify_props_with(&[g], &p, opts).unwrap();
         assert_eq!(o, VerifyOutcome::Holds);
         assert!(stats.unsat_certified >= 1, "{stats:?}");
     }
@@ -435,10 +438,10 @@ mod tests {
     fn verify_props_resolves_md_by_sat() {
         let g = standards::hamming_7_4();
         let p = parse_property("md(G0) = 3 && len_c(G0) = 3 && len_1(G0) = 9").unwrap();
-        let (o, _) = verify_props(std::slice::from_ref(&g), &p, Budget::unlimited());
+        let (o, _) = verify_props(std::slice::from_ref(&g), &p, Budget::unlimited()).unwrap();
         assert_eq!(o, VerifyOutcome::Holds);
         let p = parse_property("md(G0) = 4").unwrap();
-        let (o, _) = verify_props(&[g], &p, Budget::unlimited());
+        let (o, _) = verify_props(&[g], &p, Budget::unlimited()).unwrap();
         assert!(matches!(o, VerifyOutcome::Fails { .. }));
     }
 
@@ -447,7 +450,7 @@ mod tests {
         // §4.1 also verifies the NEGATION: the code does NOT have md 4
         let g = standards::ieee_8023df_128_120();
         let p = parse_property("!(md(G0) = 4)").unwrap();
-        let (o, _) = verify_props(&[g], &p, Budget::unlimited());
+        let (o, _) = verify_props(&[g], &p, Budget::unlimited()).unwrap();
         assert_eq!(o, VerifyOutcome::Holds);
     }
 
@@ -503,7 +506,7 @@ mod tests {
     fn multi_generator_properties() {
         let p = parse_property("md(G0) = 3 && md(G1) = 2 && len_G = 2").unwrap();
         let gens = vec![standards::hamming_7_4(), standards::parity_code(16)];
-        let (o, _) = verify_props(&gens, &p, Budget::unlimited());
+        let (o, _) = verify_props(&gens, &p, Budget::unlimited()).unwrap();
         assert_eq!(o, VerifyOutcome::Holds);
     }
 }

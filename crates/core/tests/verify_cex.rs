@@ -67,13 +67,12 @@ fn props_failure_paths_have_no_witness() {
     let g = standards::hamming_7_4();
     // a false arithmetic property: eval returns Ok(false)
     let p = parse_property("len_c(G0) = 7").unwrap();
-    let (o, _) = verify_props(std::slice::from_ref(&g), &p, Budget::unlimited());
+    let (o, _) = verify_props(std::slice::from_ref(&g), &p, Budget::unlimited()).unwrap();
     assert_eq!(o, VerifyOutcome::Fails { witness: None });
-    // an eval *error* (G1 out of range) is also reported as a
-    // witnessless failure rather than a panic
+    // an eval *error* (G1 out of range) is an error, not a verdict,
+    // and not a panic
     let p = parse_property("md(G1) = 3").unwrap();
-    let (o, _) = verify_props(&[g], &p, Budget::unlimited());
-    assert_eq!(o, VerifyOutcome::Fails { witness: None });
+    assert!(verify_props(&[g], &p, Budget::unlimited()).is_err());
 }
 
 #[test]
@@ -92,7 +91,7 @@ fn unknown_propagates_through_composed_entry_points() {
     // ...and a property that needs md resolution surfaces Unknown
     // instead of mis-reporting Holds or Fails
     let p = parse_property("md(G0) = 3").unwrap();
-    let (o, _) = verify_props_with(&[g], &p, tiny);
+    let (o, _) = verify_props_with(&[g], &p, tiny).unwrap();
     assert_eq!(o, VerifyOutcome::Unknown);
 }
 
@@ -152,9 +151,9 @@ fn corr_resolves_by_sat_beyond_exhaustive_range() {
     assert_eq!(g.data_len(), 21);
     assert_eq!(fec_hamming::distance::min_distance_exhaustive(&g), 5);
     let holds = parse_property("corr(G0) = 2").unwrap();
-    let (o, _) = verify_props(std::slice::from_ref(&g), &holds, Budget::unlimited());
+    let (o, _) = verify_props(std::slice::from_ref(&g), &holds, Budget::unlimited()).unwrap();
     assert_eq!(o, VerifyOutcome::Holds);
     let fails = parse_property("corr(G0) = 3").unwrap();
-    let (o, _) = verify_props(&[g], &fails, Budget::unlimited());
+    let (o, _) = verify_props(&[g], &fails, Budget::unlimited()).unwrap();
     assert_eq!(o, VerifyOutcome::Fails { witness: None });
 }

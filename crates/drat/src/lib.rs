@@ -25,12 +25,9 @@
 //! (directly, or because unit propagation of admitted clauses is
 //! already contradictory) — see [`Checker::is_refuted`].
 //!
-//! Checking is *forward* (each lemma is validated against the clauses
+//! Checking is *forward*: each lemma is validated against the clauses
 //! live at its position in the stream, the operational DRAT semantics
-//! used by drat-trim). During each RUP check the checker records which
-//! clauses participated in the conflict, so after a refutation a
-//! *backward* dependency pass ([`Checker::refutation_core`]) marks the
-//! subset of inputs and lemmas the empty clause actually rests on.
+//! used by drat-trim.
 //!
 //! One deliberate laxity, shared with drat-trim: literals fixed by unit
 //! propagation stay fixed even if a clause that implied them is later
@@ -134,30 +131,6 @@ fn fmt_clause(lits: &[Lit]) -> String {
     s
 }
 
-/// Outcome of the backward dependency pass after a refutation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct CoreReport {
-    /// Input clauses the refutation depends on.
-    pub core_inputs: usize,
-    /// Lemmas the refutation depends on.
-    pub core_lemmas: usize,
-    /// All input clauses admitted.
-    pub total_inputs: usize,
-    /// All lemmas accepted.
-    pub total_lemmas: usize,
-}
-
-const NO_REASON: u32 = u32::MAX;
-
-/// Source of a unit-propagation conflict, for dependency collection.
-enum Conflict {
-    /// All literals of this clause are false.
-    InClause(u32),
-    /// This literal is fixed true but the lemma under test assumes it
-    /// false (or the lemma assumes both polarities of one variable).
-    AtLit(Lit),
-}
-
 struct CClause {
     /// Sorted, deduplicated literals.
     lits: Vec<Lit>,
@@ -165,9 +138,6 @@ struct CClause {
     w: [u32; 2],
     watched: bool,
     deleted: bool,
-    is_input: bool,
-    /// For learnt clauses: ids of the clauses its RUP derivation used.
-    deps: Vec<u32>,
 }
 
 /// Forward RUP checker over a solver proof stream.
@@ -191,8 +161,6 @@ struct CClause {
 pub struct Checker {
     /// Per-variable value: 0 unassigned, 1 true, -1 false.
     assign: Vec<i8>,
-    /// Clause that implied each variable (`NO_REASON` for assumptions).
-    reason: Vec<u32>,
     trail: Vec<Lit>,
     qhead: usize,
     clauses: Vec<CClause>,
@@ -204,10 +172,6 @@ pub struct Checker {
     /// validation.
     inputs: Vec<Vec<Lit>>,
     refuted: bool,
-    refutation_deps: Vec<u32>,
-    /// Stamp-based visited marks for dependency collection.
-    seen_stamp: Vec<u32>,
-    stamp: u32,
     steps: usize,
     lemmas_seen: usize,
     lemmas_accepted: usize,
@@ -231,11 +195,6 @@ impl Checker {
         self.lemmas_accepted
     }
 
-    /// Number of steps processed so far.
-    pub fn steps_processed(&self) -> usize {
-        self.steps
-    }
-
     /// The input clauses recorded so far, as logged.
     pub fn inputs(&self) -> &[Vec<Lit>] {
         &self.inputs
@@ -248,25 +207,22 @@ impl Checker {
         match step {
             ProofStep::Input(lits) => {
                 self.inputs.push(lits.clone());
-                let deps = Vec::new();
-                self.insert_clause(lits, true, deps);
+                self.insert_clause(lits);
                 Ok(())
             }
             ProofStep::Learn(lits) => {
                 let lemma_index = self.lemmas_seen;
                 self.lemmas_seen += 1;
-                match self.rup_deps(lits) {
-                    Some(deps) => {
-                        self.lemmas_accepted += 1;
-                        self.insert_clause(lits, false, deps);
-                        Ok(())
-                    }
-                    None => Err(CheckError::RejectedLemma {
+                if !self.is_rup(lits) {
+                    return Err(CheckError::RejectedLemma {
                         step_index,
                         lemma_index,
                         lemma: lits.clone(),
-                    }),
+                    });
                 }
+                self.lemmas_accepted += 1;
+                self.insert_clause(lits);
+                Ok(())
             }
             ProofStep::Delete(lits) => {
                 let key = normalize(lits);
@@ -302,7 +258,35 @@ impl Checker {
     /// clause ¬a₁ ∨ … ∨ ¬aₖ over its failed assumptions, which must be
     /// RUP with respect to inputs plus accepted lemmas.
     pub fn is_rup(&mut self, lemma: &[Lit]) -> bool {
-        self.rup_deps(lemma).is_some()
+        if self.refuted {
+            return true; // everything follows from a refuted formula
+        }
+        for l in lemma {
+            self.ensure_var(l.var());
+        }
+        let mark = self.trail.len();
+        let mut conflict = false;
+        for &l in lemma {
+            match self.value(!l) {
+                1 => {} // already assumed (duplicate literal)
+                -1 => {
+                    // l is true — as a fixed fact or an opposite
+                    // assumption of this very lemma — so the negated
+                    // lemma is contradictory outright
+                    conflict = true;
+                    break;
+                }
+                _ => self.assign_true(!l),
+            }
+        }
+        let conflict = conflict || self.propagate();
+        // undo the transient assignments
+        for i in mark..self.trail.len() {
+            self.assign[self.trail[i].var().index()] = 0;
+        }
+        self.trail.truncate(mark);
+        self.qhead = mark;
+        conflict
     }
 
     /// Validates a satisfying assignment: every recorded input clause
@@ -332,49 +316,12 @@ impl Checker {
         Ok(())
     }
 
-    /// Backward dependency pass: after a refutation, the transitive
-    /// closure of clauses the empty clause was derived from. `None`
-    /// while the stream has not refuted the formula.
-    pub fn refutation_core(&self) -> Option<CoreReport> {
-        if !self.refuted {
-            return None;
-        }
-        let mut marked = vec![false; self.clauses.len()];
-        let mut stack: Vec<u32> = self.refutation_deps.clone();
-        while let Some(cid) = stack.pop() {
-            let c = &mut marked[cid as usize];
-            if *c {
-                continue;
-            }
-            *c = true;
-            stack.extend_from_slice(&self.clauses[cid as usize].deps);
-        }
-        let mut report = CoreReport {
-            core_inputs: 0,
-            core_lemmas: 0,
-            total_inputs: 0,
-            total_lemmas: 0,
-        };
-        for (i, c) in self.clauses.iter().enumerate() {
-            if c.is_input {
-                report.total_inputs += 1;
-                report.core_inputs += usize::from(marked[i]);
-            } else {
-                report.total_lemmas += 1;
-                report.core_lemmas += usize::from(marked[i]);
-            }
-        }
-        Some(report)
-    }
-
     // ---- internals ----------------------------------------------------
 
     fn ensure_var(&mut self, v: Var) {
         let need = v.index() + 1;
         if self.assign.len() < need {
             self.assign.resize(need, 0);
-            self.reason.resize(need, NO_REASON);
-            self.seen_stamp.resize(need, 0);
             self.watches.resize(need * 2, Vec::new());
         }
     }
@@ -391,15 +338,14 @@ impl Checker {
 
     /// Assigns `l` true. Caller must have checked `l` is unassigned.
     #[inline]
-    fn assign_true(&mut self, l: Lit, reason: u32) {
-        let v = l.var().index();
-        self.assign[v] = if l.is_pos() { 1 } else { -1 };
-        self.reason[v] = reason;
+    fn assign_true(&mut self, l: Lit) {
+        self.assign[l.var().index()] = if l.is_pos() { 1 } else { -1 };
         self.trail.push(l);
     }
 
-    /// Unit propagation from the current queue head.
-    fn propagate(&mut self) -> Option<Conflict> {
+    /// Unit propagation from the current queue head; `true` on a
+    /// conflict.
+    fn propagate(&mut self) -> bool {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
@@ -449,94 +395,20 @@ impl Checker {
                             keep.extend_from_slice(&ws[i..]);
                             self.watches[falsified.index()] = keep;
                             self.qhead = self.trail.len();
-                            return Some(Conflict::InClause(cid));
+                            return true;
                         }
-                        self.assign_true(other, cid);
+                        self.assign_true(other);
                     }
                 }
             }
             self.watches[falsified.index()] = keep;
         }
-        None
-    }
-
-    /// Collects the clause ids a conflict rests on by walking the
-    /// reason chains of every literal involved.
-    fn collect_deps(&mut self, conflict: &Conflict) -> Vec<u32> {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let mut deps: Vec<u32> = Vec::new();
-        let mut stack: Vec<Lit> = Vec::new();
-        match *conflict {
-            Conflict::InClause(cid) => {
-                deps.push(cid);
-                stack.extend_from_slice(&self.clauses[cid as usize].lits);
-            }
-            Conflict::AtLit(l) => stack.push(l),
-        }
-        while let Some(q) = stack.pop() {
-            let v = q.var().index();
-            if self.seen_stamp[v] == stamp {
-                continue;
-            }
-            self.seen_stamp[v] = stamp;
-            let r = self.reason[v];
-            if r != NO_REASON {
-                deps.push(r);
-                stack.extend(
-                    self.clauses[r as usize]
-                        .lits
-                        .iter()
-                        .copied()
-                        .filter(|l| l.var().index() != v),
-                );
-            }
-        }
-        deps
-    }
-
-    /// RUP test returning the conflict's dependency set, or `None` if
-    /// the lemma is not derivable by unit propagation.
-    fn rup_deps(&mut self, lemma: &[Lit]) -> Option<Vec<u32>> {
-        if self.refuted {
-            // everything follows from a refuted formula; attribute it
-            // to the refutation itself
-            return Some(self.refutation_deps.clone());
-        }
-        for l in lemma {
-            self.ensure_var(l.var());
-        }
-        let mark = self.trail.len();
-        let mut conflict = None;
-        for &l in lemma {
-            match self.value(!l) {
-                1 => {} // already assumed (duplicate literal)
-                -1 => {
-                    // l is true — as a fixed fact or an opposite
-                    // assumption of this very lemma — so the negated
-                    // lemma is contradictory outright
-                    conflict = Some(Conflict::AtLit(l));
-                    break;
-                }
-                _ => self.assign_true(!l, NO_REASON),
-            }
-        }
-        if conflict.is_none() {
-            conflict = self.propagate();
-        }
-        let deps = conflict.map(|c| self.collect_deps(&c));
-        // undo the transient assignments
-        for i in mark..self.trail.len() {
-            self.assign[self.trail[i].var().index()] = 0;
-        }
-        self.trail.truncate(mark);
-        self.qhead = mark;
-        deps
+        false
     }
 
     /// Admits a clause into the live database, watching it / fixing its
     /// unit consequence as the current fixed assignment dictates.
-    fn insert_clause(&mut self, raw: &[Lit], is_input: bool, deps: Vec<u32>) {
+    fn insert_clause(&mut self, raw: &[Lit]) {
         for l in raw {
             self.ensure_var(l.var());
         }
@@ -549,8 +421,6 @@ impl Checker {
             w: [0, 0],
             watched: false,
             deleted: false,
-            is_input,
-            deps,
         });
         if self.refuted || tautology {
             return;
@@ -577,16 +447,12 @@ impl Checker {
                 // falsified outright by fixed literals — the formula is
                 // refuted (this is how an explicit empty clause, and a
                 // clause the fixed assignment contradicts, both land)
-                self.refutation_deps = self.collect_deps(&Conflict::InClause(cid));
                 self.refuted = true;
             }
             1 => {
                 let u = self.clauses[cid as usize].lits[free[0] as usize];
-                self.assign_true(u, cid);
-                if let Some(c) = self.propagate() {
-                    self.refutation_deps = self.collect_deps(&c);
-                    self.refuted = true;
-                }
+                self.assign_true(u);
+                self.refuted = self.propagate();
             }
             _ => {
                 let c = &mut self.clauses[cid as usize];
@@ -723,22 +589,5 @@ mod tests {
                 ..
             }
         ));
-    }
-
-    #[test]
-    fn refutation_core_marks_a_subset() {
-        // clause (3 4) is irrelevant to the refutation
-        let mut steps = inputs(&[&[1, 2], &[-1, 2], &[1, -2], &[-1, -2], &[3, 4]]);
-        steps.push(ProofStep::Learn(clause(&[2])));
-        steps.push(ProofStep::Learn(vec![]));
-        let mut ck = Checker::new();
-        ck.process_all(&steps).unwrap();
-        let core = ck.refutation_core().unwrap();
-        assert_eq!(core.total_inputs, 5);
-        assert_eq!(core.core_inputs, 4, "the padding clause is not in the core");
-        // inserting lemma (2) already refutes by propagation, so the
-        // trailing explicit empty clause is redundant and not in the core
-        assert_eq!(core.total_lemmas, 2);
-        assert_eq!(core.core_lemmas, 1);
     }
 }

@@ -147,14 +147,7 @@ fn agree_and_certify(case: usize, nv: usize, clauses: &[Vec<Lit>], assumptions: 
                 .unwrap_or_else(|e| panic!("case {case}: model rejected: {e}"));
             true
         }
-        (false, SolveResult::Unsat) if checker.is_refuted() => {
-            let core = checker.refutation_core().expect("refuted => core");
-            assert!(
-                core.core_inputs > 0,
-                "case {case}: refutation uses no input clause"
-            );
-            false
-        }
+        (false, SolveResult::Unsat) if checker.is_refuted() => false,
         (false, SolveResult::Unsat) => {
             // assumption-UNSAT emits no refutation: the failed subset
             // must consist of assumptions and its negation must be RUP

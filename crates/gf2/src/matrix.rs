@@ -293,11 +293,6 @@ impl BitMatrix {
         }
         basis
     }
-
-    /// Iterator over the rows.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &BitVec> {
-        self.rows.iter()
-    }
 }
 
 impl fmt::Debug for BitMatrix {

@@ -158,11 +158,6 @@ impl LdpcCode {
         self.h.mul_vec(word).is_zero()
     }
 
-    /// Number of unsatisfied parity checks (the decoding "energy").
-    pub fn unsatisfied_checks(&self, word: &BitVec) -> usize {
-        self.h.mul_vec(word).count_ones()
-    }
-
     /// Gallager bit-flipping decoding: repeatedly flip the bits
     /// involved in the most unsatisfied checks until the word is valid
     /// or `max_iters` passes expire. Returns the corrected codeword or

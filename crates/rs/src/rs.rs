@@ -63,11 +63,6 @@ impl ReedSolomon {
         self.k
     }
 
-    /// Parity length `n − k`.
-    pub fn parity_len(&self) -> usize {
-        self.n - self.k
-    }
-
     /// Correctable symbol errors `t = ⌊(n−k)/2⌋`.
     pub fn correctable(&self) -> usize {
         (self.n - self.k) / 2

@@ -25,7 +25,7 @@
 //! The stream is behind an `Option` checked once per learned/deleted
 //! clause — never in the propagation loop — so disabled logging costs
 //! one never-taken branch per *conflict*, which is unmeasurable (see the
-//! `sat_proof_overhead` bench).
+//! `proof_logging` group of `crates/bench/benches/sat_solver.rs`).
 //!
 //! ```
 //! use fec_sat::{Solver, Lit, SolveResult};

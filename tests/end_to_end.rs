@@ -31,7 +31,7 @@ fn synthesized_code_passes_independent_verification() {
     // 1. exhaustive distance over all 2^6 data words
     assert_eq!(distance::min_distance_exhaustive(&g), 3);
     // 2. the SAT-backed verifier over the parsed property
-    let (outcome, _) = verify_props(std::slice::from_ref(&g), &prop, Budget::unlimited());
+    let (outcome, _) = verify_props(std::slice::from_ref(&g), &prop, Budget::unlimited()).unwrap();
     assert_eq!(outcome, VerifyOutcome::Holds);
     // 3. concrete evaluation of the property AST
     let ctx = EvalContext::from_generators(vec![g.clone()]);
@@ -84,7 +84,7 @@ fn verifier_and_exhaustive_distance_agree_on_standard_codes() {
     ] {
         assert_eq!(distance::min_distance_exhaustive(&g), expect);
         let prop = parse_property(&format!("md(G0) = {expect}")).unwrap();
-        let (o, _) = verify_props(&[g], &prop, Budget::unlimited());
+        let (o, _) = verify_props(&[g], &prop, Budget::unlimited()).unwrap();
         assert_eq!(o, VerifyOutcome::Holds);
     }
 }
