@@ -145,6 +145,9 @@ fn fold_expr(e: &Expr) -> Expr {
 enum Measure {
     LenG,
     Gen(u8, usize), // (function rank, generator index)
+    /// A coefficient cell `(generator, row, column)`; only its
+    /// equalities are narrowed.
+    Cell(usize, usize, usize),
 }
 
 fn gen_fn_rank(f: GenFn) -> u8 {
@@ -168,25 +171,37 @@ fn rank_to_gen_fn(r: u8) -> GenFn {
 }
 
 /// Recognizes `measure ⋈ integer-constant` (after normalization) for
-/// the narrowable integer measurements.
+/// the narrowable integer measurements, and `cell = integer-constant`.
 fn as_interval_atom(p: &Prop) -> Option<(Measure, CmpOp, i64)> {
     let Prop::Cmp(op, lhs, Expr::Int(v)) = p else {
         return None;
     };
+    let index = |e: &Expr| match *e {
+        Expr::Int(i) => usize::try_from(i).ok(),
+        _ => None,
+    };
     match lhs {
         Expr::LenG => Some((Measure::LenG, *op, *v)),
-        Expr::GenFn(f, g) => {
-            let Expr::Int(i) = **g else { return None };
-            (i >= 0).then(|| (Measure::Gen(gen_fn_rank(*f), i as usize), *op, *v))
-        }
+        Expr::GenFn(f, g) => Some((Measure::Gen(gen_fn_rank(*f), index(g)?), *op, *v)),
+        Expr::Cell { gen, row, col } if *op == CmpOp::Eq => Some((
+            Measure::Cell(index(gen)?, index(row)?, index(col)?),
+            *op,
+            *v,
+        )),
         _ => None,
     }
 }
 
 fn measure_expr(m: Measure) -> Expr {
+    let int = |i: usize| Box::new(Expr::Int(i as i64));
     match m {
         Measure::LenG => Expr::LenG,
-        Measure::Gen(r, i) => Expr::GenFn(rank_to_gen_fn(r), Box::new(Expr::Int(i as i64))),
+        Measure::Gen(r, i) => Expr::GenFn(rank_to_gen_fn(r), int(i)),
+        Measure::Cell(g, r, c) => Expr::Cell {
+            gen: int(g),
+            row: int(r),
+            col: int(c),
+        },
     }
 }
 
@@ -409,20 +424,35 @@ fn canon_conjunct(p: &Prop, lints: &mut Vec<Lint>) -> Option<Prop> {
                 std::mem::swap(&mut lhs, &mut rhs);
                 op = flip(op);
             }
-            // widen strict integer comparisons on integer measurements
+            // widen strict integer comparisons on integer measurements,
+            // and round fractional bounds to the integers they admit
             if is_integer_measure(&lhs) {
-                if let Expr::Int(v) = rhs {
-                    match op {
-                        CmpOp::Lt => {
-                            op = CmpOp::Le;
-                            rhs = Expr::Int(v - 1);
+                match (op, &rhs) {
+                    (CmpOp::Lt, &Expr::Int(v)) => (op, rhs) = (CmpOp::Le, Expr::Int(v - 1)),
+                    (CmpOp::Gt, &Expr::Int(v)) => (op, rhs) = (CmpOp::Ge, Expr::Int(v + 1)),
+                    // a finite non-integral real lies strictly between
+                    // two integers that fit an i64
+                    (_, &Expr::Real(r)) if r.is_finite() && r.fract() != 0.0 => match op {
+                        CmpOp::Lt | CmpOp::Le => {
+                            (op, rhs) = (CmpOp::Le, Expr::Int(r.floor() as i64))
                         }
-                        CmpOp::Gt => {
-                            op = CmpOp::Ge;
-                            rhs = Expr::Int(v + 1);
+                        CmpOp::Gt | CmpOp::Ge => {
+                            (op, rhs) = (CmpOp::Ge, Expr::Int(r.ceil() as i64))
                         }
-                        _ => {}
-                    }
+                        CmpOp::Eq | CmpOp::Ne => {
+                            let eq = op == CmpOp::Eq;
+                            lints.push(Lint {
+                                class: if eq {
+                                    LintClass::Contradiction
+                                } else {
+                                    LintClass::Tautology
+                                },
+                                message: format!("{p} is always {}: {lhs} is an integer", !eq),
+                            });
+                            return eq.then_some(Prop::False);
+                        }
+                    },
+                    _ => {}
                 }
             }
             Some(Prop::Cmp(op, lhs, rhs))
@@ -507,9 +537,53 @@ mod tests {
     fn integral_reals_bound_as_integers() {
         let a = canon("len_c(G0) < 4.0 && len_d(G0) = 4.0");
         assert_eq!(a.hash, canon("len_c(G0) <= 3 && len_d(G0) = 4").hash);
-        // the fractional bound is kept as written
-        let r = canon("len_c(G0) < 4.5");
-        assert_eq!(r.canonical_text(), "len_c(G[0]) < 4.5");
+    }
+
+    #[test]
+    fn fractional_bounds_round_to_the_integers_they_admit() {
+        for (src, text) in [
+            ("len_c(G0) < 4.5", "len_c(G[0]) <= 4"),
+            ("len_c(G0) <= 4.5", "len_c(G[0]) <= 4"),
+            ("md(G0) > 2.5", "md(G[0]) >= 3"),
+            ("md(G0) >= 2.5", "md(G[0]) >= 3"),
+            ("4.5 > len_c(G0)", "len_c(G[0]) <= 4"),
+            ("len_G <= 2.5", "len_G <= 2"),
+            ("md(G0) >= 2.5 && md(G0) >= 3", "md(G[0]) >= 3"),
+        ] {
+            let r = canon(src);
+            assert_eq!(r.canonical_text(), text, "{src}");
+        }
+        let r = canon("len_d(G0) = 4 && len_c(G0) = 4.5");
+        assert!(
+            r.lints.iter().any(|l| l.class == LintClass::Contradiction),
+            "{:?}",
+            r.lints
+        );
+        let r = canon("len_d(G0) = 4 && len_c(G0) != 4.5");
+        assert!(r.lints.iter().any(|l| l.class == LintClass::Tautology));
+        assert_eq!(r.hash, canon("len_d(G0) = 4").hash);
+        // a fractional cell value is no integer measurement's bound
+        let r = canon("G0(0, 4) <= 0.5");
+        assert_eq!(r.canonical_text(), "G[0](0, 4) <= 0.5");
+    }
+
+    #[test]
+    fn cell_equalities_narrow_like_measurements() {
+        let r = canon("len_d(G0) = 4 && G0(0, 4) = 1 && G0(0, 4) = 0");
+        assert!(
+            r.lints.iter().any(|l| l.class == LintClass::Contradiction),
+            "{:?}",
+            r.lints
+        );
+        let r = canon("len_d(G0) = 4 && G0(0, 4) = 1 && G0(0, 2 + 2) = 1");
+        assert_eq!(
+            r.lints.iter().map(|l| l.class).collect::<Vec<_>>(),
+            [LintClass::DuplicateConjunct]
+        );
+        assert_eq!(r.hash, canon("len_d(G0) = 4 && G0(0, 4) = 1").hash);
+        // distinct cells are independent
+        let r = canon("len_d(G0) = 4 && G0(0, 4) = 1 && G0(1, 4) = 0");
+        assert!(r.lints.is_empty(), "{:?}", r.lints);
     }
 
     #[test]

@@ -85,14 +85,6 @@ fn check_prop(p: &Prop, s: &mut PropertySummary) -> Result<(), TypeError> {
                                 "{func:?} cannot equal the negative constant {v}"
                             )));
                         }
-                        if matches!(func, GenFn::LenD | GenFn::LenC | GenFn::LenOnes)
-                            && v.fract() != 0.0
-                            && *op == CmpOp::Eq
-                        {
-                            return Err(TypeError(format!(
-                                "{func:?} is an integer but is equated to {v}"
-                            )));
-                        }
                     }
                 }
             }
@@ -196,9 +188,10 @@ mod tests {
     }
 
     #[test]
-    fn rejects_fractional_length_equation() {
-        let e = check("len_c(G0) = 2.5").unwrap_err();
-        assert!(e.0.contains("integer"), "{e}");
+    fn fractional_equations_are_left_to_the_canonicalizer() {
+        // an integer measurement equated to a fraction is a
+        // contradiction, which `canon` reports for every measurement
+        assert!(check("len_c(G0) = 2.5").is_ok());
     }
 
     #[test]

@@ -4,15 +4,22 @@
 //! from `fec-circ` whenever the codeword fits one `u64`; the width
 //! alone picks the worker. A §4.3 composite runs as its combined
 //! `CompositeCode::generator()`. The generator is minimized once per
-//! trial, each worker clones the compiled kernel, and the hot loop is
-//! pure `u64` arithmetic with no allocation: a word is
-//! `data | checks << k`, and its syndrome is checked by re-encoding the
-//! received data bits. Wider codewords take the scalar `BitVec`
-//! matrix–vector workers, which are also the reference the kernel
-//! workers are tested against: both consume the RNG identically (the
-//! BSC's geometric gap sampler draws the same sequence for `BitVec` and
-//! `u64` words), so they produce bit-identical reports under the same
-//! seed.
+//! trial, and each worker clones the compiled kernel. A worker runs
+//! its trials in batches of 64, one per bit lane of
+//! `CircuitKernel::encode_checks_lanes`, so the minimized circuit's
+//! XORs are paid once per 64 trials. A batch first draws its trials
+//! one after another, each its data word and then its BSC error
+//! pattern, into stack arrays. One lanes pass then encodes the clean
+//! words (a word is `data | checks << k`), and a second re-encodes
+//! the received data bits: a trial's syndrome is zero when those
+//! checks equal the received ones. Nothing is allocated per batch.
+//!
+//! Wider codewords take the scalar `BitVec` matrix–vector workers,
+//! which are also the reference the kernel workers are tested
+//! against: both consume the RNG in the same order (the BSC's gap
+//! sampler draws the same sequence for `BitVec` and `u64` words), so
+//! they produce bit-identical reports under the same seed, whatever
+//! the trial count.
 
 use crate::bsc::Bsc;
 use crate::floatbits::random_numeric_f32;
@@ -122,7 +129,7 @@ pub fn robustness_trial(
         // minimize (and certify) once, outside the worker threads
         let kernel = CircuitKernel::minimized(g);
         split_trials(trials, seed, ROBUSTNESS_SALT, threads, |n, s| {
-            robustness_worker_kernel(g, kernel.clone(), md, p, n, s)
+            robustness_worker_kernel(kernel.clone(), md, p, n, s)
         })
     } else {
         split_trials(trials, seed, ROBUSTNESS_SALT, threads, |n, s| {
@@ -180,42 +187,89 @@ fn robustness_worker(g: &Generator, md: usize, p: f64, trials: u64, seed: u64) -
 }
 
 fn robustness_worker_kernel(
-    g: &Generator,
-    mut kernel: CircuitKernel,
+    kernel: CircuitKernel,
     md: usize,
     p: f64,
     trials: u64,
     seed: u64,
 ) -> RobustnessReport {
-    let bsc = Bsc::new(p);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let k = g.data_len();
-    let n = g.codeword_len();
-    assert!(k <= 64, "robustness_trial supports k ≤ 64");
-    let check_mask = mask64(g.check_len());
+    let data_mask = mask64(kernel.data_len());
     let mut report = RobustnessReport {
         trials,
         ..Default::default()
     };
-    for _ in 0..trials {
-        let data_bits: u64 = rng.random::<u64>() & mask64(k);
-        let mut word = data_bits | (kernel.encode_checks(data_bits) << k);
-        let flips = bsc.transmit_u64(&mut rng, &mut word, n);
-        if flips >= md {
-            report.at_least_md_flips += 1;
+    kernel_trials(
+        kernel,
+        p,
+        trials,
+        seed,
+        |rng| rng.random::<u64>() & data_mask,
+        |_, error, valid| {
+            let flips = error.count_ones() as usize;
+            if flips >= md {
+                report.at_least_md_flips += 1;
+            }
+            if flips == 0 {
+                return;
+            }
+            if valid {
+                report.undetected += 1;
+            } else {
+                report.detected += 1;
+            }
+        },
+    );
+    report
+}
+
+/// Trials per pass of the kernel: one per bit lane of
+/// `CircuitKernel::encode_checks_lanes`.
+const LANES: usize = 64;
+
+/// Runs `trials` encode–channel–detect trials on `kernel` over a BSC
+/// at rate `p`, from one RNG seeded with `seed`, 64 to a pass. A batch
+/// draws its trials one at a time: `data` draws a trial's data word,
+/// then the BSC draws its n-bit error pattern, so the RNG order is
+/// that of one trial after another. One lanes pass encodes the
+/// batch's clean words, a second re-encodes the received data bits;
+/// then `tally(sent, error, valid)` sees each trial in order, with
+/// `valid` true when the received check bits equal the re-encoded
+/// ones (a zero syndrome). The buffers live on the stack.
+fn kernel_trials(
+    mut kernel: CircuitKernel,
+    p: f64,
+    trials: u64,
+    seed: u64,
+    mut data: impl FnMut(&mut SmallRng) -> u64,
+    mut tally: impl FnMut(u64, u64, bool),
+) {
+    let bsc = Bsc::new(p);
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let k = kernel.data_len();
+    let n = k + kernel.check_len();
+    let check_mask = mask64(kernel.check_len());
+    let mut words = [0u64; LANES];
+    let mut errors = [0u64; LANES];
+    let mut checks = [0u64; LANES];
+    let mut left = trials;
+    while left > 0 {
+        let lanes = left.min(LANES as u64) as usize;
+        left -= lanes as u64;
+        for (word, error) in words[..lanes].iter_mut().zip(&mut errors[..lanes]) {
+            *word = data(&mut rng);
+            *error = 0;
+            bsc.transmit_u64(&mut rng, error, n);
         }
-        if flips == 0 {
-            continue;
+        kernel.encode_checks_lanes(&words[..lanes], 1, &mut checks);
+        // the received word: data | checks << k, through the channel
+        for ((word, check), error) in words[..lanes].iter_mut().zip(&checks).zip(&errors) {
+            *word = (*word | check << k) ^ error;
         }
-        // syndrome: re-encode the received data bits, compare checks
-        let expect = kernel.encode_checks(word & mask64(k));
-        if expect == (word >> k) & check_mask {
-            report.undetected += 1;
-        } else {
-            report.detected += 1;
+        kernel.encode_checks_lanes(&words[..lanes], 1, &mut checks);
+        for ((word, check), error) in words[..lanes].iter().zip(&checks).zip(&errors) {
+            tally(word ^ error, *error, *check == (word >> k) & check_mask);
         }
     }
-    report
 }
 
 fn mask64(bits: usize) -> u64 {
@@ -333,47 +387,38 @@ fn float32_worker(code: &CompositeCode, p: f64, trials: u64, seed: u64) -> Float
     report
 }
 
-fn float32_worker_kernel(
-    mut kernel: CircuitKernel,
-    p: f64,
-    trials: u64,
-    seed: u64,
-) -> Float32Report {
-    let bsc = Bsc::new(p);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let k = kernel.data_len();
-    let n = k + kernel.check_len();
-    let check_mask = mask64(kernel.check_len());
+fn float32_worker_kernel(kernel: CircuitKernel, p: f64, trials: u64, seed: u64) -> Float32Report {
     let mut report = Float32Report {
         trials,
         ..Default::default()
     };
-    for _ in 0..trials {
-        let bits = random_numeric_f32(&mut rng);
-        let mut word = u64::from(bits) | (kernel.encode_checks(u64::from(bits)) << k);
-        let flips = bsc.transmit_u64(&mut rng, &mut word, n);
-        if flips == 0 {
-            continue;
-        }
-        // syndrome: re-encode the received data bits, compare checks
-        if kernel.encode_checks(word & mask64(k)) != (word >> k) & check_mask {
-            continue; // detected
-        }
-        report.undetected += 1;
-        let got_bits = (word & 0xFFFF_FFFF) as u32;
-        if got_bits == bits {
-            report.numeric_errors += 1;
-            continue;
-        }
-        let original = f32::from_bits(bits);
-        let corrupted = f32::from_bits(got_bits);
-        if corrupted.is_finite() {
-            report.numeric_errors += 1;
-            report.error_magnitude_sum += (corrupted as f64 - original as f64).abs();
-        } else {
-            report.non_numeric += 1;
-        }
-    }
+    kernel_trials(
+        kernel,
+        p,
+        trials,
+        seed,
+        |rng| u64::from(random_numeric_f32(rng)),
+        |sent, error, valid| {
+            if error == 0 || !valid {
+                return; // clean, or detected
+            }
+            report.undetected += 1;
+            let bits = sent as u32;
+            let got_bits = (sent ^ error) as u32;
+            if got_bits == bits {
+                report.numeric_errors += 1;
+                return;
+            }
+            let original = f32::from_bits(bits);
+            let corrupted = f32::from_bits(got_bits);
+            if corrupted.is_finite() {
+                report.numeric_errors += 1;
+                report.error_magnitude_sum += (corrupted as f64 - original as f64).abs();
+            } else {
+                report.non_numeric += 1;
+            }
+        },
+    );
     report
 }
 

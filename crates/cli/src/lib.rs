@@ -1060,6 +1060,8 @@ mod tests {
             "md(G0) = 3 && corr(G0) = 2 && len_c(G0) <= 8",
             "corr(G0) = 2 && md(G0) = 3 && len_c(G0) <= 8",
             "md(G0) = 3 && 2 < 1",
+            "len_c(G0) = 4.5 && md(G0) = 3",
+            "len_c(G0) = 3 && G0(0, 4) = 1 && G0(0, 4) = 0 && md(G0) = 3",
         ] {
             let prop = format!("len_d(G0) = 4 && {rest}");
             for cmd in ["analyze", "synth"] {
@@ -1096,6 +1098,23 @@ mod tests {
             (
                 "len_c(G0) < 4.0 && md(G0) = 3",
                 "G0: [7, 4] d >= 3",
+                "G0: (7, 4) code",
+            ),
+            // a fractional bound admits the integers on its side
+            (
+                "len_c(G0) < 4.5 && md(G0) = 3",
+                "len_c(G[0]) <= 4",
+                "4) code",
+            ),
+            (
+                "md(G0) >= 2.5 && len_c(G0) <= 4",
+                "md(G[0]) >= 3",
+                "4) code",
+            ),
+            // one cell pinned twice to one value
+            (
+                "len_c(G0) = 3 && G0(0, 4) = 1 && G0(0, 4) = 1 && md(G0) = 3",
+                "lint[duplicate-conjunct]",
                 "G0: (7, 4) code",
             ),
         ] {

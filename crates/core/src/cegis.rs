@@ -730,6 +730,8 @@ mod tests {
             "md(G0) = 3 && corr(G0) = 2 && len_c(G0) <= 8",
             "corr(G0) = 2 && md(G0) = 3 && len_c(G0) <= 8",
             "md(G0) = 3 && 2 < 1",
+            "len_c(G0) = 4.5 && md(G0) = 3",
+            "len_c(G0) = 3 && G0(0, 4) = 1 && G0(0, 4) = 0 && md(G0) = 3",
         ] {
             let e = Synthesizer::new(quick_config())
                 .run(&spec(rest))
@@ -759,6 +761,18 @@ mod tests {
             (
                 "len_c(G0) < 4.0 && md(G0) = 3",
                 "md(G0) >= 3 && len_c(G0) <= 3",
+            ),
+            (
+                "len_c(G0) < 4.5 && md(G0) = 3",
+                "md(G0) >= 3 && len_c(G0) <= 4",
+            ),
+            (
+                "md(G0) >= 2.5 && len_c(G0) <= 4",
+                "md(G0) >= 3 && len_c(G0) <= 4",
+            ),
+            (
+                "len_c(G0) = 3 && G0(0, 4) = 1 && G0(0, 4) = 1 && md(G0) = 3",
+                "len_c(G0) = 3 && G0(0, 4) = 1 && md(G0) = 3",
             ),
         ] {
             assert_eq!(shape(rest), shape(same_as), "{rest}");
